@@ -21,6 +21,7 @@ import numpy as np
 from . import impulsim, mcharness, planner
 from .kernels import (
     Allee,
+    ConfigError,
     DomainError,
     HollingI,
     HollingII,
@@ -35,10 +36,6 @@ from .kernels import (
 from .orbit import PestFreeOrbit, ReleaseProgram, Verdict, floquet_multipliers, stability_verdict
 
 __all__ = ["ConfigError", "load_config", "build_kernels", "main"]
-
-
-class ConfigError(Exception):
-    """Config file is missing, malformed, or has the wrong shape."""
 
 
 _MODEL_ERRORS = (
@@ -369,14 +366,14 @@ def cmd_robustness(args) -> int:
     _emit("t_lower", t_lower)
     _emit("t_hat_min", t_hat_min)
     n = 200
+    Ts = [t_hat_min * i / (n + 1) for i in range(1, n + 1)]
+    bounds = planner.robust_envelope(Ts, box, mu)
     out = _out_dir(args)
     path = os.path.join(out, "robust_bound.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["T", "bound", "T_L_flag"])
-        for i in range(1, n + 1):
-            T = t_hat_min * i / (n + 1)
-            bound = planner.robust_envelope(T, box, mu)
+        for T, bound in zip(Ts, bounds):
             w.writerow([f"{T:.17g}", f"{bound:.17g}", int(T < t_lower)])
     _emit("points", n)
     _emit("bound_csv", path)

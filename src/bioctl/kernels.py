@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+class ConfigError(Exception):
+    """A config file or environment setting is malformed; the CLI exits 2."""
+
+
 class DomainError(ValueError):
     """An argument left the model's domain."""
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import impulsim, planner
-from .kernels import DomainError, KernelSet
+from .kernels import ConfigError, DomainError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
@@ -89,10 +89,10 @@ def stream_uniforms(seed: int, counters) -> np.ndarray:
 
 
 def _thread_count() -> int:
-    env = os.environ.get("BIOCTL_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    env = os.environ.get("BIOCTL_THREADS", "").strip() or str(min(4, os.cpu_count() or 1))
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"BIOCTL_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class McConfig:
     kernels: Optional[KernelSet] = None    # full engine only
     eil: Optional[float] = None            # full engine only
     sim: Optional[impulsim.SimConfig] = None
-    n_param: int = 33
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -252,7 +251,7 @@ def run_mc(cfg: McConfig) -> list:
     uniform in the z0 box.  Horizon-exceeded trials of the full engine are
     flagged failed with Pi = nan, never dropped.
     """
-    t_upper, _ = planner.t_limits(cfg.box, cfg.mu, cfg.n_param)
+    t_upper, _ = planner.t_limits(cfg.box, cfg.mu)
     if not 0.0 < t_upper < math.inf:
         raise DomainError(
             "envelope ceiling must be positive and finite; widen the z0 box")
@@ -358,7 +357,7 @@ def bin_envelope(records, n_bins: int, t_upper: float) -> list:
 
 
 def verify_envelope(records, box: planner.UncertaintyBox, mu: float,
-                    n_bins: int = 50, n_param: int = 33) -> EnvelopeReport:
+                    n_bins: int = 50) -> EnvelopeReport:
     """Compare the scatter against the closed-form deviation bound.
 
     ``violations`` counts comparison-model records above the bound at
@@ -367,17 +366,16 @@ def verify_envelope(records, box: planner.UncertaintyBox, mu: float,
     is exempt.  Per bin, ``coverage_ratio`` is max_dev over the bound at
     the bin midpoint; it approaches 1 from below as trials accumulate.
     """
-    t_upper, _ = planner.t_limits(box, mu, n_param)
+    t_upper, _ = planner.t_limits(box, mu)
     live = [r for r in records if not r.failed]
     Ts = np.array([r.T for r in live], dtype=float)
     devs = np.array([r.deviation for r in live], dtype=float)
     comparison = np.array([r.engine != "full" for r in live], dtype=bool)
-    bounds = planner.envelope_bound_curve(Ts, box, mu, n_param) if live else np.empty(0)
+    bounds = planner.envelope_bound_curve(Ts, box, mu) if live else np.empty(0)
     violations = int(np.sum(comparison & (devs > bounds + 1e-9)))
     bins = []
     for st in bin_envelope(records, n_bins, t_upper):
-        bound = float(planner.envelope_bound_curve(
-            np.asarray([st.bin_mid]), box, mu, n_param)[0])
+        bound = planner.envelope_bound_curve(st.bin_mid, box, mu)
         cov = st.max_dev / bound if st.count and bound > 0 else math.nan
         bins.append(BinReport(st.bin_mid, st.max_dev, st.min_dev, bound,
                               st.count, cov))

@@ -159,11 +159,13 @@ def max_decay_period(mu: float, sigma: float, m: float, tol: float = 1e-12) -> f
         raise DomainError("mu must exceed sigma")
 
     def residual(T):
+        if m * T > 700.0:  # expm1 overflows soon after; it equals exp here
+            return mu * T * math.exp(-m * T) - sigma / m
         return mu * T / math.expm1(m * T) - sigma / m
 
     lo, hi = 1e-12, 1.0  # residual(0+) = (mu - sigma)/m > 0
     for _ in range(200):
-        if residual(hi) < 0.0:
+        if residual(hi) <= 0.0:  # 0 once sigma/m and e^{-mT} underflow
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -243,6 +245,29 @@ def damage_time(p: ZParams, z0: float, t0: float = 0.0,
 # worst invasion instant
 
 
+def _fall(t, T, sigma, m, mu):
+    """Fall of z over the phases [0, t] of a period, F(t) = P*(1 - e^{-m t})
+    - sigma*t with P the pulse peak, and its rate F' = m*y_p - sigma."""
+    peak = mu * T / -np.expm1(-m * T)
+    return peak * -np.expm1(-m * t) - sigma * t, m * peak * np.exp(-m * t) - sigma
+
+
+def _invert_fall(s, T, sigma, m, mu):
+    """Phase t in [0, T] where the fall reaches s in [0, (mu - sigma)*T],
+    elementwise.  Below the decay ceiling F is concave and increasing on
+    [0, T], so its tangents lie above it: Newton steps from t = 0 stay left
+    of the root and rise monotonically to it (clipped to [t, T] in floats).
+    """
+    t = np.zeros(np.broadcast(s, T, sigma, m).shape)
+    for _ in range(100):
+        f, rate = _fall(t, T, sigma, m, mu)
+        t_next = np.clip(t + (s - f) / rate, t, T)
+        if np.array_equal(t_next, t):
+            break
+        t = t_next
+    return t
+
+
 @dataclass(frozen=True)
 class WorstCaseReport:
     """Worst invasion instant and the resulting damage time.
@@ -263,9 +288,9 @@ class WorstCaseReport:
 def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
     """Maximize the damage time over the invasion instant t0 in [0, T).
 
-    In the interior case the worst instant is the unique root of the
-    strictly increasing crossing condition phi(t0) below, bisected to
-    1e-12 * T; phi(0) and phi(T) bracket zero by construction.
+    In the interior case the worst instant puts z's zero exactly at the
+    release (k+1)*T: the fall of z over the phases [0, t0] of a period
+    equals (k+1)*net_drop - z0, which lies strictly inside (0, net_drop).
     """
     if z0 <= 0:
         raise DomainError("z0 must be positive")
@@ -279,35 +304,14 @@ def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
         pi = k_near * p.T
         return WorstCaseReport("resonant", int(k_near), 0.0, pi, t1, pi - t1)
     k = math.ceil(rho) - 1
-    denom = -math.expm1(-p.m * p.T)
-    horizon = (k + 1) * p.T
-
-    def phi(t0):
-        # z hits zero exactly at (k+1)*T when the invasion happens at the
-        # root of this function; phi(0) = (rho-k-1)*net_drop < 0 and
-        # phi(T) = (rho-k)*net_drop > 0
-        return (z0 + p.sigma * (horizon - t0) - (k + 1) * p.mu * p.T
-                + p.mu * p.T * -math.expm1(-p.m * t0) / denom)
-
-    lo, hi = 0.0, p.T
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * p.T:
-            break
-    t0_star = 0.5 * (lo + hi)
-    pi = horizon - t0_star
+    t0_star = float(_invert_fall((k + 1) * p.net_drop - z0, p.T, p.sigma, p.m, p.mu))
+    pi = (k + 1) * p.T - t0_star
     return WorstCaseReport("interior", int(k), t0_star, pi, t1, pi - t1)
 
 
 def deviation_closed_form(p: ZParams, t0_star: float) -> float:
     """Closed-form pi_max - t1 at the interior worst instant t0_star."""
-    denom = -math.expm1(-p.m * p.T)
-    gain = p.mu / (p.mu - p.sigma)
-    return gain * (-math.expm1(-p.m * t0_star) / denom * p.T - t0_star)
+    return float(_fall(t0_star, p.T, p.sigma, p.m, p.mu)[0] / (p.mu - p.sigma) - t0_star)
 
 
 # --------------------------------------------------------------------------
@@ -405,82 +409,79 @@ class UncertaintyBox:
         return [(float(s), float(mm)) for s in sig for mm in ms]
 
 
-def t_limits(box: UncertaintyBox, mu: float, n_param: int = 33):
-    """(T_L, T_hat_min) over the box.
+def t_limits(box: UncertaintyBox, mu: float):
+    """(T_L, T_hat_min) over the box, both corner values.
 
     T_L is the ceiling below which the closed-form envelope is the exact
-    worst deviation over the whole box: per parameter point it is the
-    smaller of the decay ceiling and the half-width of the z0 box scaled
-    by the per-time drop (the invasion-size sweep must span a full
-    resonance gap).  T_hat_min is the plain decrease ceiling minimized
-    over the box.
+    worst deviation over the whole box: the smaller of the decay ceiling
+    and the z0 half-width over mu - sigma (the invasion-size sweep must
+    span a full resonance gap).  T_hat_min is the least decrease ceiling.
+    With x = m*T the ceiling solves x/(e^x - 1) = sigma/mu, whose left side
+    decreases, so T_hat = x*(sigma/mu)/m falls in sigma and in m: least at
+    (sigma_hi, m_hi).  The gap term is least at sigma_lo.
     """
     if mu <= box.sigma_hi:
         raise DomainError("mu must exceed sigma over the whole box")
+    t_hat_min = max_decay_period(mu, box.sigma_hi, box.m_hi)
     half_gap = 0.5 * (box.z0_hi - box.z0_lo)
-    t_big = math.inf
-    t_hat_min = math.inf
-    for sig, mm in box.param_grid(n_param):
-        t_hat = max_decay_period(mu, sig, mm)
-        t_hat_min = min(t_hat_min, t_hat)
-        t_big = min(t_big, min(t_hat, half_gap / (mu - sig)))
-    return t_big, t_hat_min
+    return min(t_hat_min, half_gap / (mu - box.sigma_lo)), t_hat_min
 
 
-def envelope_bound_curve(Ts, box: UncertaintyBox, mu: float, n_param: int = 33):
-    """Closed-form deviation bound maxed over the parameter box, per period.
-
-    Exact worst deviation only below T_L; callers gate the validity range.
+def envelope_bound_curve(Ts, box: UncertaintyBox, mu: float):
+    """Closed-form deviation bound maxed over the parameter box, per period;
+    exact worst deviation only below T_L (callers gate the range).  The
+    maximum is the (sigma_hi, m_hi) corner: mu/(mu - sigma) rises in sigma,
+    and deviation_envelope, the max over theta in (0, 1) of T*(q(m*T) -
+    theta) with q(a) = (1 - e^{-theta*a})/(1 - e^{-a}), rises in m since
+    d ln q/da = (g(theta*a) - g(a))/a > 0 for decreasing g(y) = y/(e^y - 1).
     """
-    Ts = np.asarray(Ts, dtype=float)
-    best = np.full(Ts.shape, -np.inf)
-    for sig, mm in box.param_grid(n_param):
-        np.maximum(best, mu / (mu - sig) * deviation_envelope(Ts, mm), out=best)
-    return best
+    return mu / (mu - box.sigma_hi) * deviation_envelope(Ts, box.m_hi)
 
 
-def _worst_deviation_grid(z0s, p: ZParams):
-    """Vectorized worst-case deviation for an array of invasion sizes."""
-    z0s = np.asarray(z0s, dtype=float)
-    rho = z0s / p.net_drop
-    k_near = np.round(rho)
-    resonant = (k_near >= 1) & (np.abs(rho - k_near) <= RESONANCE_RTOL * np.maximum(1.0, rho))
-    k = np.ceil(rho) - 1.0
-    denom = -math.expm1(-p.m * p.T)
-    horizon = (k + 1.0) * p.T
-    lo = np.zeros_like(z0s)
-    hi = np.full_like(z0s, p.T)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        phi = (z0s + p.sigma * (horizon - mid) - (k + 1.0) * p.mu * p.T
-               + p.mu * p.T * -np.expm1(-p.m * mid) / denom)
-        neg = phi < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    pi = horizon - 0.5 * (lo + hi)
-    t1 = z0s / (p.mu - p.sigma)
-    return np.where(resonant, 0.0, pi - t1)
+def robust_envelope(T, box: UncertaintyBox, mu: float):
+    """Worst deviation pi_max - t1 over the whole uncertainty box at period T
+    (a scalar, or an array of periods).
 
-
-def robust_envelope(T: float, box: UncertaintyBox, mu: float,
-                    n_param: int = 33, n_z0: int = 201) -> float:
-    """Worst deviation pi_max - t1 over the whole uncertainty box at period T.
-
-    Below T_L the closed form is exact; between T_L and the box-wide
-    decrease ceiling the maximum is taken on a dense (z0, parameter)
-    grid; at or beyond the ceiling the worst case is undefined.
+    Below T_L the corner closed form is exact.  Above it, up to the
+    box-wide decrease ceiling, the value is exact in z0 and maximized over
+    the 33x33 (sigma, m) ``param_grid``.  Exact in z0: the worst instant
+    t0* for size z0 has fall F(t0*) = net_drop*ceil(z0/net_drop) - z0 (see
+    ``worst_invasion``), and G(t0*) = ``deviation_closed_form`` is concave,
+    zero at 0 and T, peaked at ``envelope_argmax``.  The fall target drops
+    in z0 between multiples of net_drop, so with t_lo, t_hi the instants of
+    z0_lo, z0_hi the box reaches [t_hi, t_lo] within one gap,
+    [0, t_lo] u [t_hi, T] across one multiple, [0, T) over a full gap: the
+    maximum is G at the peak if reached, else max(G(t_lo), G(t_hi)).  That
+    is at most the corner closed form, which caps it against rounding.
     """
-    if T <= 0:
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    if np.any(Ts <= 0):
         raise DomainError("T must be positive")
-    t_big, t_hat_min = t_limits(box, mu, n_param)
-    if T >= t_hat_min:
+    t_big, t_hat_min = t_limits(box, mu)
+    if np.any(Ts >= t_hat_min):
         raise PeriodTooLargeError(
             "period at or above the box-wide decrease ceiling")
-    if T < t_big:
-        return float(envelope_bound_curve(np.asarray([T]), box, mu, n_param)[0])
-    z0s = np.linspace(box.z0_lo, box.z0_hi, n_z0)
-    best = 0.0
-    for sig, mm in box.param_grid(n_param):
-        p = ZParams(sig, mm, mu, T)
-        best = max(best, float(_worst_deviation_grid(z0s, p).max()))
-    return best
+    out = envelope_bound_curve(Ts, box, mu)
+    above = Ts >= t_big
+    if np.any(above):
+        sig, m = np.array(box.param_grid()).T
+        Tg = Ts[above, None]
+        drop = (mu - sig) * Tg
+        c_lo, c_hi = np.ceil(box.z0_lo / drop), np.ceil(box.z0_hi / drop)
+        s = np.clip([drop * c_lo - box.z0_lo, drop * c_hi - box.z0_hi], 0.0, drop)
+        t_lo, t_hi = _invert_fall(s, Tg, sig, m, mu)
+        peak = envelope_argmax(Tg, m)
+        in_range = np.where(c_hi > c_lo, (peak <= t_lo) | (peak >= t_hi),
+                            (t_hi <= peak) & (peak <= t_lo))
+        in_range |= box.z0_hi - box.z0_lo >= drop
+        g = [_fall(t, Tg, sig, m, mu)[0] / (mu - sig) - t for t in (peak, t_lo, t_hi)]
+        worst = np.where(in_range, g[0], np.maximum(g[1], g[2])).max(axis=1)
+        out[above] = np.minimum(np.maximum(worst, 0.0),
+                                [_corner_bound(t, box, mu) for t in Ts[above]])
+    return out if np.ndim(T) else float(out[0])
+
+
+def _corner_bound(T: float, box: UncertaintyBox, mu: float) -> float:
+    # the corner closed form through libm; numpy's vectorized log can be an ulp off
+    u = box.m_hi * T / -math.expm1(-box.m_hi * T)
+    return mu / (mu - box.sigma_hi) * (u - 1.0 - math.log(u)) / box.m_hi

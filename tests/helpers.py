@@ -17,7 +17,8 @@ def orbit_peak(mu: float, T: float, m: float) -> float:
 
 
 def oracle_damage_times(sigma, m, mu, T, z0, t0s, n_grid=1 << 18):
-    """Damage times for an array of invasion instants in [0, T).
+    """Damage times for an array of invasion instants in [0, T); an array
+    of invasion sizes z0 broadcasts against them.
 
     Builds one cumulative midpoint-rule table of int_0^phi (sigma - m*y_p)
     over a dense phase grid, walks whole periods arithmetically (the path
@@ -59,6 +60,20 @@ def grid_pi_max(sigma, m, mu, T, z0, n_t0=2000, n_grid=1 << 18) -> float:
     """Brute-force worst damage time over a dense grid of invasion instants."""
     t0s = np.linspace(0.0, T, n_t0, endpoint=False)
     return float(oracle_damage_times(sigma, m, mu, T, z0, t0s, n_grid).max())
+
+
+def grid_worst_deviation(sigma, m, mu, T, z0_lo, z0_hi, n_z0=201, n_t0=2000,
+                         n_grid=1 << 16) -> float:
+    """Worst Pi - t1 over a dense grid of invasion sizes in [z0_lo, z0_hi]
+    and invasion instants in [0, T), every Pi from oracle_damage_times.
+
+    A grid maximum: below the supremum by the grid's resolution, above it
+    only by the quadrature and interpolation error of the damage times.
+    """
+    z0s = np.linspace(z0_lo, z0_hi, n_z0)[:, None]
+    t0s = np.linspace(0.0, T, n_t0, endpoint=False)
+    pis = oracle_damage_times(sigma, m, mu, T, z0s, t0s, n_grid)
+    return float((pis - z0s / (mu - sigma)).max())
 
 
 def midpoint_z_value(sigma, m, mu, T, z0, t0, t, n_grid=1 << 16) -> float:

@@ -289,6 +289,16 @@ def test_montecarlo_outputs_are_reproducible(tmp_path):
     assert sum(int(r["count"]) for r in rows) == 800
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_bad_thread_count_is_a_config_error(tmp_path, threads):
+    res = run_cli(*mc_args(write_config(tmp_path), tmp_path / "out"),
+                  env_extra={"BIOCTL_THREADS": threads})
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+    assert f"BIOCTL_THREADS must be a positive integer, got '{threads}'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_plot_renders_svg(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -87,6 +87,9 @@ def test_decay_ceiling_reference():
 def test_decay_ceiling_edge_cases():
     assert max_decay_period(2.0, 0.0, 1.0) == math.inf
     assert max_decay_period(2.0, -3.0, 1.0) == math.inf
+    # a subnormal threshold puts the ceiling past where e^{mT} overflows
+    assert 700.0 < max_decay_period(0.2, 2.2e-309, 1.0) < math.inf
+    assert 300.0 < max_decay_period(0.2, 5e-324, 2.0) < math.inf
     with pytest.raises(DomainError):
         max_decay_period(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -270,6 +273,7 @@ def test_envelope_argmax_interior(T, m):
        bump=st.floats(1e-3, 0.5))
 def test_envelope_strictly_increasing(T, m, bump):
     assert deviation_envelope(T + bump, m) > deviation_envelope(T, m)
+    assert deviation_envelope(T, m + bump) > deviation_envelope(T, m)
 
 
 def test_envelope_vanishes_at_zero():
@@ -278,15 +282,17 @@ def test_envelope_vanishes_at_zero():
 
 
 @given(z0_frac=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+@settings(max_examples=20)
 def test_envelope_is_attained_supremum(z0_frac, seed):
-    # the worst deviation over a full resonance gap of invasion sizes gets
-    # within a grid step of the closed form, never above it
+    # the dense-grid worst deviation over a full resonance gap of invasion
+    # sizes gets within a t0 grid step of the closed form, never above it
     p = draw_params(np.random.default_rng(seed))
     bound = p.mu / (p.mu - p.sigma) * deviation_envelope(p.T, p.m)
-    z0s = (1.0 + np.linspace(0.0, 1.0, 401)) * p.net_drop
-    devs = planner._worst_deviation_grid(z0s, p)
-    assert devs.max() <= bound + 1e-9
-    assert devs.max() >= bound * (1 - 1e-3)
+    z0_lo = (1.0 + z0_frac) * p.net_drop
+    worst = helpers.grid_worst_deviation(p.sigma, p.m, p.mu, p.T,
+                                         z0_lo, z0_lo + p.net_drop)
+    assert worst <= bound + 1e-9
+    assert worst >= bound - p.T / 2000
 
 
 def test_uncertainty_box_validation():
@@ -326,7 +332,7 @@ def test_robust_envelope_branches(reference_box):
     direct = robust_envelope(0.8, reference_box, 2.0)
     assert math.isclose(direct, 2.0 * deviation_envelope(0.8, 1.0),
                         rel_tol=1e-12)
-    # grid branch just below the ceiling, continuous across the switch
+    # exact-in-z0 branch above T_L, continuous across the switch
     box = UncertaintyBox(1.0, 1.5, 1.0, 1.0, 1.0, 1.0)
     t_lower, t_hat_min = t_limits(box, 2.0)
     below = robust_envelope(t_lower * 0.999, box, 2.0)
@@ -345,3 +351,103 @@ def test_envelope_bound_curve_monotone(reference_box):
     assert np.all(np.diff(bounds) > 0.0)
     wide = UncertaintyBox(1.0, 5.0, 0.8, 1.2, 0.7, 1.3)
     assert np.all(envelope_bound_curve(Ts, wide, 2.0) >= bounds - 1e-15)
+
+
+def grid_t_limits(box, mu):
+    # the 33x33 parameter scan t_limits replaced
+    t_big = t_hat_min = math.inf
+    for sig, mm in box.param_grid():
+        t_hat = max_decay_period(mu, sig, mm)
+        t_hat_min = min(t_hat_min, t_hat)
+        t_big = min(t_big, t_hat, 0.5 * (box.z0_hi - box.z0_lo) / (mu - sig))
+    return t_big, t_hat_min
+
+
+def corner_libm(T, box, mu):
+    u = box.m_hi * T / -math.expm1(-box.m_hi * T)
+    return mu / (mu - box.sigma_hi) * (u - 1.0 - math.log(u)) / box.m_hi
+
+
+@st.composite
+def boxes(draw):
+    """(box, mu) with sigma and m ranges that are either points or at least
+    1% wide."""
+    z0_lo = draw(st.floats(0.1, 5.0))
+    z0_hi = z0_lo + draw(st.floats(0.0, 5.0))
+    sig_lo = draw(st.floats(-0.5, 1.5))
+    sig_hi = sig_lo + draw(st.just(0.0) | st.floats(0.01, 0.5))
+    m_lo = draw(st.floats(0.3, 2.0))
+    m_hi = m_lo * (1.0 + draw(st.just(0.0) | st.floats(0.01, 0.5)))
+    mu = max(sig_hi, 0.1) * draw(st.floats(1.2, 3.0))
+    return UncertaintyBox(z0_lo, z0_hi, sig_lo, sig_hi, m_lo, m_hi), mu
+
+
+@given(bm=boxes())
+@settings(max_examples=30)
+def test_t_limits_equal_grid_minimum(bm):
+    box, mu = bm
+    assert t_limits(box, mu) == grid_t_limits(box, mu)
+
+
+@given(bm=boxes(), T=st.floats(0.01, 3.0))
+def test_envelope_bound_curve_equals_grid_maximum(bm, T):
+    box, mu = bm
+    Ts = np.array([T, 0.5 * T, 0.1 * T])
+    grid = np.full(Ts.shape, -np.inf)
+    for sig, mm in box.param_grid():
+        np.maximum(grid, mu / (mu - sig) * deviation_envelope(Ts, mm), out=grid)
+    assert np.array_equal(envelope_bound_curve(Ts, box, mu), grid)
+
+
+@given(mu=st.floats(0.5, 5.0), frac=st.floats(0.05, 0.9), m=st.floats(0.2, 3.0),
+       bump=st.floats(1e-3, 0.5))
+def test_decay_ceiling_decreases_in_sigma_and_m(mu, frac, m, bump):
+    sigma = frac * mu
+    t_hat = max_decay_period(mu, sigma, m)
+    assert max_decay_period(mu, sigma * (1.0 + bump * (1.0 - frac)), m) < t_hat
+    assert max_decay_period(mu, sigma, m * (1.0 + bump)) < t_hat
+
+
+@given(bm=boxes())
+@settings(max_examples=30)
+def test_robust_envelope_above_t_lower_below_corner(bm):
+    box, mu = bm
+    t_lower, t_hat_min = t_limits(box, mu)
+    assume(t_lower < t_hat_min < math.inf)
+    Ts = np.linspace(t_lower, t_hat_min, 13)[1:-1]
+    got = robust_envelope(Ts, box, mu)
+    assert got.shape == Ts.shape
+    assert all(0.0 <= g <= corner_libm(T, box, mu) for T, g in zip(Ts, got))
+    assert robust_envelope(float(Ts[3]), box, mu) == got[3]
+
+
+@given(seed=st.integers(0, 10_000), lo=st.floats(0.5, 3.0), width=st.floats(0.01, 1.5))
+@settings(max_examples=20)
+def test_robust_envelope_is_exact_in_z0(seed, lo, width):
+    # singleton parameters, z0 box inside one gap, across a multiple of the
+    # per-period drop, or over a full gap: the dense grid lands within a t0
+    # grid step below the exact value, never above it
+    p = draw_params(np.random.default_rng(seed))
+    box = UncertaintyBox(lo * p.net_drop, (lo + width) * p.net_drop,
+                         p.sigma, p.sigma, p.m, p.m)
+    exact = robust_envelope(p.T, box, p.mu)
+    worst = helpers.grid_worst_deviation(p.sigma, p.m, p.mu, p.T,
+                                         box.z0_lo, box.z0_hi)
+    assert exact - p.T / 2000 <= worst <= exact + 1e-9
+
+
+def test_robust_envelope_dominates_dense_grid_on_varying_box():
+    # above T_L on a box where sigma and m vary, no parameter point of the
+    # 33x33 grid has a dense-grid worst deviation above robust_envelope
+    box, mu = UncertaintyBox(1.0, 1.3, 0.8, 1.0, 0.9, 1.1), 2.0
+    t_lower, t_hat_min = t_limits(box, mu)
+    grid = box.param_grid()
+    rng = np.random.default_rng(5)
+    picks = [grid[0], grid[32], grid[-33], grid[-1]] + \
+        [grid[i] for i in rng.choice(len(grid), 4, replace=False)]
+    for T in (0.5 * (t_lower + t_hat_min), 0.9 * t_hat_min):
+        bound = robust_envelope(T, box, mu)
+        assert t_lower < T and bound <= corner_libm(T, box, mu)
+        for sig, mm in picks:
+            worst = helpers.grid_worst_deviation(sig, mm, mu, T, box.z0_lo, box.z0_hi)
+            assert worst <= bound + 1e-9
