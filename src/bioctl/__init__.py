@@ -56,6 +56,6 @@ from .impulsim import (
     damage_time_full,
     simulate,
 )
-from .mcharness import McConfig, TrialRecord, bin_envelope, run_mc, verify_envelope
+from .mcharness import McConfig, Trials, bin_envelope, run_mc, verify_envelope
 
 __version__ = "0.1.0"

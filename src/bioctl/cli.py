@@ -72,6 +72,12 @@ def _check_keys(d: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
 
 
+def _is_finite_number(v) -> bool:
+    # the range test also rejects nan and ints too large for a float
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
 def _num(d: dict, key: str, where: str, required: bool = True,
          default=None) -> Optional[float]:
     if key not in d:
@@ -79,8 +85,8 @@ def _num(d: dict, key: str, where: str, required: bool = True,
             raise ConfigError(f"{where}: missing key {key!r}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: {key} must be a number")
+    if not _is_finite_number(v):
+        raise ConfigError(f"{where}: {key} must be a finite number")
     return float(v)
 
 
@@ -188,11 +194,9 @@ def _build_box(cfg: dict) -> planner.UncertaintyBox:
         if key not in d:
             raise ConfigError(f"box: missing key {key!r}")
         v = d[key]
-        ok = (isinstance(v, list) and len(v) == 2
-              and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                      for x in v))
-        if not ok:
-            raise ConfigError(f"box: {key} must be a [lo, hi] pair")
+        if not (isinstance(v, list) and len(v) == 2
+                and all(_is_finite_number(x) for x in v)):
+            raise ConfigError(f"box: {key} must be a [lo, hi] pair of finite numbers")
         return float(v[0]), float(v[1])
 
     z0 = pair("z0")
@@ -405,7 +409,7 @@ def cmd_montecarlo(args) -> int:
     _emit("engine", engine)
     _emit("t_upper", report.t_upper)
     _emit("violations", report.violations)
-    _emit("failed", sum(1 for r in records if r.failed))
+    _emit("failed", int(records.failed.sum()))
     _emit("records_csv", rec_path)
     _emit("envelope_csv", env_path)
     return 1 if (report.violations > 0 and engine != "full") else 0
@@ -528,6 +532,17 @@ def cmd_plot(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for the float flags: nan and inf exit 2 as usage errors."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bioctl",
@@ -547,28 +562,28 @@ def _build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "check the kernel assumptions")
 
     p = add("stability", cmd_stability, "pest-free orbit stability verdict")
-    p.add_argument("--period", type=float, default=None,
+    p.add_argument("--period", type=_finite_float, default=None,
                    help="override the release period from the config")
 
     p = add("simulate", cmd_simulate, "integrate the full model", out=True)
-    p.add_argument("--x0", type=float, required=True, help="initial pest density")
-    p.add_argument("--y0", type=float, default=None,
+    p.add_argument("--x0", type=_finite_float, required=True, help="initial pest density")
+    p.add_argument("--y0", type=_finite_float, default=None,
                    help="initial predator density (default: release orbit)")
-    p.add_argument("--t0", type=float, default=0.0, help="start time")
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--t0", type=_finite_float, default=0.0, help="start time")
+    p.add_argument("--period", type=_finite_float, default=None)
 
     p = add("damage", cmd_damage,
             "damage time, full model vs conservative comparison model")
-    p.add_argument("--x0", type=float, default=None, help="initial pest density")
-    p.add_argument("--z0", type=float, default=None,
+    p.add_argument("--x0", type=_finite_float, default=None, help="initial pest density")
+    p.add_argument("--z0", type=_finite_float, default=None,
                    help="initial transformed excess (alternative to --x0)")
-    p.add_argument("--t0", type=float, default=0.0,
+    p.add_argument("--t0", type=_finite_float, default=0.0,
                    help="invasion phase within the release cycle")
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--period", type=_finite_float, default=None)
 
     p = add("optimize", cmd_optimize,
             "release periods that drive the worst case to its floor", out=True)
-    p.add_argument("--z0", type=float, required=True,
+    p.add_argument("--z0", type=_finite_float, required=True,
                    help="initial transformed excess")
 
     add("robustness", cmd_robustness,

@@ -7,8 +7,8 @@ from :mod:`bioctl.planner`.
 
 Engines:
 
-* ``closed``: vectorized piecewise-analytic root of the comparison model
-  (default, exact up to bisection width);
+* ``closed``: the comparison model's piecewise-analytic damage time from
+  :mod:`bioctl.planner`, one Newton inversion per trial (default);
 * ``zsim``: independent numerical route, cumulative Simpson quadrature of
   the comparison model with local grid refinement at the crossing;
 * ``full``: nonlinear simulation via :mod:`bioctl.impulsim`, the invasion
@@ -16,8 +16,8 @@ Engines:
   variables.
 
 Determinism contract: trial i derives its three uniforms from counters
-3i, 3i+1, 3i+2 through a keyed splitmix-style 64-bit mixer, so the record
-list for a given (seed, n_trials) is identical whatever the chunking,
+3i, 3i+1, 3i+2 through a keyed splitmix-style 64-bit mixer, so the trial
+columns for a given (seed, n_trials) are identical whatever the chunking,
 thread count or evaluation order.  Chunk size is a fixed constant for the
 same reason.
 """
@@ -40,7 +40,7 @@ from .orbit import ReleaseProgram
 
 __all__ = [
     "McConfig",
-    "TrialRecord",
+    "Trials",
     "BinStat",
     "BinReport",
     "EnvelopeReport",
@@ -121,56 +121,28 @@ class McConfig:
             raise DomainError("the harness pins sigma and m to single values")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    T: float
-    t0: float
-    z0: float
-    Pi: float
-    T1: float
-    deviation: float
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Monte Carlo trials as columns: entry i of each array is trial i.
+
+    Failed trials have Pi and deviation nan.  ``x0`` holds the initial pest
+    densities of the full engine (None for the others); it is not a CSV
+    column.
+    """
+
+    T: np.ndarray
+    t0: np.ndarray
+    z0: np.ndarray
+    Pi: np.ndarray
+    T1: np.ndarray
+    deviation: np.ndarray
+    failed: np.ndarray
     engine: str
-    failed: bool = False
-    x0: Optional[float] = None   # full engine only; not a CSV column
+    x0: Optional[np.ndarray] = None
 
 
 # --------------------------------------------------------------------------
 # engines
-
-
-def _pi_closed_vec(Ts, t0s, z0s, sigma, m, mu):
-    """Damage times of the comparison model, fully vectorized.
-
-    Below the decay ceiling z is strictly decreasing, so the crossing
-    segment is arithmetic (z drops by (mu-sigma)*T per period) and an
-    80-step bisection pins the in-segment root to machine precision.
-    """
-    peak = mu * Ts / -np.expm1(-m * Ts)
-    drop = (mu - sigma) * Ts
-    e_t0 = np.exp(-m * t0s)
-    z_b1 = z0s + sigma * (Ts - t0s) - peak * (e_t0 - np.exp(-m * Ts))
-    first = z_b1 <= 0.0
-    n = np.ceil(z_b1 / drop)
-    n = np.where(z_b1 - (n - 1.0) * drop <= 0.0, n - 1.0, n)
-    n = np.where(z_b1 - (n - 1.0) * drop > drop, n + 1.0, n)
-    n = np.maximum(n, 1.0)
-    z_seg = z_b1 - (n - 1.0) * drop
-    # segment-local root of z_start + sigma*s - peak*(E0 - exp(-m*(a0+s)))
-    z_start = np.where(first, z0s, z_seg)
-    a0 = np.where(first, t0s, 0.0)
-    e_a0 = np.where(first, e_t0, 1.0)
-    length = np.where(first, Ts - t0s, Ts)
-    lo = np.zeros_like(Ts)
-    hi = length.copy()
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        val = z_start + sigma * mid - peak * (e_a0 - np.exp(-m * (a0 + mid)))
-        pos = val > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    s = 0.5 * (lo + hi)
-    return np.where(first, s, (Ts - t0s) + (n - 1.0) * Ts + s)
 
 
 def _zsim_cross(grid, z, sigma, m, peak):
@@ -244,12 +216,13 @@ def _map_chunks(fun, n, threads, *arrays):
 # harness
 
 
-def run_mc(cfg: McConfig) -> list:
-    """Run the scatter experiment; returns one TrialRecord per trial.
+def run_mc(cfg: McConfig) -> Trials:
+    """Run the scatter experiment.
 
     Trial i draws T uniform in (0, T_L), t0 uniform in (0, T) and z0
-    uniform in the z0 box.  Horizon-exceeded trials of the full engine are
-    flagged failed with Pi = nan, never dropped.
+    uniform in the z0 box.  Full-engine trials that exceed the horizon,
+    fail to integrate or leave the state space are flagged failed with
+    Pi = nan, never dropped.
     """
     t_upper, _ = planner.t_limits(cfg.box, cfg.mu)
     if not 0.0 < t_upper < math.inf:
@@ -267,8 +240,9 @@ def run_mc(cfg: McConfig) -> list:
     failed = np.zeros(cfg.n_trials, dtype=bool)
     x0s = None
     if cfg.engine == "closed":
-        pis = _map_chunks(lambda a, b, c: _pi_closed_vec(a, b, c, sigma, m, cfg.mu),
-                          cfg.n_trials, threads, Ts, t0s, z0s)
+        pis = _map_chunks(
+            lambda a, b, c: planner._damage_times(a, b, c, sigma, m, cfg.mu),
+            cfg.n_trials, threads, Ts, t0s, z0s)
     elif cfg.engine == "zsim":
         pis = _map_chunks(lambda a, b, c: _pi_zsim_vec(a, b, c, sigma, m, cfg.mu),
                           cfg.n_trials, threads, Ts, t0s, z0s)
@@ -285,18 +259,12 @@ def run_mc(cfg: McConfig) -> list:
                 pis[i], _ = impulsim.damage_time_full(
                     cfg.kernels, program, float(x0s[i]), cfg.eil,
                     t0=float(t0s[i]), cfg=sim_cfg)
-            except impulsim.HorizonExceededError:
+            except (impulsim.HorizonExceededError, impulsim.IntegrationError,
+                    impulsim.StateConsistencyError):
                 pis[i] = math.nan
                 failed[i] = True
-    records = []
-    for i in range(cfg.n_trials):
-        records.append(TrialRecord(
-            trial_index=i, T=float(Ts[i]), t0=float(t0s[i]), z0=float(z0s[i]),
-            Pi=float(pis[i]), T1=float(t1s[i]),
-            deviation=float(pis[i] - t1s[i]), engine=cfg.engine,
-            failed=bool(failed[i]),
-            x0=float(x0s[i]) if x0s is not None else None))
-    return records
+    return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=pis - t1s,
+                  failed=failed, engine=cfg.engine, x0=x0s)
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +296,7 @@ class EnvelopeReport:
     bins: list
 
 
-def bin_envelope(records, n_bins: int, t_upper: float) -> list:
+def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> list:
     """Deviation extremes per equal-width period bin over (0, t_upper).
 
     Empty bins (and bins whose only trials failed) report count 0 with nan
@@ -338,11 +306,9 @@ def bin_envelope(records, n_bins: int, t_upper: float) -> list:
         raise DomainError("n_bins must be positive")
     if t_upper <= 0:
         raise DomainError("t_upper must be positive")
-    Ts = np.array([r.T for r in records], dtype=float)
-    devs = np.array([r.deviation for r in records], dtype=float)
-    ok = ~np.array([r.failed for r in records], dtype=bool)
+    devs, ok = trials.deviation, ~trials.failed
     edges = np.linspace(0.0, t_upper, n_bins + 1)
-    which = np.clip(np.searchsorted(edges, Ts, side="right") - 1, 0, n_bins - 1)
+    which = np.clip(np.searchsorted(edges, trials.T, side="right") - 1, 0, n_bins - 1)
     stats = []
     for b in range(n_bins):
         mid = 0.5 * (edges[b] + edges[b + 1])
@@ -356,25 +322,23 @@ def bin_envelope(records, n_bins: int, t_upper: float) -> list:
     return stats
 
 
-def verify_envelope(records, box: planner.UncertaintyBox, mu: float,
+def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
                     n_bins: int = 50) -> EnvelopeReport:
     """Compare the scatter against the closed-form deviation bound.
 
-    ``violations`` counts comparison-model records above the bound at
+    ``violations`` counts comparison-model trials above the bound at
     their own T (must be zero: the bound is their exact maximum).  The
     full engine is only locally approximated by the comparison model and
     is exempt.  Per bin, ``coverage_ratio`` is max_dev over the bound at
     the bin midpoint; it approaches 1 from below as trials accumulate.
     """
     t_upper, _ = planner.t_limits(box, mu)
-    live = [r for r in records if not r.failed]
-    Ts = np.array([r.T for r in live], dtype=float)
-    devs = np.array([r.deviation for r in live], dtype=float)
-    comparison = np.array([r.engine != "full" for r in live], dtype=bool)
-    bounds = planner.envelope_bound_curve(Ts, box, mu) if live else np.empty(0)
-    violations = int(np.sum(comparison & (devs > bounds + 1e-9)))
+    violations = 0
+    if trials.engine != "full":
+        bounds = planner.envelope_bound_curve(trials.T, box, mu)
+        violations = int(np.sum(trials.deviation > bounds + 1e-9))
     bins = []
-    for st in bin_envelope(records, n_bins, t_upper):
+    for st in bin_envelope(trials, n_bins, t_upper):
         bound = planner.envelope_bound_curve(st.bin_mid, box, mu)
         cov = st.max_dev / bound if st.count and bound > 0 else math.nan
         bins.append(BinReport(st.bin_mid, st.max_dev, st.min_dev, bound,
@@ -390,15 +354,18 @@ def _fmt(v) -> str:
     return f"{v:.17g}"
 
 
-def write_records_csv(records, path) -> None:
+def write_records_csv(trials: Trials, path) -> None:
+    """One row per trial, formatted a fixed-size chunk at a time."""
+    cols = (trials.T, trials.t0, trials.z0, trials.Pi, trials.T1,
+            trials.deviation, trials.failed)
+    row = "%d" + ",%.17g" * 6 + f",{trials.engine},%d\n"
+    n = len(trials.T)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["trial", "T", "t0", "z0", "Pi", "T1", "deviation",
-                    "engine", "failed"])
-        for r in records:
-            w.writerow([r.trial_index, _fmt(r.T), _fmt(r.t0), _fmt(r.z0),
-                        _fmt(r.Pi), _fmt(r.T1), _fmt(r.deviation),
-                        r.engine, int(r.failed)])
+        fh.write("trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
+        for s in range(0, n, _CHUNK):
+            e = min(s + _CHUNK, n)
+            block = np.column_stack([np.arange(s, e)] + [c[s:e] for c in cols])
+            fh.write((row * (e - s)) % tuple(block.ravel().tolist()))
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:

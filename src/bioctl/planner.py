@@ -37,9 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .kernels import DomainError, HollingI, HollingII, HollingIV
+from .kernels import DomainError, HollingI, HollingII
 
 __all__ = [
     "PeriodTooLargeError",
@@ -123,8 +122,7 @@ def x_from_z_local(z: float, x_ref: float, m: float, response_slope0: float) -> 
 def z_from_x_global(x: float, x_ref: float, m: float, response) -> float:
     """Consumption-integral coordinate m * int_{x_ref}^{x} ds / g(s).
 
-    Closed forms for the Holling families; adaptive quadrature for
-    anything else exposing ``rate``.
+    Closed forms for the three Holling responses a ``KernelSet`` can hold.
     """
     if x <= 0 or x_ref <= 0:
         raise DomainError("densities must be positive")
@@ -132,55 +130,45 @@ def z_from_x_global(x: float, x_ref: float, m: float, response) -> float:
         return m / response.lam * math.log(x / x_ref)
     if isinstance(response, HollingII):
         return m / response.lam * (math.log(x / x_ref) + response.a * (x - x_ref))
-    if isinstance(response, HollingIV):
-        return m / response.lam * (math.log(x / x_ref)
-                                   + response.a * (x - x_ref)
-                                   + response.b * (x * x - x_ref * x_ref) / 2.0)
-    val, _ = quad(lambda s: 1.0 / response.rate(s), x_ref, x, epsrel=1e-10)
-    return m * val
+    return m / response.lam * (math.log(x / x_ref)           # HollingIV
+                               + response.a * (x - x_ref)
+                               + response.b * (x * x - x_ref * x_ref) / 2.0)
 
 
 # --------------------------------------------------------------------------
 # the decrease ceiling
 
 
-def max_decay_period(mu: float, sigma: float, m: float, tol: float = 1e-12) -> float:
+def max_decay_period(mu: float, sigma: float, m: float) -> float:
     """Largest period below which z(t) is strictly decreasing.
 
     Unique root of mu*T / (e^{mT} - 1) = sigma/m: there the orbit floor
-    touches sigma/m.  For sigma <= 0 the pest declines under any period;
-    returns inf.
+    touches sigma/m.  With x = m*T it solves x/(e^x - 1) = sigma/mu, taken
+    in log form h(x) = ln(x/(1 - e^{-x})) - x - ln(sigma/mu) = 0.  h is
+    decreasing and concave, so Newton steps from the right of the root stay
+    right of it and fall monotonically to it, until a float fixed point.
+    x = -2 ln(sigma/mu) is right of the root since x/(e^x - 1) <= e^{-x/2}.
+    For sigma <= 0 the pest declines under any period; returns inf.
     """
-    if m <= 0:
+    if not m > 0:
         raise DomainError("m must be positive")
     if sigma <= 0:
         return math.inf
-    if mu <= sigma:
-        raise DomainError("mu must exceed sigma")
-
-    def residual(T):
-        if m * T > 700.0:  # expm1 overflows soon after; it equals exp here
-            return mu * T * math.exp(-m * T) - sigma / m
-        return mu * T / math.expm1(m * T) - sigma / m
-
-    lo, hi = 1e-12, 1.0  # residual(0+) = (mu - sigma)/m > 0
-    for _ in range(200):
-        if residual(hi) <= 0.0:  # 0 once sigma/m and e^{-mT} underflow
+    if not sigma < mu < math.inf:
+        raise DomainError("mu must exceed sigma and be finite")
+    # ln(sigma/mu) to full precision: sigma - mu is exact near the ratio 1,
+    # and the quotient itself can underflow far from it
+    lr = (math.log1p((sigma - mu) / mu) if 2.0 * sigma > mu
+          else math.log(sigma) - math.log(mu))
+    x = -2.0 * lr
+    for _ in range(100):
+        q = -math.expm1(-x)
+        h = math.log(x / q) - x - lr
+        x_next = min(x - h / (1.0 / x - 1.0 / q), x)
+        if x_next == x:
             break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise DomainError("failed to bracket the decay-period root")
-    mid = 0.5 * (lo + hi)
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        res = residual(mid)
-        if abs(res) < tol:
-            break
-        if res > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+        x = x_next
+    return x / m
 
 
 # --------------------------------------------------------------------------
@@ -201,48 +189,6 @@ def z_trajectory(p: ZParams, z0: float, t0: float, t):
         raise DomainError("t must not precede t0")
     out = z0 + p.sigma * (t - t0) - p.m * (_cum_orbit(p, t) - _cum_orbit(p, t0))
     return out if out.shape else float(out)
-
-
-def damage_time(p: ZParams, z0: float, t0: float = 0.0,
-                check_period: bool = True) -> float:
-    """Time for z to reach zero after an invasion of size z0 at t0 in [0, T).
-
-    z drops by exactly ``net_drop`` over every full period, so the
-    crossing segment is located arithmetically and the root bisected
-    there to 1e-12 relative width.
-    """
-    if z0 <= 0:
-        raise DomainError("z0 must be positive")
-    if not 0.0 <= t0 < p.T:
-        raise DomainError("t0 must lie in [0, T)")
-    if check_period and p.T >= max_decay_period(p.mu, p.sigma, p.m):
-        raise PeriodTooLargeError(
-            "period at or above max_decay_period: z need not decrease")
-    z_b1 = float(z_trajectory(p, z0, t0, p.T))
-    if z_b1 <= 0.0:
-        lo, hi = t0, p.T
-    else:
-        n = math.ceil(z_b1 / p.net_drop)
-        while n > 1 and z_b1 - (n - 1) * p.net_drop <= 0.0:
-            n -= 1
-        while z_b1 - (n - 1) * p.net_drop > p.net_drop:
-            n += 1
-        lo, hi = n * p.T, (n + 1) * p.T
-        if float(z_trajectory(p, z0, t0, lo)) <= 0.0:
-            return lo - t0  # crossing exactly at the segment start
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(z_trajectory(p, z0, t0, mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi) - t0
-
-
-# --------------------------------------------------------------------------
-# worst invasion instant
 
 
 def _fall(t, T, sigma, m, mu):
@@ -266,6 +212,41 @@ def _invert_fall(s, T, sigma, m, mu):
             break
         t = t_next
     return t
+
+
+def _damage_times(T, t0, z0, sigma, m, mu):
+    """Damage times of invasions of size z0 > 0 at phases t0 in [0, T),
+    elementwise, below the decay ceiling.
+
+    Counting from the release at 0, z(j*T + phase) = S - j*net_drop -
+    F(phase) with S = z0 + F(t0).  So z reaches zero in the period k where
+    S - k*net_drop lies in (0, net_drop], at the phase where the fall meets
+    that remainder (``_invert_fall`` clips a remainder rounded just outside
+    the range).  For z0 below the rounding of F(t0) the root can land just
+    before t0, so Pi is clamped at 0.
+    """
+    drop = (mu - sigma) * T
+    s = z0 + _fall(t0, T, sigma, m, mu)[0]
+    k = np.ceil(s / drop) - 1.0
+    return np.maximum(k * T + _invert_fall(s - k * drop, T, sigma, m, mu) - t0, 0.0)
+
+
+def damage_time(p: ZParams, z0: float, t0: float = 0.0,
+                check_period: bool = True) -> float:
+    """Time for z to reach zero after an invasion of size z0 at t0 in [0, T):
+    one element of ``_damage_times``."""
+    if z0 <= 0:
+        raise DomainError("z0 must be positive")
+    if not 0.0 <= t0 < p.T:
+        raise DomainError("t0 must lie in [0, T)")
+    if check_period and p.T >= max_decay_period(p.mu, p.sigma, p.m):
+        raise PeriodTooLargeError(
+            "period at or above max_decay_period: z need not decrease")
+    return float(_damage_times(p.T, t0, z0, p.sigma, p.m, p.mu))
+
+
+# --------------------------------------------------------------------------
+# worst invasion instant
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ def reference_box():
 @pytest.fixture(scope="session")
 def mc_run_200k(reference_box):
     """The full-size reference scatter, shared between the harness tests
-    and the acceptance suite; returns (records, wall seconds)."""
+    and the acceptance suite; returns (trial columns, wall seconds)."""
     cfg = mcharness.McConfig(box=reference_box, mu=2.0, n_trials=200_000,
                              seed=MC_SEED)
     start = time.perf_counter()
-    records = mcharness.run_mc(cfg)
-    return records, time.perf_counter() - start
+    trials = mcharness.run_mc(cfg)
+    return trials, time.perf_counter() - start

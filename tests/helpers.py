@@ -114,6 +114,27 @@ def monodromy_pest_multiplier(growth_slope0, response_slope0, m, mu, T) -> float
     return float(sol.y[0, -1])
 
 
+def bisect_decay_ceiling(mu, sigma, m) -> float:
+    """Decrease ceiling T = x/m with x the root of x/(e^x - 1) = sigma/mu,
+    by bisection on ln x of the log-space residual, to a float fixed point."""
+    log_ratio = math.log(sigma) - math.log(mu)
+
+    def residual(x):
+        if x < 700.0:
+            return math.log(x / math.expm1(x)) - log_ratio
+        return math.log(x) - x - math.log1p(-math.exp(-x)) - log_ratio
+
+    lo, hi = math.log(1e-30), math.log(1e4)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.exp(mid) / m
+        if residual(math.exp(mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def scan_decay_ceiling(mu, sigma, m, n=1_000_000):
     """Bracket of the decrease ceiling from a dense scan of the orbit floor."""
     t_hi = 5.0 / m

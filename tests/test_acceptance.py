@@ -136,9 +136,9 @@ def test_06_full_damage_time_below_certified_bound():
 
 
 def test_07_monte_carlo_envelope_statistics(mc_run_200k, reference_box):
-    records, gen_seconds = mc_run_200k
+    trials, gen_seconds = mc_run_200k
     start = perf_counter()
-    report = verify_envelope(records, reference_box, MU_REF, n_bins=50)
+    report = verify_envelope(trials, reference_box, MU_REF, n_bins=50)
     elapsed = gen_seconds + (perf_counter() - start)
 
     assert report.violations == 0

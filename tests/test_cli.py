@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from bioctl import planner
+from bioctl import cli, planner
 from bioctl.impulsim import AtOrbit, damage_time_full
 from bioctl.kernels import (
     HollingII,
@@ -165,6 +165,37 @@ def test_bad_parameter_value_is_a_domain_error(tmp_path):
 def test_missing_config_flag_is_usage_error():
     res = run_cli("validate")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["optimize", "--z0", "nan"], None, "not a finite number: 'nan'"),
+    (["optimize", "--z0", "inf"], None, "not a finite number: 'inf'"),
+    (["optimize", "--z0", "1e400"], None, "not a finite number: '1e400'"),
+    (["simulate", "--x0", "nan"], None, "not a finite number"),
+    (["simulate", "--x0", "1", "--y0=-inf"], None, "not a finite number"),
+    (["damage", "--z0", "1", "--t0", "nan"], None, "not a finite number"),
+    (["stability", "--period", "nan"], None, "not a finite number"),
+    (["stability", "--period", "abc"], None, "not a number: 'abc'"),
+    (["robustness"], {"program.mu": math.nan}, "mu must be a finite number"),
+    (["validate"], {"kernels.m": math.inf}, "m must be a finite number"),
+    (["validate"], {"kernels.m": 10 ** 400}, "m must be a finite number"),
+    (["montecarlo"], {"box.z0": [1.0, math.inf]}, "pair of finite numbers"),
+    (["robustness"], {"box.sigma": [math.nan, 1.0]}, "pair of finite numbers"),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, overrides, message):
+    # in-process: argparse usage errors leave through SystemExit(2)
+    argv = [argv[0], "--config", write_config(tmp_path, overrides), *argv[1:]]
+    if argv[0] in ("robustness", "montecarlo", "optimize", "simulate"):
+        argv += ["--out", str(tmp_path / "out")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bioctl import planner
+from bioctl import impulsim, planner
 from bioctl.impulsim import SimConfig
 from bioctl.kernels import DomainError, HollingI, KernelSet, Linear, Proportional
 from bioctl.mcharness import (
@@ -17,12 +19,66 @@ from bioctl.mcharness import (
 )
 
 MU = 2.0
+COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
 
 
 def small_cfg(box, **kw):
     kw.setdefault("n_trials", 2000)
     kw.setdefault("seed", 11)
     return McConfig(box=box, mu=MU, **kw)
+
+
+def collapsing_kernels():
+    # vanishing predator feedback: the nonlinear run reproduces the
+    # comparison model
+    response = HollingI(1.0)
+    return KernelSet(growth=Linear(1.0), response=response,
+                     numerical=Proportional(1e-9, response), m=1.0)
+
+
+# --------------------------------------------------------------------------
+# reference implementations the harness replaced, kept as oracles
+
+
+def bisection_damage_times(Ts, t0s, z0s, sigma, m, mu):
+    """The former closed engine: locate the crossing segment arithmetically
+    and bisect the in-segment root of the comparison model in 80 steps."""
+    peak = mu * Ts / -np.expm1(-m * Ts)
+    drop = (mu - sigma) * Ts
+    e_t0 = np.exp(-m * t0s)
+    z_b1 = z0s + sigma * (Ts - t0s) - peak * (e_t0 - np.exp(-m * Ts))
+    first = z_b1 <= 0.0
+    n = np.ceil(z_b1 / drop)
+    n = np.where(z_b1 - (n - 1.0) * drop <= 0.0, n - 1.0, n)
+    n = np.where(z_b1 - (n - 1.0) * drop > drop, n + 1.0, n)
+    n = np.maximum(n, 1.0)
+    z_seg = z_b1 - (n - 1.0) * drop
+    z_start = np.where(first, z0s, z_seg)
+    a0 = np.where(first, t0s, 0.0)
+    e_a0 = np.where(first, e_t0, 1.0)
+    length = np.where(first, Ts - t0s, Ts)
+    lo = np.zeros_like(Ts)
+    hi = length.copy()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        val = z_start + sigma * mid - peak * (e_a0 - np.exp(-m * (a0 + mid)))
+        pos = val > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    s = 0.5 * (lo + hi)
+    return np.where(first, s, (Ts - t0s) + (n - 1.0) * Ts + s)
+
+
+def row_by_row_records_csv(trials, path):
+    """The former records writer: one csv.writer row per trial."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["trial", "T", "t0", "z0", "Pi", "T1", "deviation",
+                    "engine", "failed"])
+        for i in range(len(trials.T)):
+            w.writerow([i] + [f"{float(getattr(trials, c)[i]):.17g}"
+                              for c in COLUMNS[:-1]]
+                       + [trials.engine, int(trials.failed[i])])
 
 
 # --------------------------------------------------------------------------
@@ -48,64 +104,82 @@ def test_stream_is_counter_based():
 
 
 def test_run_mc_draws_respect_the_box(reference_box):
-    records = run_mc(small_cfg(reference_box))
+    trials = run_mc(small_cfg(reference_box))
     t_upper, _ = planner.t_limits(reference_box, MU)
-    assert len(records) == 2000
-    assert [r.trial_index for r in records] == list(range(2000))
-    for r in records[:200]:
-        assert 0.0 < r.T < t_upper
-        assert 0.0 < r.t0 < r.T
-        assert reference_box.z0_lo <= r.z0 <= reference_box.z0_hi
-        assert math.isclose(r.T1, r.z0 / (MU - 1.0), rel_tol=1e-12)
-        assert math.isclose(r.deviation, r.Pi - r.T1, rel_tol=1e-9,
-                            abs_tol=1e-12)
-        assert r.engine == "closed" and not r.failed
+    assert all(getattr(trials, c).shape == (2000,) for c in COLUMNS)
+    assert np.all((0.0 < trials.T) & (trials.T < t_upper))
+    assert np.all((0.0 < trials.t0) & (trials.t0 < trials.T))
+    assert np.all((reference_box.z0_lo <= trials.z0)
+                  & (trials.z0 <= reference_box.z0_hi))
+    np.testing.assert_allclose(trials.T1, trials.z0 / (MU - 1.0), rtol=1e-12)
+    np.testing.assert_allclose(trials.deviation, trials.Pi - trials.T1,
+                               rtol=1e-9, atol=1e-12)
+    assert trials.engine == "closed" and trials.x0 is None
+    assert not trials.failed.any()
 
 
 def test_closed_engine_matches_planner(reference_box):
-    records = run_mc(small_cfg(reference_box, n_trials=300))
+    trials = run_mc(small_cfg(reference_box, n_trials=300))
     p_kw = dict(sigma=1.0, m=1.0, mu=MU)
-    for r in records[::7]:
+    for i in range(0, 300, 7):
         direct = planner.damage_time(
-            planner.ZParams(T=r.T, **p_kw), r.z0, t0=r.t0)
-        assert math.isclose(r.Pi, direct, rel_tol=1e-10, abs_tol=1e-10)
+            planner.ZParams(T=trials.T[i], **p_kw), trials.z0[i], t0=trials.t0[i])
+        assert math.isclose(trials.Pi[i], direct, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def test_closed_engine_matches_bisection_reference(mc_run_200k):
+    trials, _ = mc_run_200k
+    ref = bisection_damage_times(trials.T, trials.t0, trials.z0, 1.0, 1.0, MU)
+    np.testing.assert_allclose(trials.Pi, ref, rtol=1e-14, atol=0.0)
 
 
 def test_engines_agree(reference_box):
     closed = run_mc(small_cfg(reference_box, n_trials=300))
     zsim = run_mc(small_cfg(reference_box, n_trials=300, engine="zsim"))
-    assert all(r.engine == "zsim" for r in zsim)
-    for a, b in zip(closed, zsim):
-        assert (a.T, a.t0, a.z0) == (b.T, b.t0, b.z0)
-        assert math.isclose(a.Pi, b.Pi, rel_tol=5e-4)
+    assert zsim.engine == "zsim"
+    for c in ("T", "t0", "z0"):
+        assert np.array_equal(getattr(closed, c), getattr(zsim, c))
+    np.testing.assert_allclose(zsim.Pi, closed.Pi, rtol=5e-4)
 
 
 def test_full_engine_on_collapsing_kernels():
-    # vanishing predator feedback makes the nonlinear run reproduce the
-    # comparison model, so all three engines must agree on these kernels
-    response = HollingI(1.0)
-    k = KernelSet(growth=Linear(1.0), response=response,
-                  numerical=Proportional(1e-9, response), m=1.0)
+    # all three engines must agree on these kernels
     box = planner.UncertaintyBox(1.0, 3.0, 1.0, 1.0, 1.0, 1.0)
     closed = run_mc(McConfig(box=box, mu=MU, n_trials=20, seed=3))
-    full = run_mc(McConfig(box=box, mu=MU, n_trials=20, seed=3,
-                           engine="full", kernels=k, eil=0.1))
-    for a, b in zip(closed, full):
-        assert not b.failed
-        assert b.x0 == pytest.approx(0.1 * math.exp(b.z0), rel=1e-12)
-        assert math.isclose(a.Pi, b.Pi, rel_tol=1e-4)
+    full = run_mc(McConfig(box=box, mu=MU, n_trials=20, seed=3, engine="full",
+                           kernels=collapsing_kernels(), eil=0.1))
+    assert not full.failed.any()
+    np.testing.assert_allclose(full.x0, 0.1 * np.exp(full.z0), rtol=1e-12)
+    np.testing.assert_allclose(full.Pi, closed.Pi, rtol=1e-4)
 
 
 def test_full_engine_flags_horizon_failures():
-    response = HollingI(1.0)
-    k = KernelSet(growth=Linear(1.0), response=response,
-                  numerical=Proportional(1e-9, response), m=1.0)
     box = planner.UncertaintyBox(4.0, 5.0, 1.0, 1.0, 1.0, 1.0)
-    records = run_mc(McConfig(box=box, mu=MU, n_trials=8, seed=1,
-                              engine="full", kernels=k, eil=0.1,
-                              sim=SimConfig(t_end=2.0)))
-    assert len(records) == 8
-    assert all(r.failed and math.isnan(r.Pi) for r in records)
+    trials = run_mc(McConfig(box=box, mu=MU, n_trials=8, seed=1,
+                             engine="full", kernels=collapsing_kernels(), eil=0.1,
+                             sim=SimConfig(t_end=2.0)))
+    assert trials.failed.shape == (8,) and trials.failed.all()
+    assert np.isnan(trials.Pi).all() and np.isnan(trials.deviation).all()
+
+
+@pytest.mark.parametrize("error", [impulsim.IntegrationError,
+                                   impulsim.StateConsistencyError])
+def test_full_engine_failure_marks_one_trial(monkeypatch, error):
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error("injected")
+        return 1.0, 0.0
+
+    monkeypatch.setattr(impulsim, "damage_time_full", flaky)
+    box = planner.UncertaintyBox(1.0, 3.0, 1.0, 1.0, 1.0, 1.0)
+    trials = run_mc(McConfig(box=box, mu=MU, n_trials=6, seed=3, engine="full",
+                             kernels=collapsing_kernels(), eil=0.1))
+    assert trials.failed.tolist() == [False, False, True, False, False, False]
+    assert math.isnan(trials.Pi[2]) and math.isnan(trials.deviation[2])
+    assert np.array_equal(np.delete(trials.Pi, 2), np.ones(5))
 
 
 def test_mc_config_validation(reference_box):
@@ -124,9 +198,9 @@ def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch):
     paths = []
     for threads in ("1", "3"):
         monkeypatch.setenv("BIOCTL_THREADS", threads)
-        records = run_mc(small_cfg(reference_box, n_trials=40_000))
+        trials = run_mc(small_cfg(reference_box, n_trials=40_000))
         path = tmp_path / f"records_{threads}.csv"
-        write_records_csv(records, path)
+        write_records_csv(trials, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -134,7 +208,9 @@ def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch):
 def test_repeat_run_is_identical(reference_box):
     a = run_mc(small_cfg(reference_box, n_trials=500))
     b = run_mc(small_cfg(reference_box, n_trials=500))
-    assert a == b
+    assert (a.engine, a.x0, b.x0) == (b.engine, None, None)
+    for c in COLUMNS:
+        assert np.array_equal(getattr(a, c), getattr(b, c))
 
 
 # --------------------------------------------------------------------------
@@ -142,28 +218,28 @@ def test_repeat_run_is_identical(reference_box):
 
 
 def test_bin_envelope_counts_and_gaps(reference_box):
-    records = run_mc(small_cfg(reference_box))
+    trials = run_mc(small_cfg(reference_box))
     t_upper, _ = planner.t_limits(reference_box, MU)
-    stats = bin_envelope(records, 40, t_upper)
+    stats = bin_envelope(trials, 40, t_upper)
     assert len(stats) == 40
-    assert sum(s.count for s in stats) == len(records)
+    assert sum(s.count for s in stats) == len(trials.T)
     for s in stats:
         if s.count:
             assert s.min_dev <= s.max_dev
         else:
             assert math.isnan(s.max_dev) and math.isnan(s.min_dev)
     # far-right bins beyond every draw stay empty rather than vanishing
-    wide = bin_envelope(records, 10, 4.0 * t_upper)
+    wide = bin_envelope(trials, 10, 4.0 * t_upper)
     assert wide[-1].count == 0
     with pytest.raises(DomainError):
-        bin_envelope(records, 0, t_upper)
+        bin_envelope(trials, 0, t_upper)
     with pytest.raises(DomainError):
-        bin_envelope(records, 10, 0.0)
+        bin_envelope(trials, 10, 0.0)
 
 
 def test_verify_envelope_reference(reference_box):
-    records = run_mc(small_cfg(reference_box, n_trials=5000))
-    report = verify_envelope(records, reference_box, MU, n_bins=25)
+    trials = run_mc(small_cfg(reference_box, n_trials=5000))
+    report = verify_envelope(trials, reference_box, MU, n_bins=25)
     assert report.violations == 0
     t_upper, _ = planner.t_limits(reference_box, MU)
     assert math.isclose(report.t_upper, t_upper, rel_tol=1e-12)
@@ -178,18 +254,33 @@ def test_verify_envelope_reference(reference_box):
 
 
 def test_envelope_csv_layout(reference_box, tmp_path):
-    records = run_mc(small_cfg(reference_box, n_trials=400))
-    report = verify_envelope(records, reference_box, MU, n_bins=10)
+    trials = run_mc(small_cfg(reference_box, n_trials=400))
+    report = verify_envelope(trials, reference_box, MU, n_bins=10)
     rec_path = tmp_path / "records.csv"
     env_path = tmp_path / "envelope.csv"
-    write_records_csv(records, rec_path)
+    write_records_csv(trials, rec_path)
     write_envelope_csv(report, env_path)
     rec_lines = rec_path.read_text().splitlines()
     assert rec_lines[0] == "trial,T,t0,z0,Pi,T1,deviation,engine,failed"
     assert len(rec_lines) == 401
     first = rec_lines[1].split(",")
     assert first[0] == "0" and first[7] == "closed" and first[8] == "0"
-    assert float(first[1]) == records[0].T   # %.17g round-trips doubles
+    assert float(first[1]) == trials.T[0]   # %.17g round-trips doubles
     env_lines = env_path.read_text().splitlines()
     assert env_lines[0] == "bin_mid,max_dev,min_dev,bound,count"
     assert len(env_lines) == 11
+
+
+def test_chunked_writer_matches_row_by_row_writer(reference_box, tmp_path):
+    # two chunks, the last one partial, and failed rows with nan values
+    closed = run_mc(small_cfg(reference_box, n_trials=20_000))
+    failed = closed.failed.copy()
+    failed[[0, 16_384, 19_999]] = True
+    pis = np.where(failed, math.nan, closed.Pi)
+    full = dataclasses.replace(closed, Pi=pis, deviation=pis - closed.T1,
+                               failed=failed, engine="full")
+    for trials in (closed, full):
+        new, old = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
+        write_records_csv(trials, new)
+        row_by_row_records_csv(trials, old)
+        assert new.read_bytes() == old.read_bytes()

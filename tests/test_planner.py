@@ -87,13 +87,27 @@ def test_decay_ceiling_reference():
 def test_decay_ceiling_edge_cases():
     assert max_decay_period(2.0, 0.0, 1.0) == math.inf
     assert max_decay_period(2.0, -3.0, 1.0) == math.inf
-    # a subnormal threshold puts the ceiling past where e^{mT} overflows
-    assert 700.0 < max_decay_period(0.2, 2.2e-309, 1.0) < math.inf
-    assert 300.0 < max_decay_period(0.2, 5e-324, 2.0) < math.inf
     with pytest.raises(DomainError):
         max_decay_period(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
+        max_decay_period(math.inf, 1.0, 1.0)
+    with pytest.raises(DomainError):
         max_decay_period(2.0, 1.0, 0.0)
+
+
+def test_decay_ceiling_matches_log_space_bisection():
+    # sigma/mu from 1e-300 to 0.999, then on to 1 - 1e-8, where the root
+    # x ~ 2(1 - sigma/mu) keeps fewer digits in floats on both sides
+    ratios = np.concatenate([np.geomspace(1e-300, 0.999, 150),
+                             1.0 - np.geomspace(1e-3, 1e-8, 20)])
+    cases = [(0.3 + i % 7, r * (0.3 + i % 7), 0.5 + i % 5)
+             for i, r in enumerate(ratios)]
+    # subnormal thresholds put the ceiling past where e^{mT} overflows
+    cases += [(0.2, 2.2e-309, 1.0), (0.2, 5e-324, 2.0), (2.0, 1e-8, 3.0)]
+    for mu, sigma, m in cases:
+        tol = 1e-12 if sigma / mu <= 0.999 else 1e-6
+        assert math.isclose(max_decay_period(mu, sigma, m),
+                            helpers.bisect_decay_ceiling(mu, sigma, m), rel_tol=tol)
 
 
 @given(sigma=st.floats(0.2, 2.0), ratio=st.floats(1.05, 6.0),
@@ -146,6 +160,15 @@ def test_damage_time_matches_oracle(z0, t0_frac, seed):
     # the path is positive up to the crossing and below zero just after
     assert z_trajectory(p, z0, t0, t0 + pi * (1 - 1e-6)) > 0.0
     assert z_trajectory(p, z0, t0, t0 + pi * (1 + 1e-6)) < 0.0
+
+
+def test_damage_time_of_tiny_invasion_is_small_and_nonnegative():
+    # z0 below the rounding of the fall at t0 can put the root before t0
+    for T in (0.3, 0.8, 1.25):
+        p = ZParams(sigma=1.0, m=1.0, mu=2.0, T=T)
+        for t0 in np.linspace(0.0, T, 50, endpoint=False):
+            for z0 in (1e-15, 1e-20):
+                assert 0.0 <= damage_time(p, z0, float(t0)) < 1e-12
 
 
 def test_damage_time_validation():
