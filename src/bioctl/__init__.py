@@ -12,6 +12,7 @@ from .kernels import (
     HollingI,
     HollingII,
     HollingIV,
+    InputOverflowError,
     KernelReport,
     KernelSet,
     Linear,

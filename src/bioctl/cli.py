@@ -26,6 +26,7 @@ from .kernels import (
     HollingI,
     HollingII,
     HollingIV,
+    InputOverflowError,
     Linear,
     Logistic,
     KernelSet,
@@ -63,7 +64,8 @@ def _emit(key: str, value) -> None:
 # --------------------------------------------------------------------------
 # config parsing.  Shape problems (unknown keys, wrong types, missing
 # sections) raise ConfigError (exit 2); out-of-range values fall through to
-# the model dataclasses, whose DomainError exits 1.
+# the model dataclasses, whose DomainError exits 1.  Finite values so large
+# that the model overflows a float raise InputOverflowError (exit 2).
 
 
 def _check_keys(d: dict, allowed, where: str) -> None:
@@ -607,6 +609,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except InputOverflowError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except _MODEL_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

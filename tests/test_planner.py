@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import helpers
 from bioctl import planner
-from bioctl.kernels import DomainError, HollingI, HollingII, HollingIV
+from bioctl.kernels import DomainError, HollingI, HollingII, HollingIV, InputOverflowError
 from bioctl.planner import (
     PeriodTooLargeError,
     UncertaintyBox,
@@ -264,6 +264,29 @@ def test_optimal_periods_without_ceiling(z0, mu):
     result = optimal_periods(z0, mu, 0.0, 1.0)
     assert result.n0 == 0 and math.isinf(result.decay_ceiling)
     assert result.periods[0] == result.t1
+
+
+@pytest.mark.parametrize("quotient", [2.0 ** 52 + 3, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 60, 1e300])
+def test_optimal_periods_terminate_for_huge_invasions(quotient):
+    # t1/ceiling near and past 2^53, where n0 + 1 stops being exact
+    ceiling = max_decay_period(2.0, 1.0, 1.0)
+    result = optimal_periods(quotient * ceiling, 2.0, 1.0, 1.0)
+    assert result.periods == ()
+    assert abs(result.n0 - quotient) <= 4 + quotient * 1e-15
+    if result.n0 < 2 ** 53:
+        assert result.t1 / (result.n0 + 1) < result.decay_ceiling <= result.t1 / result.n0
+
+
+def test_huge_invasions_overflow_into_input_errors():
+    with pytest.raises(InputOverflowError, match="t1/decay_ceiling"):
+        optimal_periods(1e308, 1.5, 1.0, 1.0)
+    with pytest.raises(InputOverflowError, match="pest density"):
+        x_from_z_local(1e300, 0.1, 1.0, 1.0)
+    with pytest.raises(InputOverflowError, match="pest density"):
+        x_from_z_local(800.0, 0.1, 1.0, 1.0)
+    assert x_from_z_local(700.0, 0.1, 1.0, 1.0) < math.inf
+    with pytest.raises(InputOverflowError, match="consumption-integral"):
+        z_from_x_global(1e200, 0.1, 1.0, HollingIV(1.0, 0.5, 0.1))
 
 
 def test_optimal_periods_yield_floor_damage():
