@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -424,6 +425,7 @@ _SVG_W = 800
 _SVG_H = 500
 _SVG_PAD = 60
 _SVG_MAX_POINTS = 4000
+_PLOT_COLUMNS = ("T", "deviation", "failed")
 
 
 def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
@@ -510,12 +512,21 @@ def cmd_plot(args) -> int:
     if not os.path.exists(rec_path):
         raise ConfigError(f"{rec_path}: not found (run montecarlo with the "
                           "same --out first)")
-    Ts, devs = [], []
-    with open(rec_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["failed"] == "0":
-                Ts.append(float(row["T"]))
-                devs.append(float(row["deviation"]))
+    with open(rec_path, newline="") as fh, warnings.catch_warnings():
+        # a header-only file is an empty scatter, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        header = fh.readline().rstrip("\r\n").split(",")
+        missing = [c for c in _PLOT_COLUMNS if c not in header]
+        if missing:
+            raise ConfigError(f"{rec_path}: no {', '.join(missing)} column")
+        try:
+            cols = np.loadtxt(fh, delimiter=",", ndmin=2,
+                              usecols=[header.index(c) for c in _PLOT_COLUMNS])
+        except ValueError as e:
+            raise ConfigError(f"{rec_path}: {e}") from None
+    Ts, devs, failed = cols.T
+    ok = failed == 0
+    Ts, devs = Ts[ok], devs[ok]
     t_upper, _ = planner.t_limits(box, mu)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, mu)

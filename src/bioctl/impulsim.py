@@ -7,14 +7,15 @@ Wanner, *Solving ODEs I*, II.4-6) runs on Python floats through the whole
 horizon, with scipy's RK45 step control: RMS error norm over (x, y),
 safety 0.9, step factor clamped to [0.2, 10], exponent -1/5.
 
-Release instants are hard step ends: the step that would pass nT lands on
-it exactly, the jump is applied there, and the step size proposed before
-that shortening carries on.  Every accepted step has a quartic
-dense-output polynomial.  Threshold crossings are found on it: the step
-ends and the quartic's interior critical points cut the step into
-monotone pieces, and a piece whose ends lie on either side of eil is
-bisected, so a dip below eil that starts and ends inside one step is
-found too.  ``simulate`` reads its samples off the same polynomials.
+Release instants are hard step ends: the step that would pass nT, or end
+short of it by under a millionth of the step, lands on it exactly, the jump
+is applied there, and the step size proposed before that adjustment carries
+on.  Every accepted step has a quartic dense-output polynomial.  Threshold
+crossings are found on it: the step ends and the quartic's interior
+critical points cut the step into monotone pieces, and a piece whose ends
+lie on either side of eil is bisected, so a dip below eil that starts and
+ends inside one step is found too.  ``simulate`` reads its samples off the
+same polynomials.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# Not used here: the benchmark's tracer wraps this module-level name as the
-# boundary to scipy, and mcharness imports scipy.integrate anyway.
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .kernels import DomainError, InputOverflowError, KernelSet
 from .orbit import PestFreeOrbit, ReleaseProgram
@@ -46,6 +44,18 @@ __all__ = [
 ]
 
 _SAMPLES_PER_PERIOD = 64
+
+
+def __getattr__(name):
+    # PEP 562: ``impulsim.solve_ivp`` imports scipy's solver on first
+    # access, so importing bioctl loads no scipy.  The stepper never calls
+    # it; perfbench's tracer is the only caller, wrapping it as the
+    # boundary to scipy.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Dormand-Prince 5(4) tableau.  The seventh stage is the derivative at the
 # step end (first same as last); it enters the error estimate and the dense
@@ -79,6 +89,7 @@ _P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
 # |u(t + s*h) - u| <= h * (|K_1| + _P_NORM * max_i |K_i - K_1|)
 _P_NORM = sum(abs(p) for row in _P for p in row)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_LAND_SLACK = 1e-6
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -214,7 +225,10 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
                        " (the right-hand side is not finite there)"))
             h_prop = h_abs
             t_new = t + h_abs
-            if t_new >= stop:
+            # a step that would end short of stop by under _LAND_SLACK of its
+            # length lands on stop: rounding in t + h_abs leaves gaps of a
+            # few ulp, which would otherwise cost a sliver step of their own
+            if stop - t_new < _LAND_SLACK * h_abs:
                 t_new = stop
             h = t_new - t
             k2x, k2y = rhs(x + (a21 * fx) * h, y + (a21 * fy) * h)

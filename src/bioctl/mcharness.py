@@ -10,7 +10,8 @@ Engines:
 * ``closed``: the comparison model's piecewise-analytic damage time from
   :mod:`bioctl.planner`, one Newton inversion per trial (default);
 * ``zsim``: independent numerical route, cumulative Simpson quadrature of
-  the comparison model with local grid refinement at the crossing;
+  the comparison model with local grid refinement at the crossing (the
+  only code in bioctl that imports scipy, on first use);
 * ``full``: nonlinear simulation via :mod:`bioctl.impulsim`, the invasion
   size mapped back to a pest density through the local change of
   variables.
@@ -32,10 +33,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import impulsim, planner
-from .kernels import ConfigError, DomainError, KernelSet
+from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
@@ -148,6 +148,8 @@ class Trials:
 def _zsim_cross(grid, z, sigma, m, peak):
     """First root of a sampled z path: locate the sign-change cell, then
     re-quadrate a finer local grid and interpolate linearly."""
+    from scipy.integrate import cumulative_simpson
+
     if z[0] <= 0.0:
         return float(grid[0])
     i = int(np.argmax(z <= 0.0))
@@ -171,6 +173,8 @@ def _pi_zsim_one(T, t0, z0, sigma, m, mu):
     once and reused; only the first partial segment and the crossing
     segment get their own grids.
     """
+    from scipy.integrate import cumulative_simpson
+
     peak = mu * T / -math.expm1(-m * T)
     grid = np.linspace(t0, T, _ZSIM_NODES)
     rhs = sigma - m * peak * np.exp(-m * grid)
@@ -182,7 +186,14 @@ def _pi_zsim_one(T, t0, z0, sigma, m, mu):
     pz = cumulative_simpson(prhs, x=pgrid, initial=0.0)
     drop = -float(pz[-1])
     z_b1 = float(z[-1])
-    n = math.ceil(z_b1 / drop)
+    periods = z_b1 / drop
+    # past 2^53 a float can no longer count periods: n - 1 rounds, and the
+    # drift guards below would never move the remainder
+    if not periods < 2.0 ** 53:
+        raise InputOverflowError(
+            f"z0={z0:g} is too large for the zsim engine: at T={T:g} the "
+            "invasion outlasts 2^53 release periods")
+    n = math.ceil(periods)
     while n > 1 and z_b1 - (n - 1) * drop <= 0.0:
         n -= 1
     while z_b1 - (n - 1) * drop > drop:

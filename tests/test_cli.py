@@ -7,15 +7,17 @@ thin adapter with no arithmetic of its own.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from bioctl import cli, planner
+from bioctl import cli, mcharness, planner
 from bioctl.impulsim import AtOrbit, damage_time_full
 from bioctl.kernels import (
     HollingII,
@@ -240,6 +242,19 @@ def test_optimize_huge_invasion_terminates(tmp_path):
         assert fh.read() == "T,pi_max,deviation\n"
 
 
+@pytest.mark.parametrize("z0_hi", [1e300, 1e308])
+def test_zsim_huge_invasion_box_terminates(tmp_path, z0_hi):
+    # at 1e300 the period count is far past 2^53, where n - 1 rounds and the
+    # count's drift guards stop moving; at 1e308 it overflows a float
+    cfg = write_config(tmp_path, {"box.z0": [1.0, z0_hi]})
+    res = run_cli("montecarlo", "--config", cfg, "--engine", "zsim",
+                  "--trials", "20", "--out", str(tmp_path / "out"), timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "too large for the zsim engine" in res.stderr
+    assert "2^53 release periods" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # --------------------------------------------------------------------------
 # simulate / damage
 
@@ -399,6 +414,77 @@ def test_plot_renders_svg(tmp_path):
     assert svg.startswith("<svg")
     assert "<polyline" in svg and "<circle" in svg
     assert svg.rstrip().endswith("</svg>")
+
+
+def _records_with_failures(cfg_path, out):
+    """A closed-engine records file in which every seventh trial failed."""
+    cfg = cli.load_config(cfg_path)
+    trials = mcharness.run_mc(mcharness.McConfig(
+        box=cli._build_box(cfg), mu=2.0, n_trials=5000, seed=3))
+    failed = np.arange(5000) % 7 == 0
+    trials = dataclasses.replace(
+        trials, failed=failed, Pi=np.where(failed, np.nan, trials.Pi),
+        deviation=np.where(failed, np.nan, trials.deviation))
+    out.mkdir()
+    mcharness.write_records_csv(trials, out / "mc_records.csv")
+    return failed
+
+
+def test_plot_matches_row_by_row_reader(tmp_path, capsys):
+    # the reader cmd_plot had before it read the columns in one numpy pass
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    failed = _records_with_failures(cfg, out)
+    Ts, devs = [], []
+    with open(out / "mc_records.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["failed"] == "0":
+                Ts.append(float(row["T"]))
+                devs.append(float(row["deviation"]))
+    assert len(Ts) == int((~failed).sum())
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert parse_kv(capsys.readouterr().out)["points"] == str(len(Ts))
+    box = cli._build_box(cli.load_config(cfg))
+    t_upper, _ = planner.t_limits(box, 2.0)
+    curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
+    curve_y = planner.envelope_bound_curve(curve_x, box, 2.0)
+    expected = cli.render_scatter_svg(
+        Ts, devs, curve_x, curve_y,
+        title="Damage-time deviation vs release period",
+        x_label="release period T", y_label="Pi - T1")
+    assert (out / "envelope.svg").read_text() == expected
+
+
+def test_plot_of_header_only_records_has_no_points(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mc_records.csv").write_text(
+        "trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert parse_kv(capsys.readouterr().out)["points"] == "0"
+    svg = (out / "envelope.svg").read_text()
+    assert "<polyline" in svg and "<circle" not in svg
+
+
+@pytest.mark.parametrize("records, message", [
+    ("trial,T,t0,z0,Pi,T1,engine,failed\n0,0.5,0.1,2,3,2,closed,0\n",
+     "no deviation column"),
+    ("trial,t0,z0\n", "no T, deviation, failed column"),
+    ("trial,T,t0,z0,Pi,T1,deviation,engine,failed\n"
+     "0,0.5,0.1,2,3,2,1,closed,0\n1,abc,0.1,2,3,2,1,closed,0\n",
+     "could not convert string 'abc'"),
+], ids=["no-deviation", "no-columns", "bad-number"])
+def test_plot_of_unreadable_records_exits_2(tmp_path, capsys, records, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mc_records.csv").write_text(records)
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert "Traceback" not in err
+    assert not (out / "envelope.svg").exists()
 
 
 def test_plot_without_records_is_a_config_error(tmp_path):

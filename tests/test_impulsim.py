@@ -282,6 +282,18 @@ def test_initial_rates_that_overflow_are_an_input_error(reference_kernels):
         simulate(reference_kernels, program, 1e200, 1.0)
 
 
+@pytest.mark.parametrize("T", [0.004, 0.05, 0.3, 0.8])
+def test_no_sliver_step_before_a_release(reference_kernels, T):
+    # t + h rounds a few ulp short of nT after a run of equal steps; the step
+    # lands on nT instead of leaving a sliver step of those few ulp after it
+    program = ReleaseProgram(2.0, T)
+    steps = list(impulsim._steps(reference_kernels, program, 3.0, 1.0,
+                                 0.1 * T, 60 * T, SimConfig()))
+    onto_release = [h for _, h, *_, released in steps if released]
+    assert len(onto_release) >= 59
+    assert min(onto_release) > 1e-6 * T
+
+
 # --------------------------------------------------------------------------
 # against an independent DOP853 re-integration
 
