@@ -32,7 +32,6 @@ from .kernels import (
     Logistic,
     KernelSet,
     Proportional,
-    UnboundedRatioError,
     validate_kernels,
 )
 from .orbit import PestFreeOrbit, ReleaseProgram, Verdict, floquet_multipliers, stability_verdict
@@ -42,7 +41,6 @@ __all__ = ["ConfigError", "load_config", "build_kernels", "main"]
 
 _MODEL_ERRORS = (
     DomainError,
-    UnboundedRatioError,
     planner.PeriodTooLargeError,
     impulsim.IntegrationError,
     impulsim.StateConsistencyError,

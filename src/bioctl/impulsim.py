@@ -90,12 +90,18 @@ _P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
 _P_NORM = sum(abs(p) for row in _P for p in row)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _LAND_SLACK = 1e-6
+# stiffness test of Hairer's DOPRI5 code (Hairer & Wanner, *Solving ODEs
+# II*, IV.2); a stiff stretch that eases (a large predator pool decays) is
+# sat out, and the run stops only if the held step would need more than
+# 1e8 steps to reach the horizon
+_STIFF_EVERY, _STIFF_HITS, _STIFF_CALM, _STIFF_STEP_BUDGET = 1000, 15, 6, 1e8
 _SQRT_HALF = math.sqrt(0.5)
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive integrator failed: a non-finite state or a step size
-    below 10 ulp of t."""
+    """The adaptive integrator failed: a non-finite state, a step size
+    below 10 ulp of t, or a stiff stretch that would hold the explicit
+    stepper to tiny steps."""
 
 
 class StateConsistencyError(RuntimeError):
@@ -210,6 +216,7 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
     n = _first_release(t, T)
     stop = min(n * T, t_end)
     err = 0.0
+    accepted = stiff_hits = calm = 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -239,9 +246,9 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
             k5x, k5y = rhs(
                 x + (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x) * h,
                 y + (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y) * h)
-            k6x, k6y = rhs(
-                x + (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h,
-                y + (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h)
+            x6 = x + (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h
+            y6 = y + (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h
+            k6x, k6y = rhs(x6, y6)
             xn = x + h * (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
             yn = y + h * (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
             k7x, k7y = rhs(xn, yn)
@@ -268,6 +275,25 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
         if xn < -atol or yn < -atol:
             raise StateConsistencyError(
                 f"state fell below -atol={-atol:g} at t={t_new:g}")
+        accepted += 1
+        if accepted % _STIFF_EVERY == 0 or stiff_hits:
+            # h times a Lipschitz estimate |k7 - k6| / |u_new - u6| against
+            # 3.25, about where the stability region ends on the real axis;
+            # 15 hits with no run of 6 misses between them mean stability,
+            # not accuracy, holds the step size
+            den = math.hypot(xn - x6, yn - y6)
+            if den > 0.0 and h * math.hypot(k7x - k6x, k7y - k6y) > 3.25 * den:
+                stiff_hits, calm = stiff_hits + 1, 0
+            else:
+                calm += 1
+                stiff_hits = 0 if calm == _STIFF_CALM else stiff_hits
+            if stiff_hits == _STIFF_HITS:
+                if (t_end - t_new) / h > _STIFF_STEP_BUDGET:
+                    raise IntegrationError(
+                        f"the model is stiff at t={t_new:g}: stability, not "
+                        f"accuracy, holds the steps near h={h:g}, too short "
+                        f"to reach t={t_end:g}")
+                stiff_hits = 0
         released = t_new == n * T
         yield (t, h, t_new, x, y, (fx, k2x, k3x, k4x, k5x, k6x, k7x),
                (fy, k2y, k3y, k4y, k5y, k6y, k7y), xn, yn, released)

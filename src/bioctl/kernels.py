@@ -14,15 +14,17 @@ consumption-scaled growth ratio R(x) = m * f(x) / g(x), extended to x = 0 by
 its limit m * f'(0) / g'(0).  Two budget thresholds fall out:
 
 * ``s_limit``: m * f'(0) / g'(0); release budgets above it make the
-  pest-free orbit locally asymptotically stable (and this is exact);
+  pest-free orbit locally asymptotically stable;
 * ``s_sup``: sup over x >= 0 of R(x); budgets above it make the orbit
   globally asymptotically stable (sufficient only).
 
-``ratio_supremum`` locates s_sup by closed form where the variant pair
-admits one, otherwise by a log-spaced grid scan refined with golden
-section.  Ratios that keep growing at the scan ceiling (e.g. linear growth
-against a saturating response) raise :class:`UnboundedRatioError`: no
-finite budget stabilizes those globally.
+Both are exact.  For every growth law and response here f = r*x*p(x) and
+g = lam*x/q(x), with p one of 1, 1 - x/K, (x/A - 1)(1 - x/K) and q one of
+1, 1 + a*x, 1 + a*x + b*x^2, so R = (m*r/lam) * p * q is a polynomial of
+degree <= 4.  Its leading coefficient decides boundedness: linear growth
+against a saturating response raises :class:`UnboundedRatioError`, as no
+finite budget stabilizes the orbit globally.  Otherwise s_sup is the
+largest of s_limit and R at the critical points.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class InputOverflowError(DomainError):
 
 
 class UnboundedRatioError(RuntimeError):
-    """m * f(x) / g(x) is still climbing at the scan ceiling."""
+    """m * f(x) / g(x) grows without bound as x grows: the ratio polynomial
+    has positive degree and a positive leading coefficient."""
 
 
 # --------------------------------------------------------------------------
@@ -281,127 +284,87 @@ def derivatives_at_zero(k: KernelSet):
     return k.growth.slope0(), k.response.slope0()
 
 
-def _default_xmax(k: KernelSet) -> float:
-    K = getattr(k.growth, "K", None)
-    return 100.0 * K if K is not None else 1e4
+# f(x) / (r*x) and lam*x / g(x) as coefficients of u = x/scale, highest
+# power first, with scale = K where the growth law has a carrying capacity
+_GROWTH_FACTOR = {
+    Linear: lambda f: (1.0, (1.0,)),
+    Logistic: lambda f: (f.K, (-1.0, 1.0)),
+    Allee: lambda f: (f.K, (-f.K / f.A, 1.0 + f.K / f.A, -1.0)),  # (u*K/A - 1)(1 - u)
+}
+_RESPONSE_FACTOR = {
+    HollingI: lambda g, scale: (1.0,),
+    HollingII: lambda g, scale: (g.a * scale, 1.0),
+    HollingIV: lambda g, scale: (g.b * scale * scale, g.a * scale, 1.0),
+}
+_RATIO_OVERFLOW = "the kernel parameters are too large: m*f/g overflows a float"
 
 
-def _ratio(k: KernelSet, x, s_limit: float):
-    if x <= 0.0:
-        return s_limit
-    return k.m * k.growth.rate(x) / k.response.rate(x)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fun, a, b, tol, max_iter=200):
-    # golden-section search for the maximum of a unimodal function on [a, b]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-def _closed_form_sup(k: KernelSet):
-    """(s_sup, argmax) when the variant pair admits a closed form, else None.
-
-    Raises UnboundedRatioError for pairs whose ratio provably grows without
-    bound.
-    """
-    gl, fr = k.growth, k.response
-    scale = k.m * gl.r / fr.lam
-    if isinstance(gl, Linear):
-        # ratio is scale * (1 + a x [+ b x^2]): constant only for plain
-        # proportional consumption
-        if isinstance(fr, HollingI) or (isinstance(fr, HollingII) and fr.a == 0.0):
-            return scale, 0.0
-        raise UnboundedRatioError(
-            "linear growth with a saturating response: m*f/g grows without bound")
-    if isinstance(gl, Logistic):
-        if isinstance(fr, HollingI):
-            # scale * (1 - x/K) decreases; the supremum sits at the x -> 0 limit
-            return scale, 0.0
-        if isinstance(fr, HollingII):
-            if fr.a * gl.K <= 1.0:
-                return scale, 0.0
-            x_star = (fr.a * gl.K - 1.0) / (2.0 * fr.a)
-            return scale * (1.0 - x_star / gl.K) * (1.0 + fr.a * x_star), x_star
-    if isinstance(gl, Allee) and isinstance(fr, HollingI):
-        x_star = 0.5 * (gl.A + gl.K)
-        return scale * (gl.K - gl.A) ** 2 / (4.0 * gl.A * gl.K), x_star
-    return None
-
-
-def ratio_supremum(k: KernelSet, x_max=None, tol=1e-10, grid_n=4096,
-                   allow_closed_form=True):
+def ratio_supremum(k: KernelSet):
     """sup over x >= 0 of m * f(x) / g(x), and where it is attained.
 
-    Closed-form vertex where the variant pair has one; otherwise a
-    log-spaced scan over (0, x_max] refined by golden section.  A finite
-    scan cannot certify boundedness, so a ratio that is still rising at
-    the ceiling raises :class:`UnboundedRatioError`.
+    The ratio is the polynomial (m*r/lam) * p * q of the module docstring,
+    in u = x/K where the growth law has a carrying capacity K, so that its
+    coefficients stay near 1.  Positive degree and leading coefficient:
+    :class:`UnboundedRatioError`.  Otherwise the largest of s_limit (the
+    x -> 0 limit) and m * f(x) / g(x) -- factored, as the expanded
+    coefficients cancel -- at the positive roots of the derivative
+    (polished by one Newton step) where p > 0; elsewhere the ratio is
+    <= 0, below any supremum of a ratio that is not constant.  A supremum
+    not above s_limit returns (s_limit, 0.0).  A coefficient or candidate
+    value that overflows a float: :class:`InputOverflowError`.
     """
-    if x_max is None:
-        x_max = _default_xmax(k)
-    if x_max <= 0:
-        raise DomainError("x_max must be positive")
+    scale, p = _GROWTH_FACTOR[type(k.growth)](k.growth)
     s_limit = k.m * k.growth.slope0() / k.response.slope0()
-    if allow_closed_form:
-        closed = _closed_form_sup(k)
-        if closed is not None:
-            return closed
-    xs = np.geomspace(x_max * 1e-9, x_max, grid_n)
-    vals = k.m * np.asarray(k.growth.rate(xs)) / np.asarray(k.response.rate(xs))
-    if vals[-1] > vals[:-1].max() and vals[-1] > vals[-2]:
-        raise UnboundedRatioError(
-            f"m*f/g still increasing at x_max={x_max:g}; no finite budget "
-            "clears a global threshold")
-    best = int(np.argmax(vals))
-    if vals[best] <= s_limit:
-        return s_limit, 0.0
-    lo = xs[best - 1] if best > 0 else 0.0
-    hi = xs[best + 1] if best + 1 < len(xs) else xs[-1]
-    x_star = _golden_max(lambda x: _ratio(k, x, s_limit), lo, hi, tol)
-    s = _ratio(k, x_star, s_limit)
-    if s <= s_limit:
-        return s_limit, 0.0
-    return float(s), float(x_star)
+    with np.errstate(all="ignore"):
+        q = _RESPONSE_FACTOR[type(k.response)](k.response, scale)
+        c = np.trim_zeros(np.polymul(p, q), "f")
+        if not (np.all(np.isfinite(c)) and math.isfinite(s_limit)):
+            raise InputOverflowError(_RATIO_OVERFLOW)
+        if len(c) == 1:
+            return s_limit, 0.0
+        if c[0] > 0.0:
+            raise UnboundedRatioError(
+                "m*f/g grows without bound; no finite budget clears s_sup")
+        dc = np.polyder(c)
+        ddc = np.polyder(dc)
+        # leading terms below eps of the largest change the derivative on
+        # 0 < u < 1 by less than its rounding, but put a root past the
+        # float range (a subnormal a or b): the companion matrix overflows
+        big = np.abs(dc) > np.finfo(float).eps * np.abs(dc).max()
+        best, x_best = s_limit, 0.0
+        for u in np.roots(dc[np.argmax(big):]).real:
+            slope = np.polyval(ddc, u)
+            if slope != 0.0:
+                u -= np.polyval(dc, u) / slope
+            if not (u > 0.0 and np.polyval(p, u) > 0.0):
+                continue
+            x = scale * u
+            s = k.m * k.growth.rate(x) / k.response.rate(x)
+            if not math.isfinite(s):
+                raise InputOverflowError(_RATIO_OVERFLOW)
+            if s > best:
+                best, x_best = s, x
+    return float(best), float(x_best)
 
 
-def validate_kernels(k: KernelSet, x_max=None, grid_n=4096) -> KernelReport:
+def validate_kernels(k: KernelSet) -> KernelReport:
     """Run the kernel sanity checks and fill in both thresholds.
 
-    Failures are flagged in the report, never raised: an unbounded ratio
-    yields s_sup = inf with the ``ratio_bounded`` check false.
+    g and h stay positive on x > 0 by the dataclass constraints (lam > 0,
+    a >= 0 and b > 0 keep g's denominator >= 1; e > 0), so those checks
+    read the values and slopes at zero.  Failures are flagged, never
+    raised: an unbounded ratio gives s_sup = inf and ``ratio_bounded``
+    false.
     """
-    if grid_n < 100:
-        raise DomainError("grid_n must be at least 100")
-    if x_max is None:
-        x_max = _default_xmax(k)
     fp0, gp0 = derivatives_at_zero(k)
-    s_limit = k.m * fp0 / gp0
-    xs = np.geomspace(x_max * 1e-9, x_max, grid_n)
     f0, g0, h0 = eval_rates(k, 0.0)
-    _, gs, hs = eval_rates(k, xs)
-    checks = {"growth_zero": f0 == 0.0}
-    checks["consumption_ok"] = g0 == 0.0 and gp0 > 0 and bool(np.all(gs > 0))
+    checks = {"growth_zero": f0 == 0.0,
+              "consumption_ok": g0 == 0.0 and gp0 > 0.0}
     try:
-        s_sup, s_argmax = ratio_supremum(k, x_max=x_max, grid_n=grid_n)
+        s_sup, s_argmax = ratio_supremum(k)
         checks["ratio_bounded"] = True
     except UnboundedRatioError:
         s_sup, s_argmax = math.inf, math.nan
         checks["ratio_bounded"] = False
-    checks["reproduction_ok"] = h0 == 0.0 and bool(np.all(hs > 0))
-    return KernelReport(fp0, gp0, k.m, s_limit, s_sup, s_argmax, checks)
+    checks["reproduction_ok"] = h0 == 0.0 and k.numerical.e * gp0 > 0.0
+    return KernelReport(fp0, gp0, k.m, k.m * fp0 / gp0, s_sup, s_argmax, checks)

@@ -62,6 +62,9 @@ _CHUNK = 16384
 _ZSIM_NODES = 513
 _ZSIM_SUBNODES = 129
 
+#: absolute slack of ``verify_envelope`` for rounding in Pi - T1
+_ENVELOPE_SLACK = 1e-9
+
 
 def _mix64(v: np.ndarray) -> np.ndarray:
     # splitmix64 finalizer, vectorized over uint64 arrays
@@ -119,6 +122,15 @@ class McConfig:
             raise DomainError("the full engine needs kernels and eil")
         if not self.box.singleton_params:
             raise DomainError("the harness pins sigma and m to single values")
+        # closed-engine Pi and T1 are both about t1 = z0/(mu - sigma), so
+        # Pi - T1 carries rounding noise of about ulp(t1)
+        sigma = self.box.sigma_lo
+        if self.engine == "closed" and self.mu > sigma and not math.ulp(
+                self.box.z0_hi / (self.mu - sigma)) <= _ENVELOPE_SLACK:
+            raise InputOverflowError(
+                f"z0={self.box.z0_hi:g} is too large for the closed engine: one "
+                f"ulp of z0/(mu - sigma) exceeds the {_ENVELOPE_SLACK:g} slack "
+                "of the envelope check")
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +360,7 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     violations = 0
     if trials.engine != "full":
         bounds = planner.envelope_bound_curve(trials.T, box, mu)
-        violations = int(np.sum(trials.deviation > bounds + 1e-9))
+        violations = int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
     bins = []
     for st in bin_envelope(trials, n_bins, t_upper):
         bound = planner.envelope_bound_curve(st.bin_mid, box, mu)

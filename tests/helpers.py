@@ -8,8 +8,11 @@ agreement between the two is meaningful evidence.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from bioctl.kernels import UnboundedRatioError
 
 
 def orbit_peak(mu: float, T: float, m: float) -> float:
@@ -193,3 +196,86 @@ def scan_decay_ceiling(mu, sigma, m, n=1_000_000):
     idx = int(np.argmax(floor <= sigma / m))
     assert idx > 0
     return float(ts[idx - 1]), float(ts[idx])
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fun, a, b, tol, max_iter=200):
+    # golden-section search for the maximum of a unimodal function on [a, b]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(max_iter):
+        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def scan_ratio_supremum(k, grid_n=4096):
+    """sup over x >= 0 of m*f(x)/g(x) by a log-spaced scan of (0, x_max]
+    refined by golden section, as (value, argmax); x_max is 100 times the
+    carrying capacity where the growth law has one, else 1e4.
+
+    A ratio still rising at x_max raises UnboundedRatioError; a finite
+    scan cannot prove boundedness either way.
+    """
+    x_max = 100.0 * getattr(k.growth, "K", 1e2)
+    s_limit = k.m * k.growth.slope0() / k.response.slope0()
+
+    def ratio(x):
+        return s_limit if x <= 0.0 else k.m * k.growth.rate(x) / k.response.rate(x)
+
+    xs = np.geomspace(x_max * 1e-9, x_max, grid_n)
+    vals = k.m * np.asarray(k.growth.rate(xs)) / np.asarray(k.response.rate(xs))
+    if vals[-1] > vals[:-1].max() and vals[-1] > vals[-2]:
+        raise UnboundedRatioError(f"m*f/g still increasing at x_max={x_max:g}")
+    best = int(np.argmax(vals))
+    if vals[best] <= s_limit:
+        return s_limit, 0.0
+    lo = xs[best - 1] if best > 0 else 0.0
+    hi = xs[best + 1] if best + 1 < len(xs) else xs[-1]
+    x_star = _golden_max(ratio, lo, hi, 1e-10)
+    s = ratio(x_star)
+    if s <= s_limit:
+        return s_limit, 0.0
+    return float(s), float(x_star)
+
+
+def mp_ratio_supremum(k, grid_n=4096):
+    """sup over x >= 0 of m*f(x)/g(x) to about 50 digits, as an mpf.
+
+    The kernels' own rate methods evaluate at mpmath precision when given
+    an mpf.  A float scan of (0, X], log and linear spaced, brackets every
+    local maximum (an Allee hump between A and K included), and each
+    is refined by golden section at 50 digits to a width of 1e-25; the
+    x -> 0 limit m*f'(0)/g'(0) competes.  X is the carrying capacity where
+    the growth law has one (f <= 0 beyond it), else 1e4.
+    """
+    with mpmath.workdps(50):
+        def ratio(x):
+            return k.m * k.growth.rate(x) / k.response.rate(x)
+
+        best = mpmath.mpf(k.m) * k.growth.slope0() / k.response.slope0()
+        x_hi = getattr(k.growth, "K", 1e4)
+        xs = np.union1d(np.geomspace(x_hi * 1e-9, x_hi, grid_n),
+                        np.linspace(0.0, x_hi, grid_n)[1:])
+        vals = k.m * k.growth.rate(xs) / k.response.rate(xs)
+        inner = vals[1:-1]
+        # a flat ratio's rounding noise makes spurious peaks near the limit
+        # at 0; a true peak that low is within 1e-14 of it anyway
+        s0 = float(best)
+        peaks = (inner > vals[:-2]) & (inner >= vals[2:]) & (inner > s0 + 1e-14 * abs(s0))
+        for i in np.flatnonzero(peaks) + 1:
+            x = _golden_max(ratio, mpmath.mpf(xs[i - 1]), mpmath.mpf(xs[i + 1]),
+                            mpmath.mpf("1e-25"))
+            best = max(best, ratio(x))
+        return best

@@ -41,7 +41,7 @@ def test_01_threshold_closed_forms_and_grid_search(reference_kernels):
     report = validate_kernels(reference_kernels)
     assert math.isclose(report.s_limit, 1.0, rel_tol=1e-12)
     assert math.isclose(report.s_sup, 1.8, rel_tol=1e-12)
-    s_grid, x_grid = ratio_supremum(reference_kernels, allow_closed_form=False)
+    s_grid, x_grid = helpers.scan_ratio_supremum(reference_kernels)
     assert math.isclose(s_grid, 1.8, rel_tol=1e-6)
     assert math.isclose(x_grid, 4.0, rel_tol=1e-3)
     assert perf_counter() - start < 1.0

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from bioctl import cli, mcharness, planner
 from bioctl.impulsim import AtOrbit, damage_time_full
 from bioctl.kernels import (
     HollingII,
+    InputOverflowError,
     KernelSet,
     Logistic,
     Proportional,
+    ratio_supremum,
     validate_kernels,
 )
 from bioctl.orbit import ReleaseProgram, floquet_multipliers
@@ -105,6 +108,71 @@ def test_validate_rejects_unbounded_ratio(tmp_path):
     assert kv["check_ratio_bounded"] == "false"
     assert kv["all_ok"] == "false"
     assert float(kv["s_sup"]) == math.inf
+
+
+_GROWTH_CFG = {
+    "linear": {"type": "linear", "r": 1.0},
+    "logistic": {"type": "logistic", "r": 1.0, "K": 10.0},
+    "allee": {"type": "allee", "r": 1.0, "A": 2.0, "K": 10.0},
+}
+_RESPONSE_CFG = {
+    "holling1": {"type": "holling1", "lam": 1.0},
+    "holling2": {"type": "holling2", "lam": 1.0, "a": 0.5},
+    "holling4": {"type": "holling4", "lam": 1.0, "a": 0.5, "b": 0.05},
+}
+
+
+def validate_in_process(tmp_path, capsys, growth, response):
+    """Exit code, stdout keys, stderr and the library's kernels for one
+    ``validate`` run; any warning fails the run."""
+    cfg = write_config(tmp_path, {"kernels.growth": growth,
+                                  "kernels.response": response})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["validate", "--config", cfg])
+    out, err = capsys.readouterr()
+    with open(cfg) as fh:
+        k = cli.build_kernels(json.load(fh))
+    return code, parse_kv(out), err, k
+
+
+@pytest.mark.parametrize("response", sorted(cli._RESPONSE))
+@pytest.mark.parametrize("growth", sorted(cli._GROWTH))
+def test_validate_every_kernel_pair(tmp_path, capsys, growth, response):
+    code, kv, err, k = validate_in_process(
+        tmp_path, capsys, _GROWTH_CFG[growth], _RESPONSE_CFG[response])
+    # linear growth against a saturating response outgrows every budget
+    bounded = growth != "linear" or response == "holling1"
+    assert err == ""
+    assert code == (0 if bounded else 1)
+    assert kv["check_ratio_bounded"] == ("true" if bounded else "false")
+    assert float(kv["s_sup"]) == validate_kernels(k).s_sup
+    if bounded:
+        assert float(kv["s_sup"]) == ratio_supremum(k)[0]
+    for name in ("growth_zero", "consumption_ok", "reproduction_ok"):
+        assert kv[f"check_{name}"] == "true"
+
+
+@pytest.mark.parametrize("response", sorted(cli._RESPONSE))
+@pytest.mark.parametrize("growth", ["logistic", "allee"])
+def test_validate_huge_carrying_capacity(tmp_path, capsys, growth, response):
+    # K = 1e307 once put the old scan ceiling at 100*K = inf: warnings on
+    # stderr, false positivity checks and s_sup=nan next to a bounded ratio
+    growth_cfg = dict(_GROWTH_CFG[growth], K=1e307, **(
+        {"A": 1.0} if growth == "allee" else {}))
+    code, kv, err, k = validate_in_process(
+        tmp_path, capsys, growth_cfg, _RESPONSE_CFG[response])
+    try:
+        s_sup, _ = ratio_supremum(k)
+    except InputOverflowError:
+        assert code == 2
+        assert "error: the kernel parameters are too large" in err
+        assert "Warning" not in err and "Traceback" not in err
+        return
+    assert err == ""
+    assert code == 0
+    assert kv["all_ok"] == "true"
+    assert float(kv["s_sup"]) == s_sup and math.isfinite(s_sup)
 
 
 def test_stability_reference_is_gas(tmp_path):
@@ -255,6 +323,20 @@ def test_zsim_huge_invasion_box_terminates(tmp_path, z0_hi):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("z0_hi", [1e300, 1e308])
+def test_closed_engine_refuses_huge_invasion_box(tmp_path, z0_hi):
+    # Pi and T1 are both about z0 there, so Pi - T1 is rounding noise far
+    # above the envelope check's slack: 88 false violations at 1e300, and
+    # Pi = inf with a RuntimeWarning at 1e308
+    cfg = write_config(tmp_path, {"box.z0": [1.0, z0_hi]})
+    res = run_cli("montecarlo", "--config", cfg, "--trials", "2000",
+                  "--out", str(tmp_path / "out"), timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "too large for the closed engine" in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------------
 # simulate / damage
 
@@ -312,6 +394,16 @@ def test_crossing_tol_below_float_resolution_terminates(tmp_path, command, flags
     kv = parse_kv(res.stdout)
     t_cross = float(kv["crossing_t" if command == "damage" else "first_crossing"])
     assert 0.0 < t_cross < 20.0
+
+
+def test_stiff_simulation_ends_with_an_error(tmp_path):
+    # y0 = 1e200 makes the pest equation stiff (rate about lam*y0): the
+    # explicit stepper is held to steps near 3e-200 and never reached t_end
+    res = run_cli("simulate", "--config", write_config(tmp_path), "--x0", "1",
+                  "--y0", "1e200", "--out", str(tmp_path), timeout=60)
+    assert res.returncode == 1, res.stderr
+    assert "error: the model is stiff at t=" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_damage_default_period_exceeds_ceiling(tmp_path):

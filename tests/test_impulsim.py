@@ -282,6 +282,16 @@ def test_initial_rates_that_overflow_are_an_input_error(reference_kernels):
         simulate(reference_kernels, program, 1e200, 1.0)
 
 
+def test_stiff_stretch_that_eases_is_sat_out(reference_kernels):
+    # y0 = 1e5 makes the pest equation stiff until the predators decay to
+    # about 1e2 (t ~ 7): the stiffness test fires there, but the held step
+    # would reach t_end well inside the step budget, so the run goes on
+    traj = simulate(reference_kernels, ReleaseProgram(2.0, 0.5), 1.0, 1e5,
+                    cfg=SimConfig(t_end=20.0))
+    assert traj.ts[-1] == 20.0
+    assert traj.xs[-1] < 1e-50
+
+
 @pytest.mark.parametrize("T", [0.004, 0.05, 0.3, 0.8])
 def test_no_sliver_step_before_a_release(reference_kernels, T):
     # t + h rounds a few ulp short of nT after a run of equal steps; the step

@@ -1,16 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from bioctl.kernels import (
     Allee,
     DomainError,
     HollingI,
     HollingII,
     HollingIV,
+    InputOverflowError,
     KernelSet,
     Linear,
     Logistic,
@@ -106,7 +109,8 @@ def test_reference_thresholds(reference_kernels):
 
 def test_reference_grid_matches_vertex(reference_kernels):
     s_closed, x_closed = ratio_supremum(reference_kernels)
-    s_grid, x_grid = ratio_supremum(reference_kernels, allow_closed_form=False)
+    assert (s_closed, x_closed) == (1.8, 4.0)
+    s_grid, x_grid = helpers.scan_ratio_supremum(reference_kernels)
     assert math.isclose(s_grid, s_closed, rel_tol=1e-6)
     assert math.isclose(x_grid, x_closed, rel_tol=1e-3)
 
@@ -116,7 +120,7 @@ def test_allee_closed_form():
     s, x_star = ratio_supremum(k)
     assert math.isclose(s, 0.8, rel_tol=1e-12)
     assert math.isclose(x_star, 6.0, rel_tol=1e-12)
-    s_grid, x_grid = ratio_supremum(k, allow_closed_form=False)
+    s_grid, x_grid = helpers.scan_ratio_supremum(k)
     assert math.isclose(s_grid, s, rel_tol=1e-6)
     assert math.isclose(x_grid, x_star, rel_tol=1e-3)
 
@@ -148,7 +152,7 @@ def test_unbounded_ratio_raises():
         with pytest.raises(UnboundedRatioError):
             ratio_supremum(k)
         with pytest.raises(UnboundedRatioError):
-            ratio_supremum(k, allow_closed_form=False)
+            helpers.scan_ratio_supremum(k)
 
 
 def test_unbounded_ratio_flagged_not_raised_in_report():
@@ -164,7 +168,7 @@ def test_unbounded_ratio_flagged_not_raised_in_report():
 def test_grid_agrees_with_closed_form(r, K, lam, a, m):
     k = make(Logistic(r, K), HollingII(lam, a), m=m)
     s_closed, _ = ratio_supremum(k)
-    s_grid, _ = ratio_supremum(k, allow_closed_form=False)
+    s_grid, _ = helpers.scan_ratio_supremum(k)
     assert math.isclose(s_grid, s_closed, rel_tol=1e-6)
 
 
@@ -178,6 +182,74 @@ def test_sup_dominates_zero_limit(r, K, lam, a, m):
     assert math.isclose(report.s_limit, m * fp0 / gp0, rel_tol=1e-12)
 
 
-def test_validate_rejects_tiny_grid(reference_kernels):
-    with pytest.raises(DomainError):
-        validate_kernels(reference_kernels, grid_n=50)
+_GROWTHS = {
+    "linear": st.builds(Linear, rates),
+    "logistic": st.builds(Logistic, rates, st.floats(0.5, 50.0)),
+    "allee": st.builds(lambda r, K, frac: Allee(r, frac * K, K),
+                       rates, st.floats(0.5, 50.0), st.floats(0.01, 0.95)),
+}
+_RESPONSES = {
+    "holling1": st.builds(HollingI, rates),
+    "holling2": st.builds(HollingII, rates, st.floats(0.0, 2.0)),
+    "holling4": st.builds(HollingIV, rates, st.floats(0.0, 2.0),
+                          st.floats(1e-3, 2.0)),
+}
+
+
+@pytest.mark.parametrize("response", sorted(_RESPONSES))
+@pytest.mark.parametrize("growth", sorted(_GROWTHS))
+@given(data=st.data(), m=st.floats(0.1, 5.0))
+def test_supremum_matches_50_digit_maximum(growth, response, data, m):
+    k = make(data.draw(_GROWTHS[growth]), data.draw(_RESPONSES[response]), m=m)
+    # unbounded exactly when a linear growth law meets a response whose
+    # consumption saturates (a > 0 or b > 0)
+    if growth == "linear" and response != "holling1" and (
+            response == "holling4" or k.response.a > 0.0):
+        with pytest.raises(UnboundedRatioError):
+            ratio_supremum(k)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(1e300)
+            assert k.m * k.growth.rate(2 * x) / k.response.rate(2 * x) > \
+                k.m * k.growth.rate(x) / k.response.rate(x)
+        return
+    s, x_star = ratio_supremum(k)
+    ref = helpers.mp_ratio_supremum(k)
+    assert abs(s - ref) <= 1e-13 * abs(ref)
+    if x_star > 0.0:
+        assert s == k.m * k.growth.rate(x_star) / k.response.rate(x_star)
+    else:
+        assert s == k.m * k.growth.slope0() / k.response.slope0()
+
+
+@pytest.mark.parametrize("growth, response", [
+    (Logistic(1.0, 1e300), HollingIV(1.0, 0.5, 1e-30)),
+    (Logistic(1.0, 1e307), HollingIV(1.0, 0.5, 0.1)),
+    (Allee(1.0, 1.0, 1e307), HollingII(1.0, 0.5)),
+    (Allee(1.0, 1e-10, 1e300), HollingI(1.0)),
+])
+def test_overflowing_supremum_is_an_input_error(growth, response):
+    # the supremum itself overflows a float; a leading coefficient that
+    # underflowed would instead have passed for an unbounded ratio
+    with pytest.raises(InputOverflowError):
+        ratio_supremum(make(growth, response))
+
+
+@pytest.mark.parametrize("response", [
+    HollingII(1.0, 5e-324),
+    HollingIV(1.0, 0.5, 5e-324),
+    HollingIV(1.0, 1e-300, 1e-310),
+])
+def test_subnormal_coefficients_keep_the_supremum(response):
+    # a subnormal leading coefficient puts a derivative root beyond the
+    # float range; the supremum stays that of the remaining terms
+    k = make(Logistic(1.0, 10.0), response)
+    s, _ = ratio_supremum(k)
+    assert math.isclose(s, float(helpers.mp_ratio_supremum(k)), rel_tol=1e-13)
+
+
+def test_huge_carrying_capacity_keeps_the_checks():
+    k = make(Logistic(1.0, 1e307), HollingII(1.0, 0.5))
+    report = validate_kernels(k)
+    assert report.all_ok
+    assert math.isclose(report.s_sup, float(helpers.mp_ratio_supremum(k)),
+                        rel_tol=1e-13)
