@@ -227,6 +227,10 @@ def _mc_settings(cfg: dict, args):
         raise ConfigError(f"mc: engine must be closed, zsim or full; got {engine!r}")
     if trials < 1:
         raise ConfigError("mc: trials must be at least 1")
+    if trials > mcharness.MAX_TRIALS:
+        raise ConfigError(
+            f"mc: trials must be at most {mcharness.MAX_TRIALS}, or the "
+            "trials' 64-bit stream counters wrap and repeat draws")
     if bins < 1:
         raise ConfigError("mc: bins must be at least 1")
     return trials, seed, engine, bins

@@ -48,9 +48,9 @@ _SAMPLES_PER_PERIOD = 64
 
 def __getattr__(name):
     # PEP 562: ``impulsim.solve_ivp`` imports scipy's solver on first
-    # access, so importing bioctl loads no scipy.  The stepper never calls
-    # it; perfbench's tracer is the only caller, wrapping it as the
-    # boundary to scipy.
+    # access.  No bioctl code reads it, and scipy is not a runtime
+    # dependency; perfbench's tracer is the only caller, wrapping it as the
+    # boundary to scipy, which perfbench's output oracles need anyway.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp

@@ -10,8 +10,10 @@ Engines:
 * ``closed``: the comparison model's piecewise-analytic damage time from
   :mod:`bioctl.planner`, one Newton inversion per trial (default);
 * ``zsim``: independent numerical route, cumulative Simpson quadrature of
-  the comparison model with local grid refinement at the crossing (the
-  only code in bioctl that imports scipy, on first use);
+  the comparison model on fixed uniform grids with local grid refinement
+  at the crossing, a block of trials at a time as 2-D numpy arrays; it
+  shares no closed form with :mod:`bioctl.planner`, so it cross-checks
+  the closed engine;
 * ``full``: nonlinear simulation via :mod:`bioctl.impulsim`, the invasion
   size mapped back to a pest density through the local change of
   variables.
@@ -39,6 +41,7 @@ from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
+    "MAX_TRIALS",
     "McConfig",
     "Trials",
     "BinStat",
@@ -56,11 +59,16 @@ _GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+#: most trials whose counters 3i..3i+2 fit a uint64 without wrapping
+MAX_TRIALS = (2 ** 64 - 1) // 3
+
 #: fixed chunk length so that chunk boundaries never depend on thread count
 _CHUNK = 16384
 
 _ZSIM_NODES = 513
 _ZSIM_SUBNODES = 129
+#: trials per zsim block: bounded memory, 1 MB (256 x 513 floats) an array
+_ZSIM_BLOCK = 256
 
 #: absolute slack of ``verify_envelope`` for rounding in Pi - T1
 _ENVELOPE_SLACK = 1e-9
@@ -122,15 +130,15 @@ class McConfig:
             raise DomainError("the full engine needs kernels and eil")
         if not self.box.singleton_params:
             raise DomainError("the harness pins sigma and m to single values")
-        # closed-engine Pi and T1 are both about t1 = z0/(mu - sigma), so
+        # comparison-model Pi and T1 are both about t1 = z0/(mu - sigma), so
         # Pi - T1 carries rounding noise of about ulp(t1)
         sigma = self.box.sigma_lo
-        if self.engine == "closed" and self.mu > sigma and not math.ulp(
+        if self.engine != "full" and self.mu > sigma and not math.ulp(
                 self.box.z0_hi / (self.mu - sigma)) <= _ENVELOPE_SLACK:
             raise InputOverflowError(
-                f"z0={self.box.z0_hi:g} is too large for the closed engine: one "
-                f"ulp of z0/(mu - sigma) exceeds the {_ENVELOPE_SLACK:g} slack "
-                "of the envelope check")
+                f"z0={self.box.z0_hi:g} is too large for the {self.engine} "
+                "engine: one ulp of z0/(mu - sigma) exceeds the "
+                f"{_ENVELOPE_SLACK:g} slack of the envelope check")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,69 +165,69 @@ class Trials:
 # engines
 
 
+def _cum_simpson(f, h):
+    """Cumulative composite Simpson from 0 along each row of f, which
+    samples an odd number of nodes h apart (h one per row).  The first
+    interval of each pair is (h/12)(5f_0 + 8f_1 - f_2), the second its
+    mirror image (h/12)(-f_0 + 8f_1 + 5f_2)."""
+    out, eight = np.zeros_like(f), 8.0 * f[:, 1::2]
+    np.subtract(5.0 * f[:, :-2:2] + eight, f[:, 2::2], out=out[:, 1::2])
+    np.subtract(5.0 * f[:, 2::2] + eight, f[:, :-2:2], out=out[:, 2::2])
+    out[:, 1:] *= (h / 12.0)[:, None]
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
+
+
+def _zsim_path(a, b, z_a, nodes, sigma, m, peak):
+    """Comparison-model path from z_a at phase a to phase b, one trial a
+    row, on a uniform grid of the given node count."""
+    grid = np.linspace(a, b, nodes, axis=1)
+    rhs = sigma - m * peak[:, None] * np.exp(-m * grid)
+    return grid, z_a[:, None] + _cum_simpson(rhs, (b - a) / (nodes - 1))
+
+
 def _zsim_cross(grid, z, sigma, m, peak):
-    """First root of a sampled z path: locate the sign-change cell, then
-    re-quadrate a finer local grid and interpolate linearly."""
-    from scipy.integrate import cumulative_simpson
-
-    if z[0] <= 0.0:
-        return float(grid[0])
-    i = int(np.argmax(z <= 0.0))
-    a, b = grid[i - 1], grid[i]
-    sub = np.linspace(a, b, _ZSIM_SUBNODES)
-    rhs = sigma - m * peak * np.exp(-m * sub)
-    zs = z[i - 1] + cumulative_simpson(rhs, x=sub, initial=0.0)
-    if zs[0] <= 0.0:
-        return float(a)
-    j = int(np.argmax(zs <= 0.0))
-    za, zb = zs[j - 1], zs[j]
-    w = za / (za - zb)
-    return float(sub[j - 1] + w * (sub[j] - sub[j - 1]))
+    """First root along each row of a sampled z path: find the sign-change
+    cell, re-quadrate it on a finer grid and interpolate linearly."""
+    rows = np.arange(len(z))
+    i = np.argmax(z <= 0.0, axis=1)
+    sub, zs = _zsim_path(grid[rows, i - 1], grid[rows, i], z[rows, i - 1],
+                         _ZSIM_SUBNODES, sigma, m, peak)
+    j = np.argmax(zs <= 0.0, axis=1)
+    za, zb, lo = zs[rows, j - 1], zs[rows, j], sub[rows, j - 1]
+    return np.where(z[:, 0] <= 0.0, grid[:, 0],
+                    lo + za / (za - zb) * (sub[rows, j] - lo))
 
 
-def _pi_zsim_one(T, t0, z0, sigma, m, mu):
-    """Quadrature route for a single trial.
-
-    The comparison model's right-hand side is the same exponential on
-    every post-release segment, so the per-period balance is quadrated
-    once and reused; only the first partial segment and the crossing
-    segment get their own grids.
-    """
-    from scipy.integrate import cumulative_simpson
-
-    peak = mu * T / -math.expm1(-m * T)
-    grid = np.linspace(t0, T, _ZSIM_NODES)
-    rhs = sigma - m * peak * np.exp(-m * grid)
-    z = z0 + cumulative_simpson(rhs, x=grid, initial=0.0)
-    if z[-1] <= 0.0:
-        return _zsim_cross(grid, z, sigma, m, peak) - t0
-    pgrid = np.linspace(0.0, T, _ZSIM_NODES)
-    prhs = sigma - m * peak * np.exp(-m * pgrid)
-    pz = cumulative_simpson(prhs, x=pgrid, initial=0.0)
-    drop = -float(pz[-1])
-    z_b1 = float(z[-1])
-    periods = z_b1 / drop
-    # past 2^53 a float can no longer count periods: n - 1 rounds, and the
-    # drift guards below would never move the remainder
-    if not periods < 2.0 ** 53:
-        raise InputOverflowError(
-            f"z0={z0:g} is too large for the zsim engine: at T={T:g} the "
-            "invasion outlasts 2^53 release periods")
-    n = math.ceil(periods)
-    while n > 1 and z_b1 - (n - 1) * drop <= 0.0:
-        n -= 1
-    while z_b1 - (n - 1) * drop > drop:
-        n += 1
-    zpath = (z_b1 - (n - 1) * drop) + pz
-    s = _zsim_cross(pgrid, zpath, sigma, m, peak)
-    return (T - t0) + (n - 1) * T + s
-
-
-def _pi_zsim_vec(Ts, t0s, z0s, sigma, m, mu):
+def _pi_zsim(Ts, t0s, z0s, sigma, m, mu):
+    """Quadrature route, a block of trials at a time as 2-D arrays.  One
+    quadrated period per trial serves every whole period after the first
+    partial segment; the crossing cell gets its own finer grid."""
     out = np.empty(len(Ts))
-    for j in range(len(Ts)):
-        out[j] = _pi_zsim_one(float(Ts[j]), float(t0s[j]), float(z0s[j]),
-                              sigma, m, mu)
+    for s in range(0, len(Ts), _ZSIM_BLOCK):
+        T, t0, z0 = (c[s:s + _ZSIM_BLOCK] for c in (Ts, t0s, z0s))
+        peak = mu * T / -np.expm1(-m * T)
+        grid, z = _zsim_path(t0, T, z0, _ZSIM_NODES, sigma, m, peak)
+        pgrid, pz = _zsim_path(0.0 * T, T, 0.0 * T, _ZSIM_NODES, sigma, m, peak)
+        z_b1, drop, first = z[:, -1], -pz[:, -1], z[:, -1] <= 0.0
+        periods = np.where(first, 1.0, z_b1 / drop)
+        # past 2^53 a float can no longer count periods: n - 1 rounds, and
+        # the drift guards below would never move the remainder
+        if not (counted := periods < 2.0 ** 53).all():
+            k = int(np.argmin(counted))
+            raise InputOverflowError(
+                f"z0={z0[k]:g} is too large for the zsim engine: at "
+                f"T={T[k]:g} the invasion outlasts 2^53 release periods")
+        n = np.ceil(periods)
+        while (down := (n > 1.0) & (z_b1 - (n - 1.0) * drop <= 0.0)).any():
+            n[down] -= 1.0
+        while (up := z_b1 - (n - 1.0) * drop > drop).any():
+            n[up] += 1.0
+        seg = first[:, None]
+        cross = _zsim_cross(np.where(seg, grid, pgrid), np.where(
+            seg, z, (z_b1 - (n - 1.0) * drop)[:, None] + pz), sigma, m, peak)
+        out[s:s + _ZSIM_BLOCK] = np.where(
+            first, cross - t0, (T - t0) + (n - 1.0) * T + cross)
     return out
 
 
@@ -267,7 +275,7 @@ def run_mc(cfg: McConfig) -> Trials:
             lambda a, b, c: planner._damage_times(a, b, c, sigma, m, cfg.mu),
             cfg.n_trials, threads, Ts, t0s, z0s)
     elif cfg.engine == "zsim":
-        pis = _map_chunks(lambda a, b, c: _pi_zsim_vec(a, b, c, sigma, m, cfg.mu),
+        pis = _map_chunks(lambda a, b, c: _pi_zsim(a, b, c, sigma, m, cfg.mu),
                           cfg.n_trials, threads, Ts, t0s, z0s)
     else:
         gp0 = cfg.kernels.response.slope0()

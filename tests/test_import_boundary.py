@@ -1,4 +1,4 @@
-"""Only the zsim engine loads scipy.
+"""No bioctl code path loads scipy.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already (the oracles in helpers.py use it).
@@ -10,7 +10,7 @@ import sys
 
 from test_cli import write_config
 
-# Runs every subcommand except a zsim montecarlo in one interpreter and
+# Runs every subcommand and every montecarlo engine in one interpreter and
 # prints, after each step, the scipy modules loaded so far.
 _SCRIPT = r"""
 import json, sys
@@ -32,6 +32,7 @@ steps = [
     ["montecarlo", "--trials", "500", "--out", out],
     ["plot", "--out", out],
     ["montecarlo", "--engine", "full", "--trials", "3", "--out", out],
+    ["montecarlo", "--engine", "zsim", "--trials", "50", "--out", out],
 ]
 for argv in steps:
     code = cli.main([argv[0], "--config", cfg, *argv[1:]])
@@ -46,27 +47,12 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-def test_no_scipy_outside_the_zsim_engine(tmp_path):
+def test_no_bioctl_path_loads_scipy(tmp_path):
     res = _python("-c", _SCRIPT, write_config(tmp_path), str(tmp_path / "out"))
     assert res.returncode == 0, res.stderr
     loaded = json.loads(res.stdout.splitlines()[-1])
-    assert len(loaded) == 10
+    assert len(loaded) == 11
     assert {step: mods for step, mods in loaded.items() if mods} == {}
-
-
-def test_zsim_engine_imports_scipy(tmp_path):
-    script = (
-        "import sys\n"
-        "import bioctl.cli as cli\n"
-        "assert 'scipy' not in sys.modules\n"
-        "code = cli.main(['montecarlo', '--config', sys.argv[1], '--engine',\n"
-        "                 'zsim', '--trials', '50', '--out', sys.argv[2]])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy.integrate' in sys.modules\n")
-    res = _python("-c", script, write_config(tmp_path), str(tmp_path / "out"))
-    assert res.returncode == 0, res.stderr
-    assert "engine=zsim" in res.stdout
-    assert (tmp_path / "out" / "mc_records.csv").exists()
 
 
 def test_impulsim_solve_ivp_resolves_to_scipy():

@@ -4,10 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_simpson
 
-from bioctl import impulsim, planner
+import helpers
+from bioctl import impulsim, mcharness, planner
 from bioctl.impulsim import SimConfig
-from bioctl.kernels import DomainError, HollingI, KernelSet, Linear, Proportional
+from bioctl.kernels import (
+    DomainError,
+    HollingI,
+    InputOverflowError,
+    KernelSet,
+    Linear,
+    Proportional,
+)
 from bioctl.mcharness import (
     McConfig,
     bin_envelope,
@@ -139,7 +151,49 @@ def test_engines_agree(reference_box):
     assert zsim.engine == "zsim"
     for c in ("T", "t0", "z0"):
         assert np.array_equal(getattr(closed, c), getattr(zsim, c))
-    np.testing.assert_allclose(zsim.Pi, closed.Pi, rtol=5e-4)
+    np.testing.assert_allclose(zsim.Pi, closed.Pi, rtol=1e-8)
+
+
+def test_zsim_matches_per_trial_scipy_reference(reference_box):
+    trials = run_mc(small_cfg(reference_box, engine="zsim"))
+    ref = helpers.scipy_zsim_damage_times(trials.T, trials.t0, trials.z0,
+                                          1.0, 1.0, MU)
+    np.testing.assert_allclose(trials.Pi, ref, rtol=1e-12, atol=0.0)
+
+
+def test_zsim_rows_do_not_depend_on_their_block(reference_box):
+    trials = run_mc(small_cfg(reference_box, n_trials=1500, engine="zsim"))
+    cols = (trials.T, trials.t0, trials.z0)
+    for k in (0, 1, 255, 256, 777, 1499):
+        alone = mcharness._pi_zsim(*(c[k:k + 1] for c in cols), 1.0, 1.0, MU)
+        assert alone[0] == trials.Pi[k]
+    # a window that meets the engine's block boundaries at other trials
+    shifted = mcharness._pi_zsim(*(c[300:1400] for c in cols), 1.0, 1.0, MU)
+    assert np.array_equal(shifted, trials.Pi[300:1400])
+
+
+def test_zsim_refuses_more_than_2_53_periods():
+    # unreachable through McConfig's z0 check except at a tiny period
+    one = np.ones(1)
+    with pytest.raises(InputOverflowError, match=r"z0=1e\+06 is too large for "
+                       r"the zsim engine: at T=1e-12 the invasion outlasts "
+                       r"2\^53 release periods"):
+        mcharness._pi_zsim(1e-12 * one, 5e-13 * one, 1e6 * one, 1.0, 1.0, MU)
+
+
+@given(nodes=st.integers(1, 40).map(lambda k: 2 * k + 1),
+       rows=st.integers(1, 4),
+       h=st.floats(1e-6, 1e3),
+       data=st.data())
+def test_cum_simpson_matches_scipy_on_uniform_grids(nodes, rows, h, data):
+    f = data.draw(arrays(np.float64, (rows, nodes),
+                         elements=st.floats(-1e6, 1e6)))
+    hs = h * np.linspace(1.0, 2.0, rows)
+    got = mcharness._cum_simpson(f, hs)
+    ref = cumulative_simpson(f, dx=hs[:, None], initial=0.0)
+    scale = hs[:, None] * np.abs(f).sum(axis=1, keepdims=True)
+    # the floor covers values that underflow to subnormals
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale + 1e-300)
 
 
 def test_full_engine_on_collapsing_kernels():
@@ -195,14 +249,17 @@ def test_mc_config_validation(reference_box):
 
 
 def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch):
-    paths = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("BIOCTL_THREADS", threads)
-        trials = run_mc(small_cfg(reference_box, n_trials=40_000))
-        path = tmp_path / f"records_{threads}.csv"
-        write_records_csv(trials, path)
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # both runs span more than one 16384-trial chunk
+    for engine, n_trials in (("closed", 40_000), ("zsim", 20_000)):
+        paths = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("BIOCTL_THREADS", threads)
+            trials = run_mc(small_cfg(reference_box, n_trials=n_trials,
+                                      engine=engine))
+            path = tmp_path / f"records_{engine}_{threads}.csv"
+            write_records_csv(trials, path)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_repeat_run_is_identical(reference_box):
