@@ -47,10 +47,8 @@ from .planner import (
     worst_invasion,
 )
 from .impulsim import (
-    AtOrbit,
     HorizonExceededError,
     IntegrationError,
-    OrbitPlus,
     SimConfig,
     StateConsistencyError,
     Trajectory,

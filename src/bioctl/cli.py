@@ -210,7 +210,7 @@ def _build_sim(cfg: dict) -> impulsim.SimConfig:
     d = _section(cfg, "sim", required=False)
     if d is None:
         return impulsim.SimConfig()
-    allowed = ("rtol", "atol", "max_step", "t_end", "crossing_tol")
+    allowed = ("rtol", "atol", "t_end")
     _check_keys(d, allowed, "sim")
     kwargs = {k: _num(d, k, "sim") for k in allowed if k in d}
     return impulsim.SimConfig(**kwargs)
@@ -231,6 +231,10 @@ def _mc_settings(cfg: dict, args):
         raise ConfigError(
             f"mc: trials must be at most {mcharness.MAX_TRIALS}, or the "
             "trials' 64-bit stream counters wrap and repeat draws")
+    if not 0 <= seed <= mcharness.MAX_SEED:
+        raise ConfigError(
+            f"mc: seed must be in [0, {mcharness.MAX_SEED}], the uint64 "
+            f"that keys the draw stream; got {seed}")
     if bins < 1:
         raise ConfigError("mc: bins must be at least 1")
     return trials, seed, engine, bins
@@ -320,19 +324,23 @@ def cmd_damage(args) -> int:
         x0 = args.x0
     else:
         x0 = planner.x_from_z_local(args.z0, eil, k.m, report.response_slope0)
+    if not x0 > eil:
+        raise DomainError(f"damage: x0={x0:g} must be above eil={eil:g}")
     # conservative comparison model: pest pressure capped by the ratio
-    # ceiling, so its crossing time bounds the full model's from above
+    # ceiling, so its crossing time bounds the full model's from above.
+    # Everything is computed before the first line is printed, so a bad
+    # input prints nothing.
     z0 = planner.z_from_x_global(x0, eil, k.m, k.response)
     p = planner.ZParams(sigma=report.s_sup, m=k.m, mu=program.mu, T=program.T)
-    _emit("x0", float(x0))
-    _emit("z0", z0)
-    _emit("sigma", report.s_sup)
-    _emit("decay_ceiling",
-          planner.max_decay_period(program.mu, report.s_sup, k.m))
+    decay_ceiling = planner.max_decay_period(program.mu, report.s_sup, k.m)
     pi_z = planner.damage_time(p, z0, t0=args.t0)
     pi_full, t_cross = impulsim.damage_time_full(k, program, x0, eil,
                                                  t0=args.t0,
                                                  cfg=_build_sim(cfg))
+    _emit("x0", float(x0))
+    _emit("z0", z0)
+    _emit("sigma", report.s_sup)
+    _emit("decay_ceiling", decay_ceiling)
     _emit("pi_full", pi_full)
     _emit("pi_z", pi_z)
     _emit("crossing_t", t_cross)

@@ -7,15 +7,16 @@ Wanner, *Solving ODEs I*, II.4-6) runs on Python floats through the whole
 horizon, with scipy's RK45 step control: RMS error norm over (x, y),
 safety 0.9, step factor clamped to [0.2, 10], exponent -1/5.
 
-Release instants are hard step ends: the step that would pass nT, or end
-short of it by under a millionth of the step, lands on it exactly, the jump
-is applied there, and the step size proposed before that adjustment carries
-on.  Every accepted step has a quartic dense-output polynomial.  Threshold
-crossings are found on it: the step ends and the quartic's interior
-critical points cut the step into monotone pieces, and a piece whose ends
-lie on either side of eil is bisected, so a dip below eil that starts and
-ends inside one step is found too.  ``simulate`` reads its samples off the
-same polynomials.
+Release instants and error control alone bound the step: the step that
+would pass nT, or end short of it by under a millionth of the step, lands
+on it exactly, the jump is applied there, and the step size proposed
+before that adjustment carries on, so no step is longer than T.  Every
+accepted step has a quartic dense-output polynomial.  Threshold crossings
+are found on it: the step ends and the quartic's interior critical points
+cut the step into monotone pieces, and a piece whose ends lie on either
+side of eil is bisected down to the float resolution of t, so a dip below
+eil that starts and ends inside one step is found too.  ``simulate`` reads
+its samples off the same polynomials.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "HorizonExceededError",
     "SimConfig",
     "Trajectory",
-    "AtOrbit",
-    "OrbitPlus",
     "simulate",
     "damage_time_full",
     "trajectory_to_csv",
@@ -116,38 +115,15 @@ class HorizonExceededError(RuntimeError):
 class SimConfig:
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step: Optional[float] = None   # defaults to T/20 at call time
     t_end: Optional[float] = None      # horizon measured from t0; defaults to 200/m
-    crossing_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.rtol <= 1e-3:
             raise DomainError(f"rtol must be in (0, 1e-3], got {self.rtol}")
         if self.atol <= 0:
             raise DomainError(f"atol must be positive, got {self.atol}")
-        if self.crossing_tol <= 0:
-            raise DomainError(f"crossing_tol must be positive, got {self.crossing_tol}")
-        if self.max_step is not None and self.max_step <= 0:
-            raise DomainError("max_step must be positive when given")
         if self.t_end is not None and self.t_end <= 0:
             raise DomainError("t_end must be positive when given")
-
-
-@dataclass(frozen=True)
-class AtOrbit:
-    """Predators start exactly on the pest-free orbit at the invasion."""
-
-
-@dataclass(frozen=True)
-class OrbitPlus:
-    """Predators start delta above the orbit; delta >= 0 keeps the
-    comparison bound applicable."""
-
-    delta: float
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise DomainError("delta must be nonnegative")
 
 
 @dataclass
@@ -186,7 +162,6 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
     e1, _, e3, e4, e5, e6, e7 = _E
     rtol, atol = cfg.rtol, cfg.atol
     T, m, jump = program.T, k.m, program.per_release
-    max_step = cfg.max_step if cfg.max_step is not None else T / 20.0
     f, g, hn = k.growth.rate, k.response.rate, k.numerical.rate
 
     def rhs(x, y):
@@ -211,7 +186,7 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, t_end - t, max_step)
+    h_abs = min(100.0 * h0, h1, t_end - t)
 
     n = _first_release(t, T)
     stop = min(n * T, t_end)
@@ -219,10 +194,7 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
     accepted = stiff_hits = calm = 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -314,11 +286,12 @@ def _poly(u, q, s):
     return u + s * (q[0] + s * (q[1] + s * (q[2] + s * q[3])))
 
 
-def _bisect_crossing(t, h, x, q, eil, tol, lo, hi, above):
+def _bisect_crossing(t, h, x, q, eil, lo, hi, above):
     """Where the step's x polynomial crosses eil between s = lo and s = hi,
-    to within tol in t or to adjacent floats in s; ``above`` says on which
-    side of eil it is at lo, and it is on the other side at hi."""
-    while (hi - lo) * h > tol:
+    to the float resolution of t (t + lo*h == t + hi*h) or to adjacent
+    floats in s; ``above`` says on which side of eil it is at lo, and it is
+    on the other side at hi."""
+    while t + lo * h != t + hi * h:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -329,7 +302,7 @@ def _bisect_crossing(t, h, x, q, eil, tol, lo, hi, above):
     return t + 0.5 * (lo + hi) * h
 
 
-def _crossings(t, h, x, xn, ks, eil, tol):
+def _crossings(t, h, x, xn, ks, eil):
     """Crossings of eil by the step's x polynomial, in time order, as
     (t, "down" | "up") pairs; ks are the step's stage derivatives of x."""
     # cheap bounds on how far the polynomial strays from x rule out most
@@ -350,7 +323,7 @@ def _crossings(t, h, x, xn, ks, eil, tol):
     out = []
     for lo, hi, x_lo, x_hi in zip(ss, ss[1:], xs, xs[1:]):
         if (x_lo > eil) != (x_hi > eil):
-            out.append((_bisect_crossing(t, h, x, q, eil, tol, lo, hi, x_lo > eil),
+            out.append((_bisect_crossing(t, h, x, q, eil, lo, hi, x_lo > eil),
                         "down" if x_lo > eil else "up"))
     return out
 
@@ -396,7 +369,7 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
             k, program, x0, y0, t0, t_end, cfg):
         qx, qy = _dense(h, kx), _dense(h, ky)
         if eil is not None:
-            events += _crossings(t, h, x, xn, kx, eil, cfg.crossing_tol)
+            events += _crossings(t, h, x, xn, kx, eil)
         while j < len(ts) and ts[j] < t_new:
             s = (ts[j] - t) / h
             xs[j], ys[j] = _poly(x, qx, s), _poly(y, qy, s)
@@ -410,30 +383,27 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
 
 
 def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
-                     t0=0.0, y_policy=AtOrbit(),
+                     t0=0.0, delta: float = 0.0,
                      cfg: Optional[SimConfig] = None):
     """Damage time of the full model: first t with x(t) <= eil, minus t0.
 
-    The predator start level comes from the release orbit (AtOrbit, or
-    OrbitPlus(delta) for sensitivity runs); starting at or above the
-    orbit keeps the predators above it forever, which is what makes the
-    comparison-model damage time an upper bound.  Returns (Pi, t_cross).
+    Predators start delta above the release orbit (on it by default, more
+    for sensitivity runs); starting at or above the orbit keeps the
+    predators above it forever, which is what makes the comparison-model
+    damage time an upper bound.  Returns (Pi, t_cross).
     """
     if not x0 > eil > 0.0:
         raise DomainError("need x0 > eil > 0")
+    if not delta >= 0.0:
+        raise DomainError(f"delta must be nonnegative, got {delta}")
     cfg = cfg or SimConfig()
-    orb = PestFreeOrbit(program.mu, program.T, k.m)
-    y0 = orb.eval(t0, post=True)
-    if isinstance(y_policy, OrbitPlus):
-        y0 += y_policy.delta
-    elif not isinstance(y_policy, AtOrbit):
-        raise DomainError(f"unknown predator start policy: {y_policy!r}")
+    y0 = PestFreeOrbit(program.mu, program.T, k.m).eval(t0, post=True) + delta
     x0, y0 = _check_start(x0, y0)
     t0 = float(t0)
     t_end = t0 + (cfg.t_end if cfg.t_end is not None else 200.0 / k.m)
     # every step starts above eil, so the first crossing is the way down
     for t, h, _, x, _, kx, _, xn, _, _ in _steps(k, program, x0, y0, t0, t_end, cfg):
-        for t_cross, _ in _crossings(t, h, x, xn, kx, eil, cfg.crossing_tol):
+        for t_cross, _ in _crossings(t, h, x, xn, kx, eil):
             return t_cross - t0, t_cross
     raise HorizonExceededError(
         f"no crossing of eil={eil:g} before t={t_end:g}; "

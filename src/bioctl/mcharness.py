@@ -41,6 +41,7 @@ from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
+    "MAX_SEED",
     "MAX_TRIALS",
     "McConfig",
     "Trials",
@@ -61,6 +62,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 #: most trials whose counters 3i..3i+2 fit a uint64 without wrapping
 MAX_TRIALS = (2 ** 64 - 1) // 3
+#: the seed keys the stream as a uint64
+MAX_SEED = 2 ** 64 - 1
 
 #: fixed chunk length so that chunk boundaries never depend on thread count
 _CHUNK = 16384
@@ -90,11 +93,11 @@ def stream_uniforms(seed: int, counters) -> np.ndarray:
     """Uniforms strictly inside (0, 1), one per counter value.
 
     Counter-based: value i depends only on (seed, i), never on how many
-    values were drawn before it.
+    values were drawn before it.  The seed is a uint64, in [0, 2^64 - 1].
     """
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        keyed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + np.uint64(1)) * _GOLDEN64
+        keyed = np.uint64(seed) + (counters + np.uint64(1)) * _GOLDEN64
     bits = _mix64(keyed)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
@@ -124,6 +127,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise DomainError("n_trials must be at least 1")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise DomainError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
         if self.engine not in ("closed", "zsim", "full"):
             raise DomainError(f"unknown engine {self.engine!r}")
         if self.engine == "full" and (self.kernels is None or self.eil is None):

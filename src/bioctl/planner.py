@@ -245,15 +245,14 @@ def _damage_times(T, t0, z0, sigma, m, mu):
     return np.maximum(k * T + _invert_fall(s - k * drop, T, sigma, m, mu) - t0, 0.0)
 
 
-def damage_time(p: ZParams, z0: float, t0: float = 0.0,
-                check_period: bool = True) -> float:
+def damage_time(p: ZParams, z0: float, t0: float = 0.0) -> float:
     """Time for z to reach zero after an invasion of size z0 at t0 in [0, T):
     one element of ``_damage_times``."""
     if z0 <= 0:
         raise DomainError("z0 must be positive")
     if not 0.0 <= t0 < p.T:
         raise DomainError("t0 must lie in [0, T)")
-    if check_period and p.T >= max_decay_period(p.mu, p.sigma, p.m):
+    if p.T >= max_decay_period(p.mu, p.sigma, p.m):
         raise PeriodTooLargeError(
             "period at or above max_decay_period: z need not decrease")
     return float(_damage_times(p.T, t0, z0, p.sigma, p.m, p.mu))

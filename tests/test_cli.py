@@ -18,8 +18,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bioctl import cli, mcharness, planner
-from bioctl.impulsim import AtOrbit, damage_time_full
+from bioctl import cli, impulsim, mcharness, planner
+from bioctl.impulsim import SimConfig, damage_time_full
 from bioctl.kernels import (
     HollingII,
     InputOverflowError,
@@ -29,7 +29,7 @@ from bioctl.kernels import (
     ratio_supremum,
     validate_kernels,
 )
-from bioctl.orbit import ReleaseProgram, floquet_multipliers
+from bioctl.orbit import PestFreeOrbit, ReleaseProgram, floquet_multipliers
 
 REFERENCE = {
     "kernels": {
@@ -372,7 +372,7 @@ def test_damage_matches_direct_calls(tmp_path):
     p = planner.ZParams(sigma=report.s_sup, m=1.0, mu=2.0, T=0.15)
     pi_z = planner.damage_time(p, z0)
     pi_full, t_cross = damage_time_full(
-        k, ReleaseProgram(2.0, 0.15), 5.0, 0.1, y_policy=AtOrbit())
+        k, ReleaseProgram(2.0, 0.15), 5.0, 0.1, delta=0.0)
     assert float(kv["pi_z"]) == pytest.approx(pi_z, rel=1e-12)
     assert float(kv["pi_full"]) == pytest.approx(pi_full, rel=1e-12)
     assert float(kv["crossing_t"]) == pytest.approx(t_cross, rel=1e-12)
@@ -384,17 +384,56 @@ def test_damage_matches_direct_calls(tmp_path):
     ("damage", ("--x0", "5.0", "--period", "0.15")),
     ("simulate", ("--x0", "5.0", "--period", "0.15")),
 ])
-def test_crossing_tol_below_float_resolution_terminates(tmp_path, command, flags):
-    # 1e-30 is far below the spacing of floats near the crossing time: the
-    # bisection has to stop at adjacent floats instead
-    cfg = write_config(tmp_path, sim={"crossing_tol": 1e-30, "t_end": 20.0})
+def test_crossing_is_found_to_float_resolution(tmp_path, command, flags):
+    # the bisection runs until both ends of its bracket round to the same t
+    # (or to adjacent floats in s), so it terminates, and the step's quartic
+    # lies on either side of eil within 2 ulp of each crossing it returns
+    cfg = write_config(tmp_path, sim={"t_end": 20.0})
     if command == "simulate":
         flags += ("--out", str(tmp_path))
     res = run_cli(command, "--config", cfg, *flags, timeout=60)
     assert res.returncode == 0, res.stderr
     kv = parse_kv(res.stdout)
     t_cross = float(kv["crossing_t" if command == "damage" else "first_crossing"])
-    assert 0.0 < t_cross < 20.0
+
+    program = ReleaseProgram(2.0, 0.15)
+    y0 = PestFreeOrbit(2.0, 0.15, 1.0).eval(0.0, post=True)
+    crossings = []
+    for t, h, _, x, _, kx, _, xn, _, _ in impulsim._steps(
+            reference_kernelset(), program, 5.0, y0, 0.0, 20.0, SimConfig()):
+        q = impulsim._dense(h, kx)
+        for tc, label in impulsim._crossings(t, h, x, xn, kx, 0.1):
+            u = 2.0 * math.ulp(tc)
+            before, after = (impulsim._poly(x, q, (tc + d - t) / h) for d in (-u, u))
+            if label == "down":
+                assert before > 0.1 >= after
+            else:
+                assert before <= 0.1 < after
+            crossings.append((tc, label))
+    assert crossings[0] == (t_cross, "down")
+
+
+@pytest.mark.parametrize("key", ["max_step", "crossing_tol"])
+def test_removed_sim_keys_are_config_errors(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, sim={key: 0.01})
+    code = cli.main(["damage", "--config", cfg, "--x0", "5.0", "--period", "0.15"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert f"config error: sim: unknown key(s): {key}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--x0", "0.05"), "damage: x0=0.05 must be above eil=0.1"),
+    (("--x0", "5.0", "--period", "0.15", "--t0", "0.15"),
+     "t0 must lie in [0, T)"),
+])
+def test_damage_checks_its_inputs_before_printing(tmp_path, capsys, flags, message):
+    code = cli.main(["damage", "--config", write_config(tmp_path), *flags])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_stiff_simulation_ends_with_an_error(tmp_path):
@@ -413,6 +452,7 @@ def test_damage_default_period_exceeds_ceiling(tmp_path):
     res = run_cli("damage", "--config", write_config(tmp_path), "--x0", "5.0")
     assert res.returncode == 1
     assert "error:" in res.stderr
+    assert res.stdout == ""
 
 
 # --------------------------------------------------------------------------
@@ -495,6 +535,25 @@ def test_bad_thread_count_is_a_config_error(tmp_path, threads):
     assert "config error" in res.stderr
     assert f"BIOCTL_THREADS must be a positive integer, got '{threads}'" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_seed_outside_uint64_is_a_config_error(tmp_path, capsys, seed, source):
+    # the seed keys the draw stream as a uint64; -1 would otherwise alias
+    # 2^64 - 1 and run the same draws
+    if source == "flag":
+        argv = ["--seed", str(seed)]
+        cfg = write_config(tmp_path)
+    else:
+        argv = []
+        cfg = write_config(tmp_path, {"mc": {"seed": seed}})
+    out = tmp_path / "out"
+    code = cli.main(["montecarlo", "--config", cfg, "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: mc: seed must be in [0, {2 ** 64 - 1}]" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", [10 ** 20, 2 ** 63])

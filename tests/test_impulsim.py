@@ -8,10 +8,8 @@ import pytest
 
 from bioctl import impulsim, planner
 from bioctl.impulsim import (
-    AtOrbit,
     HorizonExceededError,
     IntegrationError,
-    OrbitPlus,
     SimConfig,
     StateConsistencyError,
     damage_time_full,
@@ -53,11 +51,7 @@ def test_sim_config_validation():
     with pytest.raises(DomainError):
         SimConfig(atol=-1.0)
     with pytest.raises(DomainError):
-        SimConfig(max_step=0.0)
-    with pytest.raises(DomainError):
         SimConfig(t_end=-5.0)
-    with pytest.raises(DomainError):
-        OrbitPlus(-0.1)
 
 
 def test_pest_free_state_is_invariant(reference_kernels):
@@ -108,9 +102,9 @@ def test_more_predators_never_hurt():
     k = nearly_linear_kernels()
     x0 = planner.x_from_z_local(2.0, 0.1, 1.0, 1.0)
     base, _ = damage_time_full(k, PROGRAM, x0, 0.1)
-    boosted, _ = damage_time_full(k, PROGRAM, x0, 0.1, y_policy=OrbitPlus(1.0))
+    boosted, _ = damage_time_full(k, PROGRAM, x0, 0.1, delta=1.0)
     assert boosted <= base + 1e-9
-    same, _ = damage_time_full(k, PROGRAM, x0, 0.1, y_policy=OrbitPlus(0.0))
+    same, _ = damage_time_full(k, PROGRAM, x0, 0.1, delta=0.0)
     assert math.isclose(same, base, rel_tol=1e-9)
 
 
@@ -119,6 +113,8 @@ def test_damage_time_validation(reference_kernels):
         damage_time_full(reference_kernels, PROGRAM, 0.05, 0.1)
     with pytest.raises(DomainError):
         damage_time_full(reference_kernels, PROGRAM, 1.0, -0.1)
+    with pytest.raises(DomainError, match="delta must be nonnegative"):
+        damage_time_full(reference_kernels, PROGRAM, 1.0, 0.1, delta=-0.1)
     with pytest.raises(HorizonExceededError):
         damage_time_full(reference_kernels, PROGRAM, 5.0, 1e-6,
                          cfg=SimConfig(t_end=1.0))
@@ -285,11 +281,13 @@ def test_initial_rates_that_overflow_are_an_input_error(reference_kernels):
 def test_stiff_stretch_that_eases_is_sat_out(reference_kernels):
     # y0 = 1e5 makes the pest equation stiff until the predators decay to
     # about 1e2 (t ~ 7): the stiffness test fires there, but the held step
-    # would reach t_end well inside the step budget, so the run goes on
+    # would reach t_end well inside the step budget, so the run goes on.
+    # The true x(20) is about exp(-1e5), which underflows to 0; the
+    # integrator promises it only to within atol.
     traj = simulate(reference_kernels, ReleaseProgram(2.0, 0.5), 1.0, 1e5,
                     cfg=SimConfig(t_end=20.0))
     assert traj.ts[-1] == 20.0
-    assert traj.xs[-1] < 1e-50
+    assert abs(traj.xs[-1]) <= SimConfig().atol
 
 
 @pytest.mark.parametrize("T", [0.004, 0.05, 0.3, 0.8])
@@ -302,6 +300,14 @@ def test_no_sliver_step_before_a_release(reference_kernels, T):
     onto_release = [h for _, h, *_, released in steps if released]
     assert len(onto_release) >= 59
     assert min(onto_release) > 1e-6 * T
+    # releases alone bound the step: no step passes the first release after
+    # its start, and a step that releases ends exactly on it
+    for t, _, t_new, *_, released in steps:
+        n = math.floor(t / T) - 1
+        while n * T <= t:
+            n += 1
+        assert t_new <= n * T
+        assert not released or t_new == n * T
 
 
 # --------------------------------------------------------------------------
