@@ -200,10 +200,7 @@ def _build_box(cfg: dict) -> planner.UncertaintyBox:
             raise ConfigError(f"box: {key} must be a [lo, hi] pair of finite numbers")
         return float(v[0]), float(v[1])
 
-    z0 = pair("z0")
-    sg = pair("sigma")
-    mm = pair("m")
-    return planner.UncertaintyBox(z0[0], z0[1], sg[0], sg[1], mm[0], mm[1])
+    return planner.UncertaintyBox(*pair("z0"), *pair("sigma"), *pair("m"))
 
 
 def _build_sim(cfg: dict) -> impulsim.SimConfig:
@@ -237,6 +234,8 @@ def _mc_settings(cfg: dict, args):
             f"that keys the draw stream; got {seed}")
     if bins < 1:
         raise ConfigError("mc: bins must be at least 1")
+    if bins > mcharness.MAX_BINS:
+        raise ConfigError(f"mc: bins must be at most {mcharness.MAX_BINS}")
     return trials, seed, engine, bins
 
 

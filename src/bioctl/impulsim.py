@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import DomainError, InputOverflowError, KernelSet
-from .orbit import PestFreeOrbit, ReleaseProgram
+from .orbit import PestFreeOrbit, ReleaseProgram, next_release
 
 __all__ = [
     "IntegrationError",
@@ -142,12 +142,6 @@ class Trajectory:
     events: list = field(default_factory=list)
 
 
-def _first_release(t0: float, T: float) -> int:
-    """Index n of the first release instant n*T strictly after t0."""
-    n = math.floor(t0 / T) + 1
-    return n + 1 if n * T <= t0 else n
-
-
 def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
     """Accepted Dormand-Prince steps from state (x, y) at t up to t_end.
 
@@ -188,7 +182,7 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, t_end - t)
 
-    n = _first_release(t, T)
+    n = next_release(t, T)
     stop = min(n * T, t_end)
     err = 0.0
     accepted = stiff_hits = calm = 0
@@ -338,7 +332,7 @@ def _sample_times(t0: float, t_end: float, T: float) -> np.ndarray:
     """64 points per period on each release segment, releases included
     once, from t0 to t_end."""
     parts = []
-    a, n = t0, _first_release(t0, T)
+    a, n = t0, next_release(t0, T)
     while a < t_end:
         b = min(n * T, t_end)
         n_pts = max(2, int(round(_SAMPLES_PER_PERIOD * (b - a) / T)) + 1)

@@ -41,6 +41,7 @@ from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
+    "MAX_BINS",
     "MAX_SEED",
     "MAX_TRIALS",
     "McConfig",
@@ -64,6 +65,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 MAX_TRIALS = (2 ** 64 - 1) // 3
 #: the seed keys the stream as a uint64
 MAX_SEED = 2 ** 64 - 1
+#: most envelope bins; the binning allocates a few arrays of this length
+MAX_BINS = 2 ** 20
 
 #: fixed chunk length so that chunk boundaries never depend on thread count
 _CHUNK = 16384
@@ -343,20 +346,19 @@ def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> list:
         raise DomainError("n_bins must be positive")
     if t_upper <= 0:
         raise DomainError("t_upper must be positive")
-    devs, ok = trials.deviation, ~trials.failed
+    ok = ~trials.failed
+    devs = trials.deviation[ok]
     edges = np.linspace(0.0, t_upper, n_bins + 1)
-    which = np.clip(np.searchsorted(edges, trials.T, side="right") - 1, 0, n_bins - 1)
-    stats = []
-    for b in range(n_bins):
-        mid = 0.5 * (edges[b] + edges[b + 1])
-        sel = ok & (which == b)
-        cnt = int(sel.sum())
-        if cnt:
-            stats.append(BinStat(float(mid), float(devs[sel].max()),
-                                 float(devs[sel].min()), cnt))
-        else:
-            stats.append(BinStat(float(mid), math.nan, math.nan, 0))
-    return stats
+    which = np.clip(np.searchsorted(edges, trials.T[ok], side="right") - 1,
+                    0, n_bins - 1)
+    counts = np.bincount(which, minlength=n_bins)
+    hi, lo = np.full(n_bins, -np.inf), np.full(n_bins, np.inf)
+    np.maximum.at(hi, which, devs)
+    np.minimum.at(lo, which, devs)
+    hi[counts == 0] = lo[counts == 0] = np.nan
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return [BinStat(*row) for row in zip(mids.tolist(), hi.tolist(),
+                                         lo.tolist(), counts.tolist())]
 
 
 def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
@@ -374,12 +376,11 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     if trials.engine != "full":
         bounds = planner.envelope_bound_curve(trials.T, box, mu)
         violations = int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
-    bins = []
-    for st in bin_envelope(trials, n_bins, t_upper):
-        bound = planner.envelope_bound_curve(st.bin_mid, box, mu)
-        cov = st.max_dev / bound if st.count and bound > 0 else math.nan
-        bins.append(BinReport(st.bin_mid, st.max_dev, st.min_dev, bound,
-                              st.count, cov))
+    stats = bin_envelope(trials, n_bins, t_upper)
+    bin_bounds = planner.envelope_bound_curve([st.bin_mid for st in stats], box, mu)
+    bins = [BinReport(st.bin_mid, st.max_dev, st.min_dev, bound, st.count,
+                      st.max_dev / bound if st.count and bound > 0 else math.nan)
+            for st, bound in zip(stats, bin_bounds.tolist())]
     return EnvelopeReport(violations, t_upper, bins)
 
 

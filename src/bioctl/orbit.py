@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DomainError, KernelReport
+from .kernels import DomainError, InputOverflowError, KernelReport
 
 __all__ = [
     "ReleaseProgram",
     "PestFreeOrbit",
+    "next_release",
     "Verdict",
     "StabilityAssessment",
     "floquet_multipliers",
@@ -76,33 +77,36 @@ class PestFreeOrbit:
         # int_0^T y_p = mu*T/m: releases balance mortality over a cycle
         return self.mu * self.T / self.m
 
-    def _snap_tol(self, t):
-        # n*T computed in floats can sit a few ulps off the exact
-        # multiple; treat phases that close to 0 or T as the release
-        # instant itself so timestamps coming out of the simulator
-        # evaluate consistently
-        return 8.0 * np.finfo(float).eps * (np.abs(t) + self.T)
-
     def eval(self, t: float, post: bool = False) -> float:
-        """Orbit value at t >= 0.  At a release instant the pre-release
-        value is returned unless post=True asks for the level just after
-        the jump."""
+        """Orbit value at t >= 0, its phase counted from the last release
+        instant at or before t.  At a release instant the pre-release value
+        is returned unless post=True asks for the level just after the jump."""
         if t < 0:
             raise DomainError("orbit is defined for t >= 0")
-        phase = math.fmod(t, self.T)
-        tol = self._snap_tol(t)
-        if phase < tol or self.T - phase < tol:
+        phase = t - (next_release(t, self.T) - 1) * self.T
+        if phase == 0.0:
             return self.peak if post else self.floor
         return self.peak * math.exp(-self.m * phase)
 
     def sample(self, ts) -> np.ndarray:
-        """Vectorized ``eval`` with the pre-release convention."""
-        ts = np.asarray(ts, dtype=float)
-        phase = np.mod(ts, self.T)
-        tol = self._snap_tol(ts)
-        at_release = (phase < tol) | (self.T - phase < tol)
-        vals = self.peak * np.exp(-self.m * phase)
-        return np.where(at_release, self.floor, vals)
+        """``eval`` at each of ts, with the pre-release convention."""
+        return np.array([self.eval(t) for t in np.asarray(ts, dtype=float).tolist()])
+
+
+def next_release(t: float, T: float) -> int:
+    """Index n of the first release instant after t: the smallest n with
+    n*T > t in floats, the release instants being the float products n*T.
+    t is itself one iff t == (n - 1)*T.  t/T can round either way, so the
+    guess from it is stepped in both directions."""
+    if not abs(t) / T < 2.0 ** 53:
+        raise InputOverflowError(f"t={t:g} is too large for period T={T:g}: "
+                                 "release counts past 2^53 do not fit a float")
+    n = math.floor(t / T) + 1
+    while (n - 1) * T > t:
+        n -= 1
+    while n * T <= t:
+        n += 1
+    return n
 
 
 def floquet_multipliers(growth_slope0: float, response_slope0: float, m: float,

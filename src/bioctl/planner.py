@@ -375,7 +375,8 @@ def deviation_envelope(T, m):
 
 @dataclass(frozen=True)
 class UncertaintyBox:
-    """Rectangular uncertainty on invasion size (z0) and parameters (sigma, m)."""
+    """Rectangular uncertainty on invasion size (z0) and parameters (sigma, m).
+    Robustness outputs read m at m_hi alone, where every bound is largest."""
 
     z0_lo: float
     z0_hi: float
@@ -395,14 +396,6 @@ class UncertaintyBox:
     @property
     def singleton_params(self) -> bool:
         return self.sigma_lo == self.sigma_hi and self.m_lo == self.m_hi
-
-    def param_grid(self, n: int = 33):
-        """(sigma, m) pairs on a dense grid containing all box corners."""
-        sig = np.linspace(self.sigma_lo, self.sigma_hi,
-                          1 if self.sigma_lo == self.sigma_hi else n)
-        ms = np.linspace(self.m_lo, self.m_hi,
-                         1 if self.m_lo == self.m_hi else n)
-        return [(float(s), float(mm)) for s in sig for mm in ms]
 
 
 def t_limits(box: UncertaintyBox, mu: float):
@@ -439,16 +432,21 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     (a scalar, or an array of periods).
 
     Below T_L the corner closed form is exact.  Above it, up to the
-    box-wide decrease ceiling, the value is exact in z0 and maximized over
-    the 33x33 (sigma, m) ``param_grid``.  Exact in z0: the worst instant
-    t0* for size z0 has fall F(t0*) = net_drop*ceil(z0/net_drop) - z0 (see
-    ``worst_invasion``), and G(t0*) = ``deviation_closed_form`` is concave,
-    zero at 0 and T, peaked at ``envelope_argmax``.  The fall target drops
-    in z0 between multiples of net_drop, so with t_lo, t_hi the instants of
-    z0_lo, z0_hi the box reaches [t_hi, t_lo] within one gap,
-    [0, t_lo] u [t_hi, T] across one multiple, [0, T) over a full gap: the
-    maximum is G at the peak if reached, else max(G(t_lo), G(t_hi)).  That
-    is at most the corner closed form, which caps it against rounding.
+    box-wide decrease ceiling, the value is exact in z0, taken at m_hi and
+    maximized over 33 sigma values from sigma_lo to sigma_hi: a lower
+    estimate in sigma.  The worst instant t0* for size z0 has fall
+    F(t0*) = s = net_drop*ceil(z0/net_drop) - z0 (see ``worst_invasion``)
+    and deviation D = s/(mu - sigma) - t0*, a concave G(t0*) =
+    ``deviation_closed_form``, zero at 0 and T, peaked at
+    ``envelope_argmax``.  s drops in z0 between multiples of net_drop, so
+    with t_lo, t_hi the instants of z0_lo, z0_hi the box reaches
+    [t_hi, t_lo] within one gap, [0, t_lo] u [t_hi, T] across one multiple,
+    [0, T) over a full gap: the maximum is G at the peak if reached, else
+    max(G(t_lo), G(t_hi)), capped by the corner closed form against rounding.
+    Why m_hi alone: s does not depend on m, and F(t) = mu*T*(1 - e^{-m t})
+    /(1 - e^{-m T}) - sigma*t rises in m at every phase in (0, T) (the q
+    argument of ``envelope_bound_curve``), so t0* = F^{-1}(s) falls in m and
+    D rises in m for every z0 and sigma: the box maximum lies at m = m_hi.
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     if np.any(Ts <= 0):
@@ -460,7 +458,9 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     out = envelope_bound_curve(Ts, box, mu)
     above = Ts >= t_big
     if np.any(above):
-        sig, m = np.array(box.param_grid()).T
+        sig = np.linspace(box.sigma_lo, box.sigma_hi,
+                          1 if box.sigma_lo == box.sigma_hi else 33)
+        m = box.m_hi
         Tg = Ts[above, None]
         drop = (mu - sig) * Tg
         c_lo, c_hi = np.ceil(box.z0_lo / drop), np.ceil(box.z0_hi / drop)

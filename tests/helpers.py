@@ -79,6 +79,17 @@ def grid_worst_deviation(sigma, m, mu, T, z0_lo, z0_hi, n_z0=201, n_t0=2000,
     return float((pis - z0s / (mu - sigma)).max())
 
 
+def param_grid(box, n=33):
+    """(sigma, m) pairs on an n x n grid over the box, containing every
+    corner; an axis the box pins gets its one value.  The parameter grid
+    robust_envelope once scanned, kept as the reference for the corner and
+    m_hi evaluations."""
+    sig = np.linspace(box.sigma_lo, box.sigma_hi,
+                      1 if box.sigma_lo == box.sigma_hi else n)
+    ms = np.linspace(box.m_lo, box.m_hi, 1 if box.m_lo == box.m_hi else n)
+    return [(float(s), float(mm)) for s in sig for mm in ms]
+
+
 def midpoint_z_value(sigma, m, mu, T, z0, t0, t, n_grid=1 << 16) -> float:
     """z(t) by period-by-period midpoint quadrature from (t0, z0)."""
     peak = orbit_peak(mu, T, m)

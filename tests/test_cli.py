@@ -357,6 +357,19 @@ def test_simulate_writes_trajectory(tmp_path):
     assert len(rows) == int(kv["samples"]) + int(kv["releases"]) + 1
 
 
+@pytest.mark.parametrize("y0", [[], ["--y0", "1.0"]])
+def test_simulate_start_past_2_53_periods_is_an_input_error(tmp_path, capsys, y0):
+    # past 2^53 periods the release instants n*T can no longer be counted
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", cfg, "--x0", "2.0", "--t0", "1e300",
+                     *y0, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "release counts past 2^53" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_damage_matches_direct_calls(tmp_path):
     cfg = write_config(tmp_path)
     res = run_cli("damage", "--config", cfg, "--x0", "5.0",
@@ -573,6 +586,25 @@ def test_trial_count_past_the_counter_space_is_a_config_error(
     err = capsys.readouterr().err
     assert code == 2
     assert f"mc: trials must be at most {(2 ** 64 - 1) // 3}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", [2 ** 20 + 1, 10 ** 20])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bin_count_past_max_bins_is_a_config_error(tmp_path, capsys, bins, source):
+    # refused before the bin edges are allocated
+    if source == "flag":
+        argv = ["--bins", str(bins)]
+        cfg = write_config(tmp_path)
+    else:
+        argv = []
+        cfg = write_config(tmp_path, {"mc": {"bins": bins}})
+    out = tmp_path / "out"
+    code = cli.main(["montecarlo", "--config", cfg, "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: mc: bins must be at most {2 ** 20}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -87,6 +87,39 @@ def test_mid_period_start(reference_kernels):
     assert [t for t, _, _ in traj.impulses] == [0.8, 1.6]
 
 
+@pytest.mark.parametrize("T, k", [(0.15, 1), (0.5, 7), (0.750662097086859, 315533)])
+@pytest.mark.parametrize("before", [True, False])
+def test_start_at_or_just_before_a_release_gets_it_once(reference_kernels, T, k,
+                                                       before):
+    # one ulp before the release k*T the predators sit at the orbit's
+    # pre-release level and the release at k*T is applied exactly once;
+    # starting on k*T, the start value is post-release and the next
+    # release is (k + 1)*T
+    program = ReleaseProgram(2.0, T)
+    orb = PestFreeOrbit(program.mu, T, reference_kernels.m)
+    t0 = math.nextafter(k * T, 0.0) if before else k * T
+    y0 = orb.eval(t0, post=True)
+    assert math.isclose(y0, orb.floor if before else orb.peak, rel_tol=1e-9)
+    traj = simulate(reference_kernels, program, 0.0, y0, t0=t0,
+                    cfg=SimConfig(t_end=2.5 * T))
+    first = k if before else k + 1
+    assert [t for t, _, _ in traj.impulses] == [n * T for n in range(first, k + 3)]
+    for _, y_pre, y_post in traj.impulses:
+        assert math.isclose(y_pre, orb.floor, rel_tol=1e-7)
+        assert math.isclose(y_post, orb.peak, rel_tol=1e-7)
+
+
+def test_damage_time_full_is_continuous_as_t0_nears_the_release(reference_kernels):
+    # a start one ulp before the release T is not the release itself, so
+    # Pi joins up with starts a little earlier
+    program = ReleaseProgram(2.0, 0.15)
+    near, _ = damage_time_full(reference_kernels, program, 5.0, 0.1,
+                               t0=math.nextafter(0.15, 0.0))
+    earlier, _ = damage_time_full(reference_kernels, program, 5.0, 0.1,
+                                  t0=0.1499999999)
+    assert math.isclose(near, earlier, rel_tol=1e-6)
+
+
 def test_full_model_matches_comparison_when_feedback_vanishes():
     k = nearly_linear_kernels()
     p = planner.ZParams(sigma=1.0, m=1.0, mu=2.0, T=0.8)

@@ -285,9 +285,22 @@ def test_bin_envelope_counts_and_gaps(reference_box):
             assert s.min_dev <= s.max_dev
         else:
             assert math.isnan(s.max_dev) and math.isnan(s.min_dev)
+    # failed trials drop out; every bin matches a direct mask over the trials
+    failed = np.arange(len(trials.T)) % 7 == 0
+    trials = dataclasses.replace(
+        trials, failed=failed, deviation=np.where(failed, np.nan, trials.deviation))
+    edges = np.linspace(0.0, t_upper, 41)
+    for b, s in enumerate(bin_envelope(trials, 40, t_upper)):
+        sel = ~failed & (trials.T >= edges[b]) & ((trials.T < edges[b + 1]) | (b == 39))
+        assert s.count == sel.sum()
+        assert s.bin_mid == 0.5 * (edges[b] + edges[b + 1])
+        if s.count:
+            assert (s.max_dev, s.min_dev) == (trials.deviation[sel].max(),
+                                              trials.deviation[sel].min())
     # far-right bins beyond every draw stay empty rather than vanishing
     wide = bin_envelope(trials, 10, 4.0 * t_upper)
     assert wide[-1].count == 0
+    assert math.isnan(wide[-1].max_dev) and math.isnan(wide[-1].min_dev)
     with pytest.raises(DomainError):
         bin_envelope(trials, 0, t_upper)
     with pytest.raises(DomainError):
@@ -302,6 +315,7 @@ def test_verify_envelope_reference(reference_box):
     assert math.isclose(report.t_upper, t_upper, rel_tol=1e-12)
     assert len(report.bins) == 25
     for b in report.bins:
+        assert b.bound == planner.envelope_bound_curve(b.bin_mid, reference_box, MU)
         assert b.bound > 0.0
         if b.count >= 100:
             assert b.min_dev <= 0.0   # early invasions beat the mean time

@@ -7,12 +7,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import helpers
-from bioctl.kernels import DomainError, HollingII, KernelSet, Linear, Logistic, Proportional, validate_kernels
+from bioctl.kernels import (
+    DomainError,
+    HollingII,
+    InputOverflowError,
+    KernelSet,
+    Linear,
+    Logistic,
+    Proportional,
+    validate_kernels,
+)
 from bioctl.orbit import (
     PestFreeOrbit,
     ReleaseProgram,
     Verdict,
     floquet_multipliers,
+    next_release,
     stability_verdict,
 )
 
@@ -57,6 +67,29 @@ def test_orbit_release_instant_convention():
     sampled = orb.sample(ts)
     assert sampled[0] == orb.floor and sampled[-1] == orb.floor
     assert np.allclose(sampled[1:4], [orb.eval(t) for t in ts[1:4]], rtol=1e-12)
+
+
+@given(T=st.floats(1e-3, 10.0), k=st.integers(0, 10 ** 7))
+def test_next_release_is_the_first_float_multiple_after_t(T, k):
+    # the release instants are the float products n*T; a t one ulp either
+    # side of one, or on it, gets the same release index and phase rule as
+    # the simulator, so a release is never applied twice or skipped
+    orb = PestFreeOrbit(1.0, T, 1.0)
+    for t in (k * T, math.nextafter(k * T, 0.0), math.nextafter(k * T, math.inf)):
+        n = next_release(t, T)
+        assert (n - 1) * T <= t < n * T
+        at_release = t == (n - 1) * T
+        assert (orb.eval(t, post=True) != orb.eval(t)) == at_release
+        if at_release:
+            assert orb.eval(t) == orb.floor and orb.eval(t, post=True) == orb.peak
+
+
+def test_next_release_refuses_release_counts_past_2_53():
+    assert next_release(2.0 ** 52, 1.0) == 2 ** 52 + 1
+    with pytest.raises(InputOverflowError):
+        next_release(1e300, 0.5)
+    with pytest.raises(InputOverflowError):
+        PestFreeOrbit(2.0, 0.5, 1.0).eval(2.0 ** 53)
 
 
 @given(mu=mus, T=periods, m=mortalities)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -348,11 +349,7 @@ def test_uncertainty_box_validation():
         UncertaintyBox(1.0, 5.0, 2.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         UncertaintyBox(1.0, 5.0, 1.0, 1.0, 1.0, 0.5)
-    box = UncertaintyBox(1.0, 5.0, 0.9, 1.1, 0.8, 1.2)
-    assert not box.singleton_params
-    grid = box.param_grid(5)
-    assert len(grid) == 25
-    assert (0.9, 0.8) in grid and (1.1, 1.2) in grid
+    assert not UncertaintyBox(1.0, 5.0, 0.9, 1.1, 0.8, 1.2).singleton_params
 
 
 def test_t_limits_reference(reference_box):
@@ -402,7 +399,7 @@ def test_envelope_bound_curve_monotone(reference_box):
 def grid_t_limits(box, mu):
     # the 33x33 parameter scan t_limits replaced
     t_big = t_hat_min = math.inf
-    for sig, mm in box.param_grid():
+    for sig, mm in helpers.param_grid(box):
         t_hat = max_decay_period(mu, sig, mm)
         t_hat_min = min(t_hat_min, t_hat)
         t_big = min(t_big, t_hat, 0.5 * (box.z0_hi - box.z0_lo) / (mu - sig))
@@ -440,7 +437,7 @@ def test_envelope_bound_curve_equals_grid_maximum(bm, T):
     box, mu = bm
     Ts = np.array([T, 0.5 * T, 0.1 * T])
     grid = np.full(Ts.shape, -np.inf)
-    for sig, mm in box.param_grid():
+    for sig, mm in helpers.param_grid(box):
         np.maximum(grid, mu / (mu - sig) * deviation_envelope(Ts, mm), out=grid)
     assert np.array_equal(envelope_bound_curve(Ts, box, mu), grid)
 
@@ -487,7 +484,7 @@ def test_robust_envelope_dominates_dense_grid_on_varying_box():
     # 33x33 grid has a dense-grid worst deviation above robust_envelope
     box, mu = UncertaintyBox(1.0, 1.3, 0.8, 1.0, 0.9, 1.1), 2.0
     t_lower, t_hat_min = t_limits(box, mu)
-    grid = box.param_grid()
+    grid = helpers.param_grid(box)
     rng = np.random.default_rng(5)
     picks = [grid[0], grid[32], grid[-33], grid[-1]] + \
         [grid[i] for i in rng.choice(len(grid), 4, replace=False)]
@@ -497,3 +494,38 @@ def test_robust_envelope_dominates_dense_grid_on_varying_box():
         for sig, mm in picks:
             worst = helpers.grid_worst_deviation(sig, mm, mu, T, box.z0_lo, box.z0_hi)
             assert worst <= bound + 1e-9
+
+
+@given(bm=boxes(), frac=st.floats(0.0, 1.0))
+@settings(max_examples=30)
+def test_robust_envelope_reads_only_m_hi(bm, frac):
+    # the deviation rises in m, so every robustness output is taken at m_hi:
+    # moving m_lo up to m_hi, or to any value in between, changes no bit
+    box, mu = bm
+    t_lower, t_hat_min = t_limits(box, mu)
+    top = t_hat_min if t_hat_min < math.inf else t_lower + 1.0
+    Ts = np.linspace(0.0, top, 14)[1:-1]
+    got = robust_envelope(Ts, box, mu)
+    for m_lo in (box.m_hi, min(box.m_lo + frac * (box.m_hi - box.m_lo), box.m_hi)):
+        moved = dataclasses.replace(box, m_lo=m_lo)
+        assert t_limits(moved, mu) == (t_lower, t_hat_min)
+        assert np.array_equal(robust_envelope(Ts, moved, mu), got)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=6, deadline=None)
+def test_oracle_worst_deviation_rises_in_m(seed):
+    # the fact robust_envelope's m_hi evaluation rests on, seen through the
+    # oracle alone: at fixed sigma and z0 range, a larger m never gives a
+    # smaller dense-grid worst deviation, up to a t0 grid step
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.5, 1.5)
+    mu = sigma * rng.uniform(1.5, 2.5)
+    m1 = rng.uniform(0.6, 1.6)
+    m2 = m1 * rng.uniform(1.01, 1.5)
+    T = rng.uniform(0.2, 0.9) * helpers.bisect_decay_ceiling(mu, sigma, m2)
+    z0_lo = rng.uniform(0.5, 3.0) * (mu - sigma) * T
+    z0_hi = z0_lo + rng.uniform(0.0, 1.5) * (mu - sigma) * T
+    lower, upper = (helpers.grid_worst_deviation(sigma, m, mu, T, z0_lo, z0_hi)
+                    for m in (m1, m2))
+    assert lower <= upper + T / 2000
