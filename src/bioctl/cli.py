@@ -45,6 +45,7 @@ _MODEL_ERRORS = (
     impulsim.IntegrationError,
     impulsim.StateConsistencyError,
     impulsim.HorizonExceededError,
+    mcharness.RecordsWriteError,
 )
 
 

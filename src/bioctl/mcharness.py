@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +53,7 @@ __all__ = [
     "run_mc",
     "bin_envelope",
     "verify_envelope",
+    "RecordsWriteError",
     "write_records_csv",
     "write_envelope_csv",
 ]
@@ -70,6 +71,9 @@ MAX_BINS = 2 ** 20
 
 #: fixed chunk length so that chunk boundaries never depend on thread count
 _CHUNK = 16384
+#: rows per CSV formatting job: a job's text (about 0.5 MB) and its copies
+#: in transit between processes stay below the peak memory of the engines
+_CSV_ROWS = 4096
 
 _ZSIM_NODES = 513
 _ZSIM_SUBNODES = 129
@@ -105,11 +109,21 @@ def stream_uniforms(seed: int, counters) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container can report the host's CPUs in ``os.cpu_count``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count() -> int:
-    env = os.environ.get("BIOCTL_THREADS", "").strip() or str(min(4, os.cpu_count() or 1))
+    """Workers for the engine threads and the CSV processes: BIOCTL_THREADS
+    (default 4), capped at the usable CPUs."""
+    env = os.environ.get("BIOCTL_THREADS", "").strip() or "4"
     if not env.isdecimal() or int(env) < 1:
         raise ConfigError(f"BIOCTL_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+    return min(int(env), _usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -245,6 +259,8 @@ def _map_chunks(fun, n, threads, *arrays):
     if threads <= 1 or len(spans) == 1:
         parts = [fun(*(a[s:e] for a in arrays)) for s, e in spans]
     else:
+        # leaving the block joins the threads, so write_records_csv never
+        # forks its workers while these are alive
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(
                 lambda span: fun(*(a[span[0]:span[1]] for a in arrays)), spans))
@@ -263,6 +279,7 @@ def run_mc(cfg: McConfig) -> Trials:
     fail to integrate or leave the state space are flagged failed with
     Pi = nan, never dropped.
     """
+    threads = _thread_count()
     t_upper, _ = planner.t_limits(cfg.box, cfg.mu)
     if not 0.0 < t_upper < math.inf:
         raise DomainError(
@@ -275,7 +292,6 @@ def run_mc(cfg: McConfig) -> Trials:
     z0s = cfg.box.z0_lo + stream_uniforms(cfg.seed, three + np.uint64(2)) \
         * (cfg.box.z0_hi - cfg.box.z0_lo)
     t1s = z0s / (cfg.mu - sigma)
-    threads = _thread_count()
     failed = np.zeros(cfg.n_trials, dtype=bool)
     x0s = None
     if cfg.engine == "closed":
@@ -392,18 +408,59 @@ def _fmt(v) -> str:
     return f"{v:.17g}"
 
 
+class RecordsWriteError(RuntimeError):
+    """Writing the records CSV failed: the file, a fork or a CSV worker.
+    The partial file has been removed."""
+
+
+def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
+    """CSV rows of the trials numbered from start, as ASCII bytes."""
+    row = "%d" + ",%.17g" * 6 + f",{engine},%d\n"
+    block = np.column_stack((np.arange(start, start + len(T)), T, t0, z0, Pi,
+                             T1, deviation, failed))
+    return ((row * len(T)) % tuple(block.ravel().tolist())).encode()
+
+
+def _write_rows(fh, jobs, workers) -> None:
+    # %.17g costs about 1 us a float under the GIL, so blocks are formatted
+    # in processes.  fork, not spawn: a worker inherits the imported package
+    # instead of importing numpy again.
+    if workers == 1 or len(jobs) == 1 or not hasattr(os, "fork"):
+        for job in jobs:
+            fh.write(_format_rows(*job))
+        return
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(workers, len(jobs)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        for block in pool.map(_format_rows, *zip(*jobs)):
+            fh.write(block)
+
+
 def write_records_csv(trials: Trials, path) -> None:
-    """One row per trial, formatted a fixed-size chunk at a time."""
+    """One row per trial.  Fixed-size blocks of rows are formatted by up to
+    BIOCTL_THREADS worker processes and written in trial order, so the
+    bytes never depend on the worker count.  If the file, a fork or a
+    worker fails, the partial file is removed and RecordsWriteError raised.
+    """
+    workers = _thread_count()
     cols = (trials.T, trials.t0, trials.z0, trials.Pi, trials.T1,
             trials.deviation, trials.failed)
-    row = "%d" + ",%.17g" * 6 + f",{trials.engine},%d\n"
-    n = len(trials.T)
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
-        for s in range(0, n, _CHUNK):
-            e = min(s + _CHUNK, n)
-            block = np.column_stack([np.arange(s, e)] + [c[s:e] for c in cols])
-            fh.write((row * (e - s)) % tuple(block.ravel().tolist()))
+    jobs = [(s, trials.engine, *(c[s:s + _CSV_ROWS] for c in cols))
+            for s in range(0, len(trials.T), _CSV_ROWS)]
+    try:
+        fh = open(path, "wb")
+    except OSError as e:
+        raise RecordsWriteError(f"cannot write {path}: {e}") from e
+    try:
+        with fh:
+            fh.write(b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
+            _write_rows(fh, jobs, workers)
+    except (OSError, BrokenExecutor) as e:
+        os.remove(path)
+        raise RecordsWriteError(
+            f"writing {path} failed ({type(e).__name__}: {e}); the partial "
+            "file was removed") from e
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:

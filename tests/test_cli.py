@@ -550,6 +550,46 @@ def test_bad_thread_count_is_a_config_error(tmp_path, threads):
     assert "Traceback" not in res.stderr
 
 
+def _exit_in_worker(*job):
+    os._exit(3)
+
+
+def _fork_fails(*args, **kwargs):
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("failure", ["fork fails", "worker dies"])
+def test_csv_pool_failure_is_a_clean_error(tmp_path, capsys, monkeypatch, failure):
+    from concurrent.futures import process
+    monkeypatch.setenv("BIOCTL_THREADS", "2")
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four CSV jobs
+    if failure == "fork fails":
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _fork_fails)
+    else:
+        # a forked worker finds this module's function under the patched name
+        monkeypatch.setattr(mcharness, "_format_rows", _exit_in_worker)
+    out = tmp_path / "out"
+    code = cli.main(list(mc_args(write_config(tmp_path), out)))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: writing ")
+    assert "the partial file was removed" in captured.err
+    assert "records_csv=" not in captured.out
+    assert not (out / "mc_records.csv").exists()
+
+
+def test_unwritable_records_csv_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "mc_records.csv").mkdir(parents=True)
+    code = cli.main(list(mc_args(write_config(tmp_path), out)))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write {out / 'mc_records.csv'}: ")
+    assert captured.out == ""
+    assert (out / "mc_records.csv").is_dir()
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_seed_outside_uint64_is_a_config_error(tmp_path, capsys, seed, source):

@@ -1,4 +1,5 @@
-"""No bioctl code path loads scipy.
+"""No bioctl code path loads scipy, and importing the CLI loads no
+multiprocessing.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already (the oracles in helpers.py use it).
@@ -53,6 +54,15 @@ def test_no_bioctl_path_loads_scipy(tmp_path):
     loaded = json.loads(res.stdout.splitlines()[-1])
     assert len(loaded) == 11
     assert {step: mods for step, mods in loaded.items() if mods} == {}
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the CSV writer imports it when it starts worker processes
+    res = _python("-c", "import sys, bioctl.cli; print(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'multiprocessing' "
+                  "or m == 'concurrent.futures.process'))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_impulsim_solve_ivp_resolves_to_scipy():

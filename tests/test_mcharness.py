@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import math
+import os
+import warnings
+from concurrent.futures import process
 
 import numpy as np
 import pytest
@@ -248,11 +251,28 @@ def test_mc_config_validation(reference_box):
         McConfig(box=wide, mu=MU)
 
 
-def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch):
+@pytest.fixture
+def csv_pools(monkeypatch):
+    """Two usable CPUs whatever the machine, and a list that gets one entry
+    per CSV process pool started."""
+    started = []
+
+    class CountingPool(process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch,
+                                          csv_pools):
     # both runs span more than one 16384-trial chunk
     for engine, n_trials in (("closed", 40_000), ("zsim", 20_000)):
         paths = []
-        for threads in ("1", "3"):
+        for threads in ("1", "2"):
             monkeypatch.setenv("BIOCTL_THREADS", threads)
             trials = run_mc(small_cfg(reference_box, n_trials=n_trials,
                                       engine=engine))
@@ -260,6 +280,34 @@ def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch):
             write_records_csv(trials, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(csv_pools) == 2   # one per engine, at two workers
+
+
+def test_thread_count_is_capped_at_usable_cpus(monkeypatch):
+    # the count alone: a huge value must never start that many workers
+    monkeypatch.setenv("BIOCTL_THREADS", "100000000000000000000")
+    assert mcharness._thread_count() == mcharness._usable_cpus()
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 3)
+    assert mcharness._thread_count() == 3
+    monkeypatch.setenv("BIOCTL_THREADS", "2")
+    assert mcharness._thread_count() == 2
+    monkeypatch.delenv("BIOCTL_THREADS")
+    assert mcharness._thread_count() == 3
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert mcharness._usable_cpus() == 7
+
+
+def test_csv_workers_fork_after_the_engine_threads_end(reference_box, tmp_path,
+                                                       monkeypatch, csv_pools):
+    # Python 3.12+ warns when a multi-threaded process forks
+    monkeypatch.setenv("BIOCTL_THREADS", "2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trials = run_mc(small_cfg(reference_box, n_trials=20_000))
+        write_records_csv(trials, tmp_path / "records.csv")
+    assert len(csv_pools) == 1
 
 
 def test_repeat_run_is_identical(reference_box):
@@ -343,7 +391,7 @@ def test_envelope_csv_layout(reference_box, tmp_path):
 
 
 def test_chunked_writer_matches_row_by_row_writer(reference_box, tmp_path):
-    # two chunks, the last one partial, and failed rows with nan values
+    # several CSV jobs, the last one partial, and failed rows with nan values
     closed = run_mc(small_cfg(reference_box, n_trials=20_000))
     failed = closed.failed.copy()
     failed[[0, 16_384, 19_999]] = True
@@ -355,3 +403,22 @@ def test_chunked_writer_matches_row_by_row_writer(reference_box, tmp_path):
         write_records_csv(trials, new)
         row_by_row_records_csv(trials, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "no fork"])
+def test_formatter_matches_per_row_formatting(tmp_path, monkeypatch, csv_pools,
+                                              workers):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+               0.1, 1.0 / 3.0, 2.0 ** 53, 1e-300]
+    cols = {c: np.roll(np.array(special), k) for k, c in enumerate(COLUMNS[:-1])}
+    failed = np.isnan(cols["Pi"]) | (np.arange(len(special)) % 5 == 0)
+    trials = mcharness.Trials(**cols, failed=failed, engine="full")
+    monkeypatch.setattr(mcharness, "_CSV_ROWS", 5)   # three jobs, the last partial
+    monkeypatch.setenv("BIOCTL_THREADS", "1" if workers == "1" else "2")
+    if workers == "no fork":
+        monkeypatch.delattr(os, "fork")
+    new, old = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
+    write_records_csv(trials, new)
+    row_by_row_records_csv(trials, old)
+    assert new.read_bytes() == old.read_bytes()
+    assert len(csv_pools) == (workers == "2")
