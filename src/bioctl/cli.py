@@ -9,6 +9,7 @@ failure, 2 usage or config-shape failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -39,7 +40,12 @@ from .orbit import PestFreeOrbit, ReleaseProgram, Verdict, floquet_multipliers, 
 __all__ = ["ConfigError", "load_config", "build_kernels", "main"]
 
 
+class OutputWriteError(RuntimeError):
+    """An output file under --out could not be written (exit 1)."""
+
+
 _MODEL_ERRORS = (
+    OutputWriteError,
     DomainError,
     planner.PeriodTooLargeError,
     impulsim.IntegrationError,
@@ -242,8 +248,21 @@ def _mc_settings(cfg: dict, args):
 
 def _out_dir(args) -> str:
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {out}: not a usable directory "
+                          f"({e.strerror or e})") from None
     return out
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing the output file at path exits 1."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +317,8 @@ def cmd_simulate(args) -> int:
                              cfg=_build_sim(cfg), eil=eil)
     out = _out_dir(args)
     path = os.path.join(out, "trajectory.csv")
-    impulsim.trajectory_to_csv(traj, path)
+    with _writing(path):
+        impulsim.trajectory_to_csv(traj, path)
     _emit("t_start", float(traj.ts[0]))
     _emit("t_end", float(traj.ts[-1]))
     _emit("samples", len(traj.ts))
@@ -363,7 +383,7 @@ def cmd_optimize(args) -> int:
     _emit("periods", ",".join(f"{t:.17g}" for t in result.periods))
     out = _out_dir(args)
     path = os.path.join(out, "period_sweep.csv")
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["T", "pi_max", "deviation"])
         for T in result.periods:
@@ -387,7 +407,7 @@ def cmd_robustness(args) -> int:
     bounds = planner.robust_envelope(Ts, box, mu)
     out = _out_dir(args)
     path = os.path.join(out, "robust_bound.csv")
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["T", "bound", "T_L_flag"])
         for T, bound in zip(Ts, bounds):
@@ -410,19 +430,18 @@ def cmd_montecarlo(args) -> int:
     mc_cfg = mcharness.McConfig(box=box, mu=mu, n_trials=trials, seed=seed,
                                 engine=engine, kernels=kernels, eil=eil,
                                 sim=sim)
-    records = mcharness.run_mc(mc_cfg)
-    report = mcharness.verify_envelope(records, box, mu, n_bins=bins)
     out = _out_dir(args)
     rec_path = os.path.join(out, "mc_records.csv")
     env_path = os.path.join(out, "mc_envelope.csv")
-    mcharness.write_records_csv(records, rec_path)
-    mcharness.write_envelope_csv(report, env_path)
+    report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins)
+    with _writing(env_path):
+        mcharness.write_envelope_csv(report, env_path)
     _emit("trials", trials)
     _emit("seed", seed)
     _emit("engine", engine)
     _emit("t_upper", report.t_upper)
     _emit("violations", report.violations)
-    _emit("failed", int(records.failed.sum()))
+    _emit("failed", failed)
     _emit("records_csv", rec_path)
     _emit("envelope_csv", env_path)
     return 1 if (report.violations > 0 and engine != "full") else 0
@@ -519,10 +538,14 @@ def cmd_plot(args) -> int:
     box = _build_box(cfg)
     out = _out_dir(args)
     rec_path = os.path.join(out, "mc_records.csv")
-    if not os.path.exists(rec_path):
+    try:
+        fh = open(rec_path, newline="")
+    except FileNotFoundError:
         raise ConfigError(f"{rec_path}: not found (run montecarlo with the "
-                          "same --out first)")
-    with open(rec_path, newline="") as fh, warnings.catch_warnings():
+                          "same --out first)") from None
+    except OSError as e:
+        raise ConfigError(f"{rec_path}: {e.strerror or e}") from None
+    with fh, warnings.catch_warnings():
         # a header-only file is an empty scatter, not a warning
         warnings.simplefilter("ignore", UserWarning)
         header = fh.readline().rstrip("\r\n").split(",")
@@ -545,7 +568,7 @@ def cmd_plot(args) -> int:
         title="Damage-time deviation vs release period",
         x_label="release period T", y_label="Pi - T1")
     svg_path = os.path.join(out, "envelope.svg")
-    with open(svg_path, "w", newline="\n") as fh:
+    with _writing(svg_path), open(svg_path, "w", newline="\n") as fh:
         fh.write(svg)
     _emit("points", len(Ts))
     _emit("svg", svg_path)

@@ -309,9 +309,11 @@ def ratio_supremum(k: KernelSet):
     x -> 0 limit) and m * f(x) / g(x) -- factored, as the expanded
     coefficients cancel -- at the positive roots of the derivative
     (polished by one Newton step) where p > 0; elsewhere the ratio is
-    <= 0, below any supremum of a ratio that is not constant.  A supremum
-    not above s_limit returns (s_limit, 0.0).  A coefficient or candidate
-    value that overflows a float: :class:`InputOverflowError`.
+    <= 0, below any supremum of a ratio that is not constant.  Where f(x)
+    overflows a float although the ratio does not (x near a huge K), the
+    candidate is the factored form (m*r/lam) * p(u) * q(u) instead.  A
+    supremum not above s_limit returns (s_limit, 0.0).  A coefficient or
+    candidate value that overflows a float: :class:`InputOverflowError`.
     """
     scale, p = _GROWTH_FACTOR[type(k.growth)](k.growth)
     s_limit = k.m * k.growth.slope0() / k.response.slope0()
@@ -340,6 +342,10 @@ def ratio_supremum(k: KernelSet):
                 continue
             x = scale * u
             s = k.m * k.growth.rate(x) / k.response.rate(x)
+            if not math.isfinite(s):
+                # f(x) alone can overflow where the ratio fits a float
+                s = (k.m * k.growth.r / k.response.lam
+                     * np.polyval(p, u) * np.polyval(q, u))
             if not math.isfinite(s):
                 raise InputOverflowError(_RATIO_OVERFLOW)
             if s > best:

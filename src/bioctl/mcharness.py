@@ -20,18 +20,26 @@ Engines:
 
 Determinism contract: trial i derives its three uniforms from counters
 3i, 3i+1, 3i+2 through a keyed splitmix-style 64-bit mixer, so the trial
-columns for a given (seed, n_trials) are identical whatever the chunking,
-thread count or evaluation order.  Chunk size is a fixed constant for the
+columns for a given (seed, n_trials) are identical whatever the job size,
+worker count or evaluation order.  Job sizes are fixed constants for the
 same reason.
+
+A run is cut into jobs of consecutive trials.  ``stream_mc`` hands each
+job to a fork worker process that draws, solves, checks, bins and formats
+its trials; the parent writes the rows in trial order and folds the
+per-job counts, maxima and minima, which do not depend on order.  So the
+parent never holds the trial columns, and its memory does not grow with
+the trial count.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import math
 import os
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,6 +59,7 @@ __all__ = [
     "EnvelopeReport",
     "stream_uniforms",
     "run_mc",
+    "stream_mc",
     "bin_envelope",
     "verify_envelope",
     "RecordsWriteError",
@@ -69,11 +78,15 @@ MAX_SEED = 2 ** 64 - 1
 #: most envelope bins; the binning allocates a few arrays of this length
 MAX_BINS = 2 ** 20
 
-#: fixed chunk length so that chunk boundaries never depend on thread count
-_CHUNK = 16384
-#: rows per CSV formatting job: a job's text (about 0.5 MB) and its copies
-#: in transit between processes stay below the peak memory of the engines
+#: trials per job of the closed and zsim engines, and rows per formatting
+#: job of ``write_records_csv``: a job's text is about 0.5 MB
 _CSV_ROWS = 4096
+#: trials per full-engine job.  A trial costs about a millisecond and far
+#: more at short periods, so small jobs keep the workers balanced, and
+#: runs of up to 256 trials stay one job in this process.
+_FULL_ROWS = 256
+#: the record columns, in CSV order
+_COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
 
 _ZSIM_NODES = 513
 _ZSIM_SUBNODES = 129
@@ -118,8 +131,8 @@ def _usable_cpus() -> int:
 
 
 def _thread_count() -> int:
-    """Workers for the engine threads and the CSV processes: BIOCTL_THREADS
-    (default 4), capped at the usable CPUs."""
+    """Worker processes for the jobs of a run: BIOCTL_THREADS (default 4),
+    capped at the usable CPUs."""
     env = os.environ.get("BIOCTL_THREADS", "").strip() or "4"
     if not env.isdecimal() or int(env) < 1:
         raise ConfigError(f"BIOCTL_THREADS must be a positive integer, got {env!r}")
@@ -129,8 +142,10 @@ def _thread_count() -> int:
 @dataclass(frozen=True)
 class McConfig:
     """Harness configuration.  The scatter's period range is (0, T_L) with
-    T_L computed from the box, never user-set; sigma and m are pinned to
-    single values (the parameter rectangle collapses for the scatter)."""
+    T_L computed from the box, never user-set, and kept as ``t_upper``;
+    sigma and m are pinned to single values (the parameter rectangle
+    collapses for the scatter).  Construction checks everything that must
+    stop a run before its first trial."""
 
     box: planner.UncertaintyBox
     mu: float
@@ -140,6 +155,7 @@ class McConfig:
     kernels: Optional[KernelSet] = None    # full engine only
     eil: Optional[float] = None            # full engine only
     sim: Optional[impulsim.SimConfig] = None
+    t_upper: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -152,15 +168,24 @@ class McConfig:
             raise DomainError("the full engine needs kernels and eil")
         if not self.box.singleton_params:
             raise DomainError("the harness pins sigma and m to single values")
+        t_upper, _ = planner.t_limits(self.box, self.mu)
+        if not 0.0 < t_upper < math.inf:
+            raise DomainError(
+                "envelope ceiling must be positive and finite; widen the z0 box")
+        object.__setattr__(self, "t_upper", t_upper)
         # comparison-model Pi and T1 are both about t1 = z0/(mu - sigma), so
         # Pi - T1 carries rounding noise of about ulp(t1)
-        sigma = self.box.sigma_lo
-        if self.engine != "full" and self.mu > sigma and not math.ulp(
-                self.box.z0_hi / (self.mu - sigma)) <= _ENVELOPE_SLACK:
+        if self.engine != "full" and not math.ulp(
+                self.box.z0_hi / (self.mu - self.box.sigma_lo)) <= _ENVELOPE_SLACK:
             raise InputOverflowError(
                 f"z0={self.box.z0_hi:g} is too large for the {self.engine} "
                 "engine: one ulp of z0/(mu - sigma) exceeds the "
                 f"{_ENVELOPE_SLACK:g} slack of the envelope check")
+        if self.engine == "full":
+            # the invasion density rises with z0: a box whose largest one
+            # overflows a float stops the run before any trial is integrated
+            planner.x_from_z_local(self.box.z0_hi, self.eil, self.kernels.m,
+                                   self.kernels.response.slope0())
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,63 +278,29 @@ def _pi_zsim(Ts, t0s, z0s, sigma, m, mu):
     return out
 
 
-def _map_chunks(fun, n, threads, *arrays):
-    """Apply fun to fixed-size chunks of the argument arrays, in order."""
-    spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
-    if threads <= 1 or len(spans) == 1:
-        parts = [fun(*(a[s:e] for a in arrays)) for s, e in spans]
-    else:
-        # leaving the block joins the threads, so write_records_csv never
-        # forks its workers while these are alive
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda span: fun(*(a[span[0]:span[1]] for a in arrays)), spans))
-    return np.concatenate(parts)
-
-
-# --------------------------------------------------------------------------
-# harness
-
-
-def run_mc(cfg: McConfig) -> Trials:
-    """Run the scatter experiment.
-
-    Trial i draws T uniform in (0, T_L), t0 uniform in (0, T) and z0
-    uniform in the z0 box.  Full-engine trials that exceed the horizon,
-    fail to integrate or leave the state space are flagged failed with
-    Pi = nan, never dropped.
-    """
-    threads = _thread_count()
-    t_upper, _ = planner.t_limits(cfg.box, cfg.mu)
-    if not 0.0 < t_upper < math.inf:
-        raise DomainError(
-            "envelope ceiling must be positive and finite; widen the z0 box")
+def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
+    """Trials [start, stop) of a run: their draws from the counter stream
+    and their damage times from the engine."""
     sigma, m = cfg.box.sigma_lo, cfg.box.m_lo
-    idx = np.arange(cfg.n_trials, dtype=np.uint64)
-    three = np.uint64(3) * idx
-    Ts = stream_uniforms(cfg.seed, three) * t_upper
+    three = np.uint64(3) * np.arange(start, stop, dtype=np.uint64)
+    Ts = stream_uniforms(cfg.seed, three) * cfg.t_upper
     t0s = stream_uniforms(cfg.seed, three + np.uint64(1)) * Ts
     z0s = cfg.box.z0_lo + stream_uniforms(cfg.seed, three + np.uint64(2)) \
         * (cfg.box.z0_hi - cfg.box.z0_lo)
     t1s = z0s / (cfg.mu - sigma)
-    failed = np.zeros(cfg.n_trials, dtype=bool)
+    failed = np.zeros(len(Ts), dtype=bool)
     x0s = None
     if cfg.engine == "closed":
-        pis = _map_chunks(
-            lambda a, b, c: planner._damage_times(a, b, c, sigma, m, cfg.mu),
-            cfg.n_trials, threads, Ts, t0s, z0s)
+        pis = planner._damage_times(Ts, t0s, z0s, sigma, m, cfg.mu)
     elif cfg.engine == "zsim":
-        pis = _map_chunks(lambda a, b, c: _pi_zsim(a, b, c, sigma, m, cfg.mu),
-                          cfg.n_trials, threads, Ts, t0s, z0s)
+        pis = _pi_zsim(Ts, t0s, z0s, sigma, m, cfg.mu)
     else:
         gp0 = cfg.kernels.response.slope0()
         sim_cfg = cfg.sim or impulsim.SimConfig()
-        pis = np.empty(cfg.n_trials)
-        # every invasion density first, so a z0 box too large for a float
-        # stops the run before any trial is integrated
+        pis = np.empty(len(Ts))
         x0s = np.array([planner.x_from_z_local(z0, cfg.eil, cfg.kernels.m, gp0)
                         for z0 in z0s.tolist()])
-        for i in range(cfg.n_trials):
+        for i in range(len(Ts)):
             program = ReleaseProgram(cfg.mu, float(Ts[i]))
             try:
                 pis[i], _ = impulsim.damage_time_full(
@@ -321,6 +312,31 @@ def run_mc(cfg: McConfig) -> Trials:
                 failed[i] = True
     return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=pis - t1s,
                   failed=failed, engine=cfg.engine, x0=x0s)
+
+
+def _job_starts(cfg: McConfig) -> range:
+    """First trial of every job of a run."""
+    return range(0, cfg.n_trials, _FULL_ROWS if cfg.engine == "full" else _CSV_ROWS)
+
+
+# --------------------------------------------------------------------------
+# harness
+
+
+def run_mc(cfg: McConfig) -> Trials:
+    """Run the scatter experiment in this process and return every trial.
+
+    Trial i draws T uniform in (0, T_L), t0 uniform in (0, T) and z0
+    uniform in the z0 box.  Full-engine trials that exceed the horizon,
+    fail to integrate or leave the state space are flagged failed with
+    Pi = nan, never dropped.  The trials are solved job by job, as in
+    ``stream_mc``.
+    """
+    starts = _job_starts(cfg)
+    parts = [_solve(cfg, s, min(s + starts.step, cfg.n_trials)) for s in starts]
+    cols = {c: np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS}
+    x0 = np.concatenate([p.x0 for p in parts]) if cfg.engine == "full" else None
+    return Trials(**cols, engine=cfg.engine, x0=x0)
 
 
 # --------------------------------------------------------------------------
@@ -352,29 +368,79 @@ class EnvelopeReport:
     bins: list
 
 
+def _bin_partial(trials: Trials, n_bins: int, t_upper: float):
+    """(bins, count, max, min) of the trials' deviations over the bins they
+    fall in, of n_bins equal-width period bins over (0, t_upper); failed
+    trials drop out.  Its size is bounded by the trials', not by n_bins."""
+    ok = ~trials.failed
+    edges = np.linspace(0.0, t_upper, n_bins + 1)
+    which = np.clip(np.searchsorted(edges, trials.T[ok], side="right") - 1,
+                    0, n_bins - 1)
+    bins, slot, count = np.unique(which, return_inverse=True, return_counts=True)
+    hi, lo = np.full(len(bins), -np.inf), np.full(len(bins), np.inf)
+    np.maximum.at(hi, slot, trials.deviation[ok])
+    np.minimum.at(lo, slot, trials.deviation[ok])
+    return bins, count, hi, lo
+
+
+class _Bins:
+    """Per-bin trial count and deviation extremes, folded from partials of
+    ``_bin_partial``.  Sum, max and min do not depend on the fold order."""
+
+    def __init__(self, n_bins: int):
+        self.count = np.zeros(n_bins, dtype=np.int64)
+        self.hi, self.lo = np.full(n_bins, -np.inf), np.full(n_bins, np.inf)
+
+    def fold(self, part) -> None:
+        bins, count, hi, lo = part
+        self.count[bins] += count
+        self.hi[bins] = np.maximum(self.hi[bins], hi)
+        self.lo[bins] = np.minimum(self.lo[bins], lo)
+
+    def stats(self, t_upper: float) -> list:
+        empty = self.count == 0
+        hi, lo = np.where(empty, np.nan, self.hi), np.where(empty, np.nan, self.lo)
+        edges = np.linspace(0.0, t_upper, len(self.count) + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return [BinStat(*row) for row in zip(mids.tolist(), hi.tolist(),
+                                             lo.tolist(), self.count.tolist())]
+
+
+def _check_bins(n_bins: int, t_upper: float) -> None:
+    if n_bins < 1:
+        raise DomainError("n_bins must be positive")
+    if t_upper <= 0:
+        raise DomainError("t_upper must be positive")
+
+
 def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> list:
     """Deviation extremes per equal-width period bin over (0, t_upper).
 
     Empty bins (and bins whose only trials failed) report count 0 with nan
     extremes.
     """
-    if n_bins < 1:
-        raise DomainError("n_bins must be positive")
-    if t_upper <= 0:
-        raise DomainError("t_upper must be positive")
-    ok = ~trials.failed
-    devs = trials.deviation[ok]
-    edges = np.linspace(0.0, t_upper, n_bins + 1)
-    which = np.clip(np.searchsorted(edges, trials.T[ok], side="right") - 1,
-                    0, n_bins - 1)
-    counts = np.bincount(which, minlength=n_bins)
-    hi, lo = np.full(n_bins, -np.inf), np.full(n_bins, np.inf)
-    np.maximum.at(hi, which, devs)
-    np.minimum.at(lo, which, devs)
-    hi[counts == 0] = lo[counts == 0] = np.nan
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return [BinStat(*row) for row in zip(mids.tolist(), hi.tolist(),
-                                         lo.tolist(), counts.tolist())]
+    _check_bins(n_bins, t_upper)
+    acc = _Bins(n_bins)
+    acc.fold(_bin_partial(trials, n_bins, t_upper))
+    return acc.stats(t_upper)
+
+
+def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
+    """Comparison-model trials above the bound at their own T; the full
+    engine is exempt."""
+    if trials.engine == "full":
+        return 0
+    bounds = planner.envelope_bound_curve(trials.T, box, mu)
+    return int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
+
+
+def _envelope_report(violations: int, t_upper: float, stats: list,
+                     box: planner.UncertaintyBox, mu: float) -> EnvelopeReport:
+    bin_bounds = planner.envelope_bound_curve([st.bin_mid for st in stats], box, mu)
+    bins = [BinReport(st.bin_mid, st.max_dev, st.min_dev, bound, st.count,
+                      st.max_dev / bound if st.count and bound > 0 else math.nan)
+            for st, bound in zip(stats, bin_bounds.tolist())]
+    return EnvelopeReport(violations, t_upper, bins)
 
 
 def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
@@ -388,16 +454,8 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     the bin midpoint; it approaches 1 from below as trials accumulate.
     """
     t_upper, _ = planner.t_limits(box, mu)
-    violations = 0
-    if trials.engine != "full":
-        bounds = planner.envelope_bound_curve(trials.T, box, mu)
-        violations = int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
-    stats = bin_envelope(trials, n_bins, t_upper)
-    bin_bounds = planner.envelope_bound_curve([st.bin_mid for st in stats], box, mu)
-    bins = [BinReport(st.bin_mid, st.max_dev, st.min_dev, bound, st.count,
-                      st.max_dev / bound if st.count and bound > 0 else math.nan)
-            for st, bound in zip(stats, bin_bounds.tolist())]
-    return EnvelopeReport(violations, t_upper, bins)
+    return _envelope_report(_violations(trials, box, mu), t_upper,
+                            bin_envelope(trials, n_bins, t_upper), box, mu)
 
 
 # --------------------------------------------------------------------------
@@ -409,8 +467,8 @@ def _fmt(v) -> str:
 
 
 class RecordsWriteError(RuntimeError):
-    """Writing the records CSV failed: the file, a fork or a CSV worker.
-    The partial file has been removed."""
+    """Writing the records CSV failed: the file, a fork or a worker.  The
+    partial file has been removed."""
 
 
 def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
@@ -421,20 +479,58 @@ def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
     return ((row * len(T)) % tuple(block.ravel().tolist())).encode()
 
 
-def _write_rows(fh, jobs, workers) -> None:
-    # %.17g costs about 1 us a float under the GIL, so blocks are formatted
-    # in processes.  fork, not spawn: a worker inherits the imported package
-    # instead of importing numpy again.
-    if workers == 1 or len(jobs) == 1 or not hasattr(os, "fork"):
+def _map_jobs(fun, jobs, n_jobs: int, take) -> None:
+    """take(fun(*job)) for each of the n_jobs jobs, in job order.
+
+    Up to BIOCTL_THREADS worker processes run fun (%.17g alone costs about
+    1 us a float under the GIL).  At most two jobs a worker are in flight,
+    so the results held here do not grow with the job count.  With one
+    worker, one job or no os.fork the jobs run in this process.  fork, not
+    spawn: a worker inherits the imported package instead of importing
+    numpy again, and this process runs no other thread when it forks.
+    """
+    workers = min(_thread_count(), n_jobs)
+    if workers <= 1 or not hasattr(os, "fork"):
         for job in jobs:
-            fh.write(_format_rows(*job))
+            take(fun(*job))
         return
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
-    with ProcessPoolExecutor(min(workers, len(jobs)),
+    with ProcessPoolExecutor(workers,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        for block in pool.map(_format_rows, *zip(*jobs)):
-            fh.write(block)
+        window = collections.deque()
+        try:
+            for job in jobs:
+                window.append(pool.submit(fun, *job))
+                if len(window) >= 2 * workers:
+                    take(window.popleft().result())
+            while window:
+                take(window.popleft().result())
+        finally:
+            for future in window:
+                future.cancel()
+
+
+def _write_records(path, fill) -> None:
+    """Write the records CSV at path: the header, then fill(fh).  If the
+    file, a fork or a worker fails, the partial file is removed and
+    RecordsWriteError raised; any other exception removes it too and
+    propagates unchanged."""
+    try:
+        fh = open(path, "wb")
+    except OSError as e:
+        raise RecordsWriteError(f"cannot write {path}: {e}") from e
+    try:
+        with fh:
+            fh.write(b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
+            fill(fh)
+    except BaseException as e:
+        os.remove(path)
+        if isinstance(e, (OSError, BrokenExecutor)):
+            raise RecordsWriteError(
+                f"writing {path} failed ({type(e).__name__}: {e}); the partial "
+                "file was removed") from e
+        raise
 
 
 def write_records_csv(trials: Trials, path) -> None:
@@ -443,24 +539,11 @@ def write_records_csv(trials: Trials, path) -> None:
     bytes never depend on the worker count.  If the file, a fork or a
     worker fails, the partial file is removed and RecordsWriteError raised.
     """
-    workers = _thread_count()
-    cols = (trials.T, trials.t0, trials.z0, trials.Pi, trials.T1,
-            trials.deviation, trials.failed)
-    jobs = [(s, trials.engine, *(c[s:s + _CSV_ROWS] for c in cols))
-            for s in range(0, len(trials.T), _CSV_ROWS)]
-    try:
-        fh = open(path, "wb")
-    except OSError as e:
-        raise RecordsWriteError(f"cannot write {path}: {e}") from e
-    try:
-        with fh:
-            fh.write(b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
-            _write_rows(fh, jobs, workers)
-    except (OSError, BrokenExecutor) as e:
-        os.remove(path)
-        raise RecordsWriteError(
-            f"writing {path} failed ({type(e).__name__}: {e}); the partial "
-            "file was removed") from e
+    cols = [getattr(trials, c) for c in _COLUMNS]
+    starts = range(0, len(trials.T), _CSV_ROWS)
+    jobs = ((s, trials.engine, *(c[s:s + _CSV_ROWS] for c in cols)) for s in starts)
+    _write_records(path, lambda fh: _map_jobs(_format_rows, jobs, len(starts),
+                                              fh.write))
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:
@@ -470,3 +553,51 @@ def write_envelope_csv(report: EnvelopeReport, path) -> None:
         for b in report.bins:
             w.writerow([_fmt(b.bin_mid), _fmt(b.max_dev), _fmt(b.min_dev),
                         _fmt(b.bound), b.count])
+
+
+# --------------------------------------------------------------------------
+# streamed run
+
+
+def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
+    """One job of ``stream_mc``: trials [start, stop) drawn and solved, then
+    (their CSV rows, their envelope violations, their bin partial, their
+    failed count)."""
+    trials = _solve(cfg, start, stop)
+    return (_format_rows(start, trials.engine, *(getattr(trials, c) for c in _COLUMNS)),
+            _violations(trials, cfg.box, cfg.mu),
+            _bin_partial(trials, n_bins, cfg.t_upper),
+            int(trials.failed.sum()))
+
+
+def stream_mc(cfg: McConfig, path, n_bins: int = 50):
+    """``run_mc``, ``verify_envelope`` and ``write_records_csv`` in one pass
+    that never holds the trial columns: returns (the envelope report, the
+    failed trial count) and writes the same bytes to path.
+
+    Each job draws, solves, checks, bins and formats its own trials in a
+    worker process (see ``_map_jobs``); the rows are written in trial
+    order and the per-job partials folded, so neither the bytes nor the
+    report depend on the worker count.  Any failure removes the partial
+    file, as in ``write_records_csv``.
+    """
+    _check_bins(n_bins, cfg.t_upper)
+    starts = _job_starts(cfg)
+    jobs = ((cfg, n_bins, s, min(s + starts.step, cfg.n_trials)) for s in starts)
+    acc, violations, failed = _Bins(n_bins), 0, 0
+
+    def fill(fh):
+        def take(result):
+            nonlocal violations, failed
+            rows, job_violations, part, job_failed = result
+            fh.write(rows)
+            violations += job_violations
+            failed += job_failed
+            acc.fold(part)
+
+        _map_jobs(_run_chunk, jobs, len(starts), take)
+
+    _write_records(path, fill)
+    report = _envelope_report(violations, cfg.t_upper, acc.stats(cfg.t_upper),
+                              cfg.box, cfg.mu)
+    return report, failed

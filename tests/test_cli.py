@@ -21,6 +21,7 @@ import pytest
 from bioctl import cli, impulsim, mcharness, planner
 from bioctl.impulsim import SimConfig, damage_time_full
 from bioctl.kernels import (
+    DomainError,
     HollingII,
     InputOverflowError,
     KernelSet,
@@ -153,22 +154,30 @@ def test_validate_every_kernel_pair(tmp_path, capsys, growth, response):
         assert kv[f"check_{name}"] == "true"
 
 
+#: with K = 1e307 the supremum itself overflows a float for these pairs
+_HUGE_K_OVERFLOWS = {("logistic", "holling4"), ("allee", "holling2"),
+                     ("allee", "holling4")}
+
+
 @pytest.mark.parametrize("response", sorted(cli._RESPONSE))
 @pytest.mark.parametrize("growth", ["logistic", "allee"])
 def test_validate_huge_carrying_capacity(tmp_path, capsys, growth, response):
     # K = 1e307 once put the old scan ceiling at 100*K = inf: warnings on
-    # stderr, false positivity checks and s_sup=nan next to a bounded ratio
+    # stderr, false positivity checks and s_sup=nan next to a bounded ratio.
+    # Allee growth against holling1 peaks at K/4 = 2.5e306, a float,
+    # although f(x) alone overflows there.
     growth_cfg = dict(_GROWTH_CFG[growth], K=1e307, **(
         {"A": 1.0} if growth == "allee" else {}))
     code, kv, err, k = validate_in_process(
         tmp_path, capsys, growth_cfg, _RESPONSE_CFG[response])
-    try:
-        s_sup, _ = ratio_supremum(k)
-    except InputOverflowError:
+    if (growth, response) in _HUGE_K_OVERFLOWS:
+        with pytest.raises(InputOverflowError):
+            ratio_supremum(k)
         assert code == 2
         assert "error: the kernel parameters are too large" in err
         assert "Warning" not in err and "Traceback" not in err
         return
+    s_sup, _ = ratio_supremum(k)
     assert err == ""
     assert code == 0
     assert kv["all_ok"] == "true"
@@ -588,6 +597,129 @@ def test_unwritable_records_csv_is_a_clean_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out / 'mc_records.csv'}: ")
     assert captured.out == ""
     assert (out / "mc_records.csv").is_dir()
+
+
+def _library_montecarlo(mc_cfg, out, bins):
+    """What cmd_montecarlo printed and wrote before it streamed: the trial
+    columns through run_mc, verify_envelope and the two CSV writers."""
+    trials = mcharness.run_mc(mc_cfg)
+    report = mcharness.verify_envelope(trials, mc_cfg.box, mc_cfg.mu, n_bins=bins)
+    out.mkdir()
+    mcharness.write_records_csv(trials, out / "mc_records.csv")
+    mcharness.write_envelope_csv(report, out / "mc_envelope.csv")
+    return trials, "".join(f"{k}={cli._fmt(v)}\n" for k, v in (
+        ("trials", mc_cfg.n_trials), ("seed", mc_cfg.seed),
+        ("engine", mc_cfg.engine), ("t_upper", report.t_upper),
+        ("violations", report.violations), ("failed", int(trials.failed.sum()))))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("engine, n_trials", [
+    ("closed", 10_000), ("zsim", 5_000), ("full", 40)])
+def test_streamed_montecarlo_matches_library_path(tmp_path, capsys, monkeypatch,
+                                                  engine, n_trials, threads):
+    monkeypatch.setenv("BIOCTL_THREADS", threads)
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path)
+    raw = cli.load_config(cfg)
+    kw = {}
+    if engine == "full":
+        # five jobs, and a failing trial in the fourth
+        monkeypatch.setattr(mcharness, "_FULL_ROWS", 8)
+        kw = dict(kernels=cli.build_kernels(raw), eil=cli._build_eil(raw))
+    mc_cfg = mcharness.McConfig(box=cli._build_box(raw), mu=2.0, n_trials=n_trials,
+                                seed=9, engine=engine, **kw)
+    if engine == "full":
+        bad_T = float(mcharness.stream_uniforms(9, [3 * 29])[0] * mc_cfg.t_upper)
+        real = impulsim.damage_time_full
+
+        def flaky(k, program, *args, **kwargs):
+            if program.T == bad_T:
+                raise impulsim.IntegrationError("planted")
+            return real(k, program, *args, **kwargs)
+
+        monkeypatch.setattr(impulsim, "damage_time_full", flaky)
+    trials, expected = _library_montecarlo(mc_cfg, tmp_path / "library", 20)
+    if engine == "full":
+        assert trials.failed.tolist() == [i == 29 for i in range(n_trials)]
+    out = tmp_path / "out"
+    code = cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--engine", engine, "--trials", str(n_trials), "--seed", "9",
+                     "--bins", "20"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == expected + (
+        f"records_csv={out / 'mc_records.csv'}\nenvelope_csv={out / 'mc_envelope.csv'}\n")
+    for name in ("mc_records.csv", "mc_envelope.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("error, code", [
+    (DomainError, 1), (InputOverflowError, 2)])
+def test_error_in_a_montecarlo_job_is_clean(tmp_path, capsys, monkeypatch,
+                                            threads, error, code):
+    monkeypatch.setenv("BIOCTL_THREADS", threads)
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four jobs
+    real = mcharness._solve
+
+    def fails_late(cfg, start, stop):
+        if start >= 512:
+            raise error("planted in the third job")
+        return real(cfg, start, stop)
+
+    monkeypatch.setattr(mcharness, "_solve", fails_late)
+    out = tmp_path / "out"
+    assert cli.main(list(mc_args(write_config(tmp_path), out))) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: planted in the third job\n"
+    assert captured.out == ""
+    assert not (out / "mc_records.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--trials", "100"], ["robustness"], ["optimize", "--z0", "2.0"],
+    ["simulate", "--x0", "1.0"], ["plot"]])
+def test_out_that_is_a_file_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    code = cli.main([argv[0], "--config", write_config(tmp_path), *argv[1:],
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: --out {out}: not a usable directory")
+    if argv[0] == "montecarlo":
+        assert captured.out == ""   # refused before any job ran
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["montecarlo", "--trials", "100"], "mc_envelope.csv"),
+    (["robustness"], "robust_bound.csv"),
+    (["optimize", "--z0", "2.0"], "period_sweep.csv"),
+    (["simulate", "--x0", "1.0"], "trajectory.csv"),
+    (["plot"], "envelope.svg"),
+])
+def test_unwritable_output_file_is_a_clean_error(tmp_path, argv, name):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    if argv[0] == "plot":
+        assert run_cli(*mc_args(cfg, out)).returncode == 0
+    (out / name).mkdir(parents=True)
+    res = run_cli(argv[0], "--config", cfg, *argv[1:], "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr == f"error: cannot write {out / name}: Is a directory\n"
+    assert (out / name).is_dir()
+
+
+def test_unreadable_records_csv_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "mc_records.csv").mkdir(parents=True)
+    code = cli.main(["plot", "--config", write_config(tmp_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: {out / 'mc_records.csv'}: Is a directory\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

@@ -247,6 +247,17 @@ def test_subnormal_coefficients_keep_the_supremum(response):
     assert math.isclose(s, float(helpers.mp_ratio_supremum(k)), rel_tol=1e-13)
 
 
+def test_supremum_fits_a_float_where_f_overflows():
+    # m*f/g peaks at x = (A + K)/2 with value m*r/lam * (K - A)^2/(4*A*K),
+    # but f(x) alone is about x^2 there and overflows
+    k = make(Allee(1.0, 1.0, 1e307), HollingI(1.0), m=1.5)
+    s, x_star = ratio_supremum(k)
+    assert math.isclose(s, 1.5 * 1e307 / 4.0, rel_tol=1e-15)
+    assert math.isclose(x_star, 0.5e307, rel_tol=1e-15)
+    report = validate_kernels(k)
+    assert report.all_ok and report.s_sup == s
+
+
 def test_huge_carrying_capacity_keeps_the_checks():
     k = make(Logistic(1.0, 1e307), HollingII(1.0, 0.5))
     report = validate_kernels(k)

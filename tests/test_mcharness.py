@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import tracemalloc
 import warnings
 from concurrent.futures import process
 
@@ -308,6 +309,34 @@ def test_csv_workers_fork_after_the_engine_threads_end(reference_box, tmp_path,
         trials = run_mc(small_cfg(reference_box, n_trials=20_000))
         write_records_csv(trials, tmp_path / "records.csv")
     assert len(csv_pools) == 1
+
+
+def test_streamed_run_memory_does_not_grow_with_the_trial_count(
+        reference_box, tmp_path, monkeypatch):
+    # in this process, so tracemalloc sees every job
+    monkeypatch.setenv("BIOCTL_THREADS", "1")
+    peaks = []
+    for n_trials in (40_000, 160_000):
+        cfg = small_cfg(reference_box, n_trials=n_trials)
+        tracemalloc.start()
+        try:
+            mcharness.stream_mc(cfg, tmp_path / "records.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20
+
+
+@pytest.mark.parametrize("engine", ["closed", "zsim"])
+def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, engine):
+    outputs = []
+    for rows in (4096, 1000, 333):
+        monkeypatch.setattr(mcharness, "_CSV_ROWS", rows)
+        path = tmp_path / f"records_{rows}.csv"
+        report, failed = mcharness.stream_mc(
+            small_cfg(reference_box, n_trials=3000, engine=engine), path, n_bins=7)
+        outputs.append((path.read_bytes(), report, failed))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_repeat_run_is_identical(reference_box):
