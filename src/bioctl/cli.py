@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand parses the JSON scenario config,
-calls the corresponding module and prints key=value lines; file artifacts
-(CSV, SVG) land in --out.  Exit codes: 0 success, 1 domain or verdict
-failure, 2 usage or config-shape failure.
+calls the corresponding module and returns its exit code and its
+key=value pairs, which ``main`` prints only after the subcommand has
+returned, so a failed command prints nothing on stdout; file artifacts
+(CSV, SVG) land in --out through ``tables.write``.  Exit codes: 0
+success, 1 domain or verdict failure, 2 usage or config-shape failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
 import math
 import os
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import impulsim, mcharness, planner
+from . import impulsim, mcharness, planner, tables
 from .kernels import (
     Allee,
     ConfigError,
@@ -40,18 +40,13 @@ from .orbit import PestFreeOrbit, ReleaseProgram, Verdict, floquet_multipliers, 
 __all__ = ["ConfigError", "load_config", "build_kernels", "main"]
 
 
-class OutputWriteError(RuntimeError):
-    """An output file under --out could not be written (exit 1)."""
-
-
 _MODEL_ERRORS = (
-    OutputWriteError,
+    tables.OutputWriteError,
     DomainError,
     planner.PeriodTooLargeError,
     impulsim.IntegrationError,
     impulsim.StateConsistencyError,
     impulsim.HorizonExceededError,
-    mcharness.RecordsWriteError,
 )
 
 
@@ -61,10 +56,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
-
-
-def _emit(key: str, value) -> None:
-    print(f"{key}={_fmt(value)}")
 
 
 # --------------------------------------------------------------------------
@@ -256,35 +247,25 @@ def _out_dir(args) -> str:
     return out
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """An OSError while writing the output file at path exits 1."""
-    try:
-        yield
-    except OSError as e:
-        raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     report = validate_kernels(build_kernels(cfg))
-    _emit("growth_slope0", report.growth_slope0)
-    _emit("response_slope0", report.response_slope0)
-    _emit("m", report.m)
-    _emit("s_limit", report.s_limit)
-    _emit("s_sup", report.s_sup)
-    _emit("s_argmax", report.s_argmax)
-    for name, ok in report.checks.items():
-        _emit(f"check_{name}", ok)
-    _emit("all_ok", report.all_ok)
-    return 0 if report.all_ok else 1
+    pairs = {"growth_slope0": report.growth_slope0,
+             "response_slope0": report.response_slope0,
+             "m": report.m,
+             "s_limit": report.s_limit,
+             "s_sup": report.s_sup,
+             "s_argmax": report.s_argmax}
+    pairs.update((f"check_{name}", ok) for name, ok in report.checks.items())
+    pairs["all_ok"] = report.all_ok
+    return (0 if report.all_ok else 1), pairs
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     k = build_kernels(cfg)
     program = _build_program(cfg, args.period)
@@ -293,19 +274,19 @@ def cmd_stability(args) -> int:
     pest, predator = floquet_multipliers(report.growth_slope0,
                                          report.response_slope0,
                                          report.m, program)
-    _emit("verdict", verdict.verdict.value)
-    _emit("boundary", verdict.boundary)
-    _emit("pest_multiplier", pest)
-    _emit("predator_multiplier", predator)
-    _emit("s_limit", verdict.s_limit)
-    _emit("s_sup", verdict.s_sup)
-    _emit("mu", program.mu)
+    pairs = {"verdict": verdict.verdict.value,
+             "boundary": verdict.boundary,
+             "pest_multiplier": pest,
+             "predator_multiplier": predator,
+             "s_limit": verdict.s_limit,
+             "s_sup": verdict.s_sup,
+             "mu": program.mu}
     if verdict.note:
-        _emit("note", verdict.note)
-    return 1 if verdict.verdict is Verdict.UNSTABLE else 0
+        pairs["note"] = verdict.note
+    return (1 if verdict.verdict is Verdict.UNSTABLE else 0), pairs
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     k = build_kernels(cfg)
     program = _build_program(cfg, args.period)
@@ -315,21 +296,18 @@ def cmd_simulate(args) -> int:
         y0 = PestFreeOrbit(program.mu, program.T, k.m).eval(args.t0, post=True)
     traj = impulsim.simulate(k, program, args.x0, y0, t0=args.t0,
                              cfg=_build_sim(cfg), eil=eil)
-    out = _out_dir(args)
-    path = os.path.join(out, "trajectory.csv")
-    with _writing(path):
-        impulsim.trajectory_to_csv(traj, path)
-    _emit("t_start", float(traj.ts[0]))
-    _emit("t_end", float(traj.ts[-1]))
-    _emit("samples", len(traj.ts))
-    _emit("releases", len(traj.impulses))
+    path = os.path.join(_out_dir(args), "trajectory.csv")
+    impulsim.trajectory_to_csv(traj, path)
     down = [t for t, label in traj.events if label == "down"]
-    _emit("first_crossing", down[0] if down else math.nan)
-    _emit("trajectory_csv", path)
-    return 0
+    return 0, {"t_start": float(traj.ts[0]),
+               "t_end": float(traj.ts[-1]),
+               "samples": len(traj.ts),
+               "releases": len(traj.impulses),
+               "first_crossing": down[0] if down else math.nan,
+               "trajectory_csv": path}
 
 
-def cmd_damage(args) -> int:
+def cmd_damage(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     k = build_kernels(cfg)
     program = _build_program(cfg, args.period)
@@ -348,8 +326,6 @@ def cmd_damage(args) -> int:
         raise DomainError(f"damage: x0={x0:g} must be above eil={eil:g}")
     # conservative comparison model: pest pressure capped by the ratio
     # ceiling, so its crossing time bounds the full model's from above.
-    # Everything is computed before the first line is printed, so a bad
-    # input prints nothing.
     z0 = planner.z_from_x_global(x0, eil, k.m, k.response)
     p = planner.ZParams(sigma=report.s_sup, m=k.m, mu=program.mu, T=program.T)
     decay_ceiling = planner.max_decay_period(program.mu, report.s_sup, k.m)
@@ -357,18 +333,17 @@ def cmd_damage(args) -> int:
     pi_full, t_cross = impulsim.damage_time_full(k, program, x0, eil,
                                                  t0=args.t0,
                                                  cfg=_build_sim(cfg))
-    _emit("x0", float(x0))
-    _emit("z0", z0)
-    _emit("sigma", report.s_sup)
-    _emit("decay_ceiling", decay_ceiling)
-    _emit("pi_full", pi_full)
-    _emit("pi_z", pi_z)
-    _emit("crossing_t", t_cross)
-    _emit("bound_ok", pi_full <= pi_z + 1e-6)
-    return 0
+    return 0, {"x0": float(x0),
+               "z0": z0,
+               "sigma": report.s_sup,
+               "decay_ceiling": decay_ceiling,
+               "pi_full": pi_full,
+               "pi_z": pi_z,
+               "crossing_t": t_cross,
+               "bound_ok": pi_full <= pi_z + 1e-6}
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     k = build_kernels(cfg)
     mu = _mu_only(cfg)
@@ -377,47 +352,42 @@ def cmd_optimize(args) -> int:
         raise DomainError("optimize needs a single sigma value in the box")
     sigma = box.sigma_lo
     result = planner.optimal_periods(args.z0, mu, sigma, k.m)
-    _emit("t1", result.t1)
-    _emit("n0", result.n0)
-    _emit("decay_ceiling", result.decay_ceiling)
-    _emit("periods", ",".join(f"{t:.17g}" for t in result.periods))
-    out = _out_dir(args)
-    path = os.path.join(out, "period_sweep.csv")
-    with _writing(path), open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["T", "pi_max", "deviation"])
-        for T in result.periods:
-            worst = planner.worst_invasion(
-                planner.ZParams(sigma=sigma, m=k.m, mu=mu, T=T), args.z0)
-            w.writerow([f"{T:.17g}", f"{worst.pi_max:.17g}",
-                        f"{worst.deviation:.17g}"])
-    _emit("sweep_csv", path)
-    return 0
+    path = os.path.join(_out_dir(args), "period_sweep.csv")
+    worst = [planner.worst_invasion(
+        planner.ZParams(sigma=sigma, m=k.m, mu=mu, T=T), args.z0)
+        for T in result.periods]
+    tables.write(path, [b"T,pi_max,deviation\n", tables.rows(
+        "%.17g,%.17g,%.17g\n", result.periods, [w.pi_max for w in worst],
+        [w.deviation for w in worst])])
+    return 0, {"t1": result.t1,
+               "n0": result.n0,
+               "decay_ceiling": result.decay_ceiling,
+               "periods": ",".join(f"{t:.17g}" for t in result.periods),
+               "sweep_csv": path}
 
 
-def cmd_robustness(args) -> int:
+def cmd_robustness(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     mu = _mu_only(cfg)
     box = _build_box(cfg)
     t_lower, t_hat_min = planner.t_limits(box, mu)
-    _emit("t_lower", t_lower)
-    _emit("t_hat_min", t_hat_min)
+    if t_hat_min == math.inf:
+        raise DomainError(
+            f"robustness: sigma_hi={box.sigma_hi:g} <= 0 gives no finite "
+            "decrease ceiling, so there is no period range to tabulate")
     n = 200
     Ts = [t_hat_min * i / (n + 1) for i in range(1, n + 1)]
     bounds = planner.robust_envelope(Ts, box, mu)
-    out = _out_dir(args)
-    path = os.path.join(out, "robust_bound.csv")
-    with _writing(path), open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["T", "bound", "T_L_flag"])
-        for T, bound in zip(Ts, bounds):
-            w.writerow([f"{T:.17g}", f"{bound:.17g}", int(T < t_lower)])
-    _emit("points", n)
-    _emit("bound_csv", path)
-    return 0
+    path = os.path.join(_out_dir(args), "robust_bound.csv")
+    tables.write(path, [b"T,bound,T_L_flag\n", tables.rows(
+        "%.17g,%.17g,%d\n", Ts, bounds, [T < t_lower for T in Ts])])
+    return 0, {"t_lower": t_lower,
+               "t_hat_min": t_hat_min,
+               "points": n,
+               "bound_csv": path}
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     mu = _mu_only(cfg)
     box = _build_box(cfg)
@@ -434,17 +404,16 @@ def cmd_montecarlo(args) -> int:
     rec_path = os.path.join(out, "mc_records.csv")
     env_path = os.path.join(out, "mc_envelope.csv")
     report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins)
-    with _writing(env_path):
-        mcharness.write_envelope_csv(report, env_path)
-    _emit("trials", trials)
-    _emit("seed", seed)
-    _emit("engine", engine)
-    _emit("t_upper", report.t_upper)
-    _emit("violations", report.violations)
-    _emit("failed", failed)
-    _emit("records_csv", rec_path)
-    _emit("envelope_csv", env_path)
-    return 1 if (report.violations > 0 and engine != "full") else 0
+    mcharness.write_envelope_csv(report, env_path)
+    code = 1 if (report.violations > 0 and engine != "full") else 0
+    return code, {"trials": trials,
+                  "seed": seed,
+                  "engine": engine,
+                  "t_upper": report.t_upper,
+                  "violations": report.violations,
+                  "failed": failed,
+                  "records_csv": rec_path,
+                  "envelope_csv": env_path}
 
 
 # --------------------------------------------------------------------------
@@ -532,7 +501,7 @@ def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     mu = _mu_only(cfg)
     box = _build_box(cfg)
@@ -568,11 +537,8 @@ def cmd_plot(args) -> int:
         title="Damage-time deviation vs release period",
         x_label="release period T", y_label="Pi - T1")
     svg_path = os.path.join(out, "envelope.svg")
-    with _writing(svg_path), open(svg_path, "w", newline="\n") as fh:
-        fh.write(svg)
-    _emit("points", len(Ts))
-    _emit("svg", svg_path)
-    return 0
+    tables.write(svg_path, [svg.encode()])
+    return 0, {"points": len(Ts), "svg": svg_path}
 
 
 # --------------------------------------------------------------------------
@@ -648,9 +614,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Its key=value lines are printed only once it
+    has returned, so a command that fails leaves stdout empty."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, pairs = args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -660,6 +628,8 @@ def main(argv=None) -> int:
     except _MODEL_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    sys.stdout.write("".join(f"{key}={_fmt(value)}\n" for key, value in pairs.items()))
+    return code
 
 
 if __name__ == "__main__":

@@ -21,13 +21,13 @@ its samples off the same polynomials.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import tables
 from .kernels import DomainError, InputOverflowError, KernelSet
 from .orbit import PestFreeOrbit, ReleaseProgram, next_release
 
@@ -404,18 +404,14 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
         "raise the horizon or the budget")
 
 
-def _fmt(v) -> str:
-    return f"{v:.17g}"
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Columns t, x, y, is_impulse; each release adds a second row at the
     same t carrying the post-release predator level."""
     post = {t: y_post for t, _, y_post in traj.impulses}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "x", "y", "is_impulse"])
-        for t, x, y in zip(traj.ts, traj.xs, traj.ys):
-            w.writerow([_fmt(t), _fmt(x), _fmt(y), 0])
-            if t in post:
-                w.writerow([_fmt(t), _fmt(x), _fmt(post[t]), 1])
+    lines = []
+    for t, x, y in zip(traj.ts.tolist(), traj.xs.tolist(), traj.ys.tolist()):
+        lines.append((t, x, y, 0))
+        if t in post:
+            lines.append((t, x, post[t], 1))
+    tables.write(path, [b"t,x,y,is_impulse\n",
+                        tables.rows("%.17g,%.17g,%.17g,%d\n", *zip(*lines))])

@@ -35,16 +35,14 @@ the trial count.
 from __future__ import annotations
 
 import collections
-import csv
 import math
 import os
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import impulsim, planner
+from . import impulsim, planner, tables
 from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
@@ -62,7 +60,6 @@ __all__ = [
     "stream_mc",
     "bin_envelope",
     "verify_envelope",
-    "RecordsWriteError",
     "write_records_csv",
     "write_envelope_csv",
 ]
@@ -461,26 +458,18 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
 # --------------------------------------------------------------------------
 # CSV output
 
-
-def _fmt(v) -> str:
-    return f"{v:.17g}"
-
-
-class RecordsWriteError(RuntimeError):
-    """Writing the records CSV failed: the file, a fork or a worker.  The
-    partial file has been removed."""
+_RECORDS_HEADER = b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n"
 
 
 def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
     """CSV rows of the trials numbered from start, as ASCII bytes."""
-    row = "%d" + ",%.17g" * 6 + f",{engine},%d\n"
-    block = np.column_stack((np.arange(start, start + len(T)), T, t0, z0, Pi,
-                             T1, deviation, failed))
-    return ((row * len(T)) % tuple(block.ravel().tolist())).encode()
+    return tables.rows("%d" + ",%.17g" * 6 + f",{engine},%d\n",
+                       np.arange(start, start + len(T)), T, t0, z0, Pi, T1,
+                       deviation, failed)
 
 
-def _map_jobs(fun, jobs, n_jobs: int, take) -> None:
-    """take(fun(*job)) for each of the n_jobs jobs, in job order.
+def _map_jobs(fun, jobs, n_jobs: int):
+    """fun(*job) for each of the n_jobs jobs, yielded in job order.
 
     Up to BIOCTL_THREADS worker processes run fun (%.17g alone costs about
     1 us a float under the GIL).  At most two jobs a worker are in flight,
@@ -488,11 +477,13 @@ def _map_jobs(fun, jobs, n_jobs: int, take) -> None:
     worker, one job or no os.fork the jobs run in this process.  fork, not
     spawn: a worker inherits the imported package instead of importing
     numpy again, and this process runs no other thread when it forks.
+    Closing the generator early cancels the jobs not yet started and shuts
+    the pool down.
     """
     workers = min(_thread_count(), n_jobs)
     if workers <= 1 or not hasattr(os, "fork"):
         for job in jobs:
-            take(fun(*job))
+            yield fun(*job)
         return
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -503,56 +494,36 @@ def _map_jobs(fun, jobs, n_jobs: int, take) -> None:
             for job in jobs:
                 window.append(pool.submit(fun, *job))
                 if len(window) >= 2 * workers:
-                    take(window.popleft().result())
+                    yield window.popleft().result()
             while window:
-                take(window.popleft().result())
+                yield window.popleft().result()
         finally:
             for future in window:
                 future.cancel()
 
 
-def _write_records(path, fill) -> None:
-    """Write the records CSV at path: the header, then fill(fh).  If the
-    file, a fork or a worker fails, the partial file is removed and
-    RecordsWriteError raised; any other exception removes it too and
-    propagates unchanged."""
-    try:
-        fh = open(path, "wb")
-    except OSError as e:
-        raise RecordsWriteError(f"cannot write {path}: {e}") from e
-    try:
-        with fh:
-            fh.write(b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
-            fill(fh)
-    except BaseException as e:
-        os.remove(path)
-        if isinstance(e, (OSError, BrokenExecutor)):
-            raise RecordsWriteError(
-                f"writing {path} failed ({type(e).__name__}: {e}); the partial "
-                "file was removed") from e
-        raise
-
-
 def write_records_csv(trials: Trials, path) -> None:
     """One row per trial.  Fixed-size blocks of rows are formatted by up to
     BIOCTL_THREADS worker processes and written in trial order, so the
-    bytes never depend on the worker count.  If the file, a fork or a
-    worker fails, the partial file is removed and RecordsWriteError raised.
+    bytes never depend on the worker count.  The file is written whole or
+    removed (see ``tables.write``).
     """
     cols = [getattr(trials, c) for c in _COLUMNS]
     starts = range(0, len(trials.T), _CSV_ROWS)
     jobs = ((s, trials.engine, *(c[s:s + _CSV_ROWS] for c in cols)) for s in starts)
-    _write_records(path, lambda fh: _map_jobs(_format_rows, jobs, len(starts),
-                                              fh.write))
+
+    def chunks():
+        yield _RECORDS_HEADER
+        yield from _map_jobs(_format_rows, jobs, len(starts))
+
+    tables.write(path, chunks())
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["bin_mid", "max_dev", "min_dev", "bound", "count"])
-        for b in report.bins:
-            w.writerow([_fmt(b.bin_mid), _fmt(b.max_dev), _fmt(b.min_dev),
-                        _fmt(b.bound), b.count])
+    fields = ("bin_mid", "max_dev", "min_dev", "bound", "count")
+    cols = ([getattr(b, f) for b in report.bins] for f in fields)
+    tables.write(path, [b"bin_mid,max_dev,min_dev,bound,count\n",
+                        tables.rows("%.17g,%.17g,%.17g,%.17g,%d\n", *cols)])
 
 
 # --------------------------------------------------------------------------
@@ -586,18 +557,19 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50):
     jobs = ((cfg, n_bins, s, min(s + starts.step, cfg.n_trials)) for s in starts)
     acc, violations, failed = _Bins(n_bins), 0, 0
 
-    def fill(fh):
-        def take(result):
-            nonlocal violations, failed
-            rows, job_violations, part, job_failed = result
-            fh.write(rows)
-            violations += job_violations
-            failed += job_failed
-            acc.fold(part)
+    def fold(result):
+        nonlocal violations, failed
+        rows, job_violations, part, job_failed = result
+        violations += job_violations
+        failed += job_failed
+        acc.fold(part)
+        return rows
 
-        _map_jobs(_run_chunk, jobs, len(starts), take)
+    def chunks():
+        yield _RECORDS_HEADER
+        yield from map(fold, _map_jobs(_run_chunk, jobs, len(starts)))
 
-    _write_records(path, fill)
+    tables.write(path, chunks())
     report = _envelope_report(violations, cfg.t_upper, acc.stats(cfg.t_upper),
                               cfg.box, cfg.mu)
     return report, failed

@@ -3,9 +3,12 @@
 Everything here recomputes model quantities by direct discretization
 (midpoint-rule quadrature, dense scans, generic high-order ODE
 integration), deliberately sharing no closed forms with the package, so
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence.  The former
+``csv.writer`` writers of the package's CSV artifacts are kept here too,
+as the byte-level reference for its single-format row writer.
 """
 
+import csv
 import math
 
 import mpmath
@@ -347,3 +350,54 @@ def scipy_zsim_damage_time(T, t0, z0, sigma, m, mu) -> float:
 def scipy_zsim_damage_times(Ts, t0s, z0s, sigma, m, mu) -> np.ndarray:
     return np.array([scipy_zsim_damage_time(T, t0, z0, sigma, m, mu)
                      for T, t0, z0 in zip(Ts.tolist(), t0s.tolist(), z0s.tolist())])
+
+
+# --------------------------------------------------------------------------
+# the former csv.writer writers of the CSV artifacts, kept as the byte-level
+# reference for bioctl.tables
+
+
+def _fmt(v) -> str:
+    return f"{v:.17g}"
+
+
+def csv_trajectory(traj, path) -> None:
+    """trajectory.csv: t, x, y, is_impulse, plus a post-release row at each
+    release."""
+    post = {t: y_post for t, _, y_post in traj.impulses}
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t", "x", "y", "is_impulse"])
+        for t, x, y in zip(traj.ts, traj.xs, traj.ys):
+            w.writerow([_fmt(t), _fmt(x), _fmt(y), 0])
+            if t in post:
+                w.writerow([_fmt(t), _fmt(x), _fmt(post[t]), 1])
+
+
+def csv_period_sweep(periods, worst, path) -> None:
+    """period_sweep.csv from the periods and their worst-case reports."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["T", "pi_max", "deviation"])
+        for T, report in zip(periods, worst):
+            w.writerow([f"{T:.17g}", f"{report.pi_max:.17g}",
+                        f"{report.deviation:.17g}"])
+
+
+def csv_robust_bound(Ts, bounds, t_lower, path) -> None:
+    """robust_bound.csv from the periods, their bounds and T_L."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["T", "bound", "T_L_flag"])
+        for T, bound in zip(Ts, bounds):
+            w.writerow([f"{T:.17g}", f"{bound:.17g}", int(T < t_lower)])
+
+
+def csv_envelope(report, path) -> None:
+    """mc_envelope.csv from an EnvelopeReport."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["bin_mid", "max_dev", "min_dev", "bound", "count"])
+        for b in report.bins:
+            w.writerow([_fmt(b.bin_mid), _fmt(b.max_dev), _fmt(b.min_dev),
+                        _fmt(b.bound), b.count])

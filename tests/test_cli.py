@@ -8,13 +8,17 @@ thin adapter with no arithmetic of its own.
 
 import csv
 import dataclasses
+import errno
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
+import helpers
 import numpy as np
 import pytest
 
@@ -520,6 +524,20 @@ def test_robustness_bound_table(tmp_path):
     assert bounds[99] == pytest.approx(direct, rel=1e-12)
 
 
+def test_robustness_without_a_finite_ceiling_is_refused(tmp_path, capsys):
+    # sigma_hi <= 0: the pest declines under any period, t_hat_min is inf
+    cfg = write_config(tmp_path, {"box.sigma": [-1.0, 0.0]})
+    out = tmp_path / "out"
+    code = cli.main(["robustness", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: robustness: sigma_hi=0 <= 0 gives no finite decrease ceiling, "
+        "so there is no period range to tabulate\n")
+    assert captured.out == ""
+    assert not (out / "robust_bound.csv").exists()
+
+
 # --------------------------------------------------------------------------
 # montecarlo / plot
 
@@ -689,8 +707,7 @@ def test_out_that_is_a_file_is_a_config_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"config error: --out {out}: not a usable directory")
-    if argv[0] == "montecarlo":
-        assert captured.out == ""   # refused before any job ran
+    assert captured.out == ""
     assert out.read_text() == "keep me\n"
 
 
@@ -710,7 +727,149 @@ def test_unwritable_output_file_is_a_clean_error(tmp_path, argv, name):
     res = run_cli(argv[0], "--config", cfg, *argv[1:], "--out", str(out))
     assert res.returncode == 1
     assert res.stderr == f"error: cannot write {out / name}: Is a directory\n"
+    assert res.stdout == ""
     assert (out / name).is_dir()
+
+
+class _DiskFull:
+    """A file open for writing that takes its first 64 bytes (past every
+    CSV header) and then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh, self._room = fh, 64
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(data[:self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--x0", "1.0"], "trajectory.csv"),
+    (["optimize", "--z0", "2.0"], "period_sweep.csv"),
+    (["robustness"], "robust_bound.csv"),
+    (["montecarlo", "--trials", "800"], "mc_records.csv"),
+    (["montecarlo", "--trials", "800"], "mc_envelope.csv"),
+    (["plot"], "envelope.svg"),
+])
+def test_disk_full_leaves_no_partial_file_and_no_stdout(tmp_path, capsys, monkeypatch,
+                                                        argv, name):
+    monkeypatch.setenv("BIOCTL_THREADS", "2")
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four records jobs
+    cfg = write_config(tmp_path, sim={"t_end": 10.0})
+    out = tmp_path / "out"
+    if argv[0] == "plot":
+        assert cli.main(list(mc_args(cfg, out))) == 0
+        capsys.readouterr()
+    real_open = open
+
+    def disk_full(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(path) == name:
+            return _DiskFull(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", disk_full)
+    code = cli.main([argv[0], "--config", cfg, *argv[1:], "--out", str(out)])
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: writing {out / name} failed (OSError: ")
+    assert captured.out == ""
+    assert not (out / name).exists()
+    assert multiprocessing.active_children() == []   # the worker pool is shut down
+
+
+# --------------------------------------------------------------------------
+# the CSV artifacts against the former csv.writer writers
+
+_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1,
+             1.0 / 3.0]
+
+
+def _specials(n, shift=0):
+    return np.roll(np.resize(_SPECIALS, n), shift)
+
+
+def _optimize_sweep(tmp_path, monkeypatch, z0, plant):
+    """Run optimize in process; with plant, worst_invasion returns special
+    values.  Returns the periods and worst cases it wrote."""
+    written = []
+    real = planner.worst_invasion
+
+    def recorded(p, z0):
+        report = real(p, z0)
+        if plant:
+            k = len(written)
+            report = SimpleNamespace(pi_max=_SPECIALS[k % 9],
+                                     deviation=_SPECIALS[(k + 4) % 9])
+        written.append((p.T, report))
+        return report
+
+    monkeypatch.setattr(planner, "worst_invasion", recorded)
+    assert cli.main(["optimize", "--config", write_config(tmp_path), "--z0", z0,
+                     "--out", str(tmp_path / "out")]) == 0
+    return [T for T, _ in written], [report for _, report in written]
+
+
+@pytest.mark.parametrize("artifact", [
+    "trajectory", "period_sweep", "period_sweep_header_only", "robust_bound",
+    "mc_envelope"])
+def test_csv_bytes_match_the_csv_writer_reference(tmp_path, capsys, monkeypatch,
+                                                  artifact):
+    out, old = tmp_path / "out", tmp_path / "reference.csv"
+    if artifact == "trajectory":
+        traj = impulsim.Trajectory(
+            _specials(9), _specials(9, 1), _specials(9, 2),
+            impulses=[(0.1, 0.0, -math.inf), (-0.0, 1.0, math.nan),
+                      (5e-324, 1.0, 5e-324)])
+        new = tmp_path / "trajectory.csv"
+        impulsim.trajectory_to_csv(traj, new)
+        helpers.csv_trajectory(traj, old)
+    elif artifact.startswith("period_sweep"):
+        # z0 = 20 puts n0 at 15 >= 10 and leaves no period to sweep
+        z0 = "20.0" if artifact.endswith("header_only") else "3.0"
+        periods, worst = _optimize_sweep(tmp_path, monkeypatch, z0,
+                                         plant=z0 == "3.0")
+        assert len(periods) == (0 if z0 == "20.0" else 8)
+        new = out / "period_sweep.csv"
+        helpers.csv_period_sweep(periods, worst, old)
+    elif artifact == "robust_bound":
+        seen = []
+
+        def planted(Ts, box, mu):
+            seen.append(Ts)
+            return _specials(len(Ts))
+
+        monkeypatch.setattr(planner, "robust_envelope", planted)
+        assert cli.main(["robustness", "--config", write_config(tmp_path),
+                         "--out", str(out)]) == 0
+        t_lower, _ = planner.t_limits(
+            planner.UncertaintyBox(1.0, 5.0, 1.0, 1.0, 1.0, 1.0), 2.0)
+        new = out / "robust_bound.csv"
+        helpers.csv_robust_bound(seen[0], _specials(200), t_lower, old)
+    else:
+        bins = [mcharness.BinReport(*vals, count, math.nan) for vals, count in zip(
+            zip(_specials(9), _specials(9, 2), _specials(9, 5), _specials(9, 7)),
+            [0, 1, 7, 2 ** 40, 3, 0, 12, 5, 9])]
+        report = mcharness.EnvelopeReport(0, 1.0, bins)
+        new = tmp_path / "mc_envelope.csv"
+        mcharness.write_envelope_csv(report, new)
+        helpers.csv_envelope(report, old)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_unreadable_records_csv_is_a_config_error(tmp_path, capsys):
