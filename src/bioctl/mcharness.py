@@ -468,19 +468,20 @@ def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
                        deviation, failed)
 
 
-def _map_jobs(fun, jobs, n_jobs: int):
-    """fun(*job) for each of the n_jobs jobs, yielded in job order.
+def _map_jobs(fun, jobs, workers: int):
+    """fun(*job) for each job, yielded in job order.
 
-    Up to BIOCTL_THREADS worker processes run fun (%.17g alone costs about
-    1 us a float under the GIL).  At most two jobs a worker are in flight,
-    so the results held here do not grow with the job count.  With one
-    worker, one job or no os.fork the jobs run in this process.  fork, not
+    Up to `workers` processes run fun (formatting alone costs about 0.2 us
+    a field under the GIL, see ``tables.rows``); the caller reads
+    BIOCTL_THREADS with ``_thread_count`` before it opens its output, so a
+    bad value leaves an old file alone.  At most two jobs a worker are in
+    flight, so the results held here do not grow with the job count.  With
+    one worker or no os.fork the jobs run in this process.  fork, not
     spawn: a worker inherits the imported package instead of importing
     numpy again, and this process runs no other thread when it forks.
     Closing the generator early cancels the jobs not yet started and shuts
     the pool down.
     """
-    workers = min(_thread_count(), n_jobs)
     if workers <= 1 or not hasattr(os, "fork"):
         for job in jobs:
             yield fun(*job)
@@ -511,10 +512,11 @@ def write_records_csv(trials: Trials, path) -> None:
     cols = [getattr(trials, c) for c in _COLUMNS]
     starts = range(0, len(trials.T), _CSV_ROWS)
     jobs = ((s, trials.engine, *(c[s:s + _CSV_ROWS] for c in cols)) for s in starts)
+    workers = min(_thread_count(), len(starts))
 
     def chunks():
         yield _RECORDS_HEADER
-        yield from _map_jobs(_format_rows, jobs, len(starts))
+        yield from _map_jobs(_format_rows, jobs, workers)
 
     tables.write(path, chunks())
 
@@ -555,6 +557,7 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50):
     _check_bins(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)
     jobs = ((cfg, n_bins, s, min(s + starts.step, cfg.n_trials)) for s in starts)
+    workers = min(_thread_count(), len(starts))
     acc, violations, failed = _Bins(n_bins), 0, 0
 
     def fold(result):
@@ -567,7 +570,7 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50):
 
     def chunks():
         yield _RECORDS_HEADER
-        yield from map(fold, _map_jobs(_run_chunk, jobs, len(starts)))
+        yield from map(fold, _map_jobs(_run_chunk, jobs, workers))
 
     tables.write(path, chunks())
     report = _envelope_report(violations, cfg.t_upper, acc.stats(cfg.t_upper),

@@ -4,8 +4,9 @@ Everything here recomputes model quantities by direct discretization
 (midpoint-rule quadrature, dense scans, generic high-order ODE
 integration), deliberately sharing no closed forms with the package, so
 agreement between the two is meaningful evidence.  The former
-``csv.writer`` writers of the package's CSV artifacts are kept here too,
-as the byte-level reference for its single-format row writer.
+``csv.writer`` writers of the package's CSV artifacts and its former
+whole-block ``%`` row builder are kept here too, as the byte-level
+reference for its exact vectorised row formatter.
 """
 
 import csv
@@ -353,8 +354,14 @@ def scipy_zsim_damage_times(Ts, t0s, z0s, sigma, m, mu) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# the former csv.writer writers of the CSV artifacts, kept as the byte-level
-# reference for bioctl.tables
+# the former row builders of the artifacts, kept as the byte-level reference
+# for bioctl.tables
+
+
+def rows_reference(fmt: str, *columns) -> bytes:
+    """The former ``tables.rows``: one ``%`` over the whole stacked block."""
+    block = np.column_stack(columns)
+    return ((fmt * len(block)) % tuple(block.ravel().tolist())).encode()
 
 
 def _fmt(v) -> str:

@@ -577,6 +577,21 @@ def test_bad_thread_count_is_a_config_error(tmp_path, threads):
     assert "Traceback" not in res.stderr
 
 
+def test_bad_thread_count_keeps_the_previous_run(tmp_path, capsys, monkeypatch):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main(list(mc_args(cfg, out))) == 0
+    names = ("mc_records.csv", "mc_envelope.csv")
+    before = [(out / name).read_bytes() for name in names]
+    capsys.readouterr()
+    monkeypatch.setenv("BIOCTL_THREADS", "abc")
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--trials", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BIOCTL_THREADS must be a positive integer" in captured.err
+    assert [(out / name).read_bytes() for name in names] == before
+
+
 def _exit_in_worker(*job):
     os._exit(3)
 

@@ -1,0 +1,151 @@
+"""bioctl.tables.rows against the whole-block ``%`` builder it replaced:
+the same bytes for every float64 bit pattern, the same exception for a
+value ``%d`` cannot take, and an exact double-double table of 10^k."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bioctl import tables
+from helpers import rows_reference
+
+RECORDS = "%d" + ",%.17g" * 6 + ",closed,%d\n"
+
+
+def same_as_percent(fmt, *columns):
+    """rows and the reference give equal bytes, or raise the same type."""
+    try:
+        want = rows_reference(fmt, *columns)
+    except (ValueError, OverflowError) as e:
+        with pytest.raises(type(e)):
+            tables.rows(fmt, *columns)
+        return
+    got = tables.rows(fmt, *columns)
+    if got != want:
+        for g, w in zip(got.split(b"\n"), want.split(b"\n")):
+            assert g == w
+    assert got == want
+
+
+def with_neighbours(values):
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    return np.concatenate([x, -x])
+
+
+# any bit pattern, or one whose exponent lies in the range the vectorised
+# digits cover (2^-200 to 2^200) rather than in the formatter's fallback
+_ANY_BITS = st.integers(0, 2 ** 64 - 1)
+_COVERED_BITS = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                          st.integers(0, 1), st.integers(1023 - 200, 1023 + 199),
+                          st.integers(0, 2 ** 52 - 1))
+
+
+def float_bits(n_cols):
+    return arrays(np.uint64, st.tuples(st.integers(1, 40), st.just(n_cols)),
+                  elements=st.one_of(_ANY_BITS, _COVERED_BITS))
+
+
+@given(float_bits(3))
+def test_any_float64_bit_pattern(bits):
+    x = bits.view(np.float64)
+    same_as_percent("%.17g,%.17g;%.17g\n", *x.T)
+
+
+@given(float_bits(3))
+def test_any_bit_pattern_in_a_record_row(bits):
+    x = bits.view(np.float64)
+    same_as_percent("%d %.17g%%|%d\n", *x.T)
+    same_as_percent(RECORDS, np.arange(len(x)), *np.tile(x, 2).T,
+                    np.zeros(len(x), bool))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    x = with_neighbours([float(f"1e{k}") for k in range(-300, 301)])
+    same_as_percent("%.17g\n", x)
+
+
+def test_notation_switches_and_the_certified_range():
+    x = with_neighbours([1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280, 2.0 ** -200,
+                         2.0 ** 200, 5e-324,
+                         2.2250738585072014e-308, 1.7976931348623157e308,
+                         9.999999999999999e15, 9.9999999999999999e16,
+                         0.0, 123456789012345678.0])
+    same_as_percent("%.17g,%.17g\n", x, x[::-1])
+
+
+def test_ties_round_half_even():
+    # m / 2^24 and m / 2^25 are exact ties at 17 digits whose power of ten
+    # (10^23, 10^24) is not a double
+    ties = [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+            100000000000000.375, 0.5, 2.5,
+            *(m * 2.0 ** -24 for m in range(3, 16, 2)), 2.0 ** -25, 3 * 2.0 ** -25]
+    assert tables.rows("%.17g\n", ties[:2]) == \
+        b"1000000000000000.2\n1000000000000000.8\n"
+    same_as_percent("%.17g\n", with_neighbours(ties))
+
+
+def test_d_of_bools_negatives_and_large_values():
+    floats = [-0.0, -0.5, 0.5, -1.0, -7.9, 2.0 ** 53 - 1, 2.0 ** 53,
+              2.0 ** 53 + 2, -(2.0 ** 53) - 2, 1e300, -1e300, 1e22, 1e23]
+    same_as_percent("%d\n", floats)
+    same_as_percent("%d,%.17g\n", [True, False, True], [1.5, -2.0, 0.0])
+    # a %d too long for its words, at pass boundaries and inside a pass
+    x = np.arange(10_000, dtype=np.float64)
+    x[[0, 4095, 4096, 5000, 9999]] = [1e300, -1e300, 1e25, -2e30, 1e308]
+    same_as_percent("%d;%.17g\n", x, x / 3)
+
+
+def test_integer_and_bool_blocks():
+    ints = np.array([0, -1, 2 ** 53 + 1, -(2 ** 62) - 3, 2 ** 63 - 1, 7])
+    same_as_percent("%d,%.17g\n", ints, ints)
+    same_as_percent("%d %d\n", np.array([True, False]), np.array([False, True]))
+    same_as_percent("%.17g\n", np.array([2 ** 64 - 1, 2 ** 53 + 1], np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_d_of_nan_or_inf_raises_as_percent(bad):
+    same_as_percent("%d\n", [1.0, bad, 2.0])
+    same_as_percent("%.17g,%d\n", [bad, 1.0], [3.0, bad])
+
+
+def test_literals_and_pass_boundaries():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-80, 80, (9000, 3))
+    x[::97] = 0.0
+    x[5::101] = np.nan
+    same_as_percent("<%.17g>, long literal text é %%, %d;%.17g\n", *x.T)
+    same_as_percent("%.17g%.17g%d", *x[:50].T)
+    same_as_percent("%%%d%.17gé%%%.17g%%", *x[:50].T)
+    assert tables.rows("%.17g\n", np.array([])) == b""
+
+
+def test_records_of_a_closed_run(mc_run_200k):
+    trials, _ = mc_run_200k
+    cols = [getattr(trials, c)[:20_000] for c in
+            ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")]
+    same_as_percent(RECORDS, np.arange(20_000), *cols)
+
+
+def test_unsupported_formats_are_refused():
+    with pytest.raises(ValueError):
+        tables.rows("%.3f\n", [1.0])
+    with pytest.raises(ValueError):
+        tables.rows("%d\0\n", [1.0])
+    with pytest.raises(TypeError):
+        tables.rows("%d,%d\n", [1.0])
+
+
+def test_the_table_of_powers_of_ten_is_exact():
+    t = tables._tables()
+    for i, k in enumerate(range(tables._K_LO, tables._K_HI + 1)):
+        hi, lo = float(t.pow10[i, 0]), float(t.pow10[i, 3])
+        exact = Fraction(10) ** k
+        assert hi == float(exact)   # Fraction -> float rounds correctly
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2 ** 104
+        assert t.pow10[i, 1] + t.pow10[i, 2] == hi
