@@ -11,6 +11,7 @@ success, 1 domain or verdict failure, 2 usage or config-shape failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -403,7 +404,8 @@ def cmd_montecarlo(args) -> tuple[int, dict]:
     out = _out_dir(args)
     rec_path = os.path.join(out, "mc_records.csv")
     env_path = os.path.join(out, "mc_envelope.csv")
-    report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins)
+    report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins,
+                                         stale=[env_path])
     mcharness.write_envelope_csv(report, env_path)
     code = 1 if (report.violations > 0 and engine != "full") else 0
     return code, {"trials": trials,
@@ -615,7 +617,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Its key=value lines are printed only once it
-    has returned, so a command that fails leaves stdout empty."""
+    has returned, so a command that fails leaves stdout empty.
+
+    The first call in a process freezes the heap built so far (numpy's and
+    bioctl's import-time objects) out of the garbage collector: the exit-time
+    collections stop walking it, and fork workers leave its pages shared."""
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         code, pairs = args.fn(args)

@@ -543,7 +543,7 @@ def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
             int(trials.failed.sum()))
 
 
-def stream_mc(cfg: McConfig, path, n_bins: int = 50):
+def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
     """``run_mc``, ``verify_envelope`` and ``write_records_csv`` in one pass
     that never holds the trial columns: returns (the envelope report, the
     failed trial count) and writes the same bytes to path.
@@ -552,12 +552,20 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50):
     worker process (see ``_map_jobs``); the rows are written in trial
     order and the per-job partials folded, so neither the bytes nor the
     report depend on the worker count.  Any failure removes the partial
-    file, as in ``write_records_csv``.
+    file, as in ``write_records_csv``.  The files named in ``stale`` (a
+    previous run's other artifacts) are removed once the up-front checks
+    pass, before path is opened, so a run that fails part-way leaves none
+    of them next to a missing path.
     """
     _check_bins(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)
     jobs = ((cfg, n_bins, s, min(s + starts.step, cfg.n_trials)) for s in starts)
     workers = min(_thread_count(), len(starts))
+    for name in stale:
+        try:
+            os.remove(name)
+        except OSError:
+            pass   # missing, or not removable: writing it later reports that
     acc, violations, failed = _Bins(n_bins), 0, 0
 
     def fold(result):

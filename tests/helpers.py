@@ -3,14 +3,17 @@
 Everything here recomputes model quantities by direct discretization
 (midpoint-rule quadrature, dense scans, generic high-order ODE
 integration), deliberately sharing no closed forms with the package, so
-agreement between the two is meaningful evidence.  The former
-``csv.writer`` writers of the package's CSV artifacts and its former
-whole-block ``%`` row builder are kept here too, as the byte-level
+agreement between the two is meaningful evidence.  The generic form of
+the stepper's dense output is kept here as the bit-level reference for its
+unrolled one, and the former ``csv.writer`` writers of the package's CSV
+artifacts and its former whole-block ``%`` row builder as the byte-level
 reference for its exact vectorised row formatter.
 """
 
 import csv
+import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -351,6 +354,16 @@ def scipy_zsim_damage_time(T, t0, z0, sigma, m, mu) -> float:
 def scipy_zsim_damage_times(Ts, t0s, z0s, sigma, m, mu) -> np.ndarray:
     return np.array([scipy_zsim_damage_time(T, t0, z0, sigma, m, mu)
                      for T, t0, z0 in zip(Ts.tolist(), t0s.tolist(), z0s.tolist())])
+
+
+def dense_reference(h, ks, P) -> tuple:
+    """The generic form of ``impulsim._dense``: coefficient j is h times
+    the sum over all seven stages of ks[i] * P[i][j], folded left to right
+    from 0.  The fold is spelled out because ``sum`` of floats is
+    compensated from Python 3.12 on, and so not bit-for-bit this order."""
+    return tuple(h * functools.reduce(operator.add,
+                                      (kv * row[j] for kv, row in zip(ks, P)), 0)
+                 for j in range(4))
 
 
 # --------------------------------------------------------------------------

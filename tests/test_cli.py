@@ -105,6 +105,25 @@ def test_validate_is_a_thin_adapter(tmp_path):
         assert kv[f"check_{name}"] == ("true" if ok else "false")
 
 
+_FREEZE_ONCE = """
+import gc, sys
+from bioctl import cli
+assert gc.get_freeze_count() == 0
+argv = ["validate", "--config", sys.argv[1]]
+assert cli.main(argv) == 0
+frozen = gc.get_freeze_count()
+assert frozen > 0, frozen
+assert cli.main(argv) == 0
+assert gc.get_freeze_count() == frozen, (gc.get_freeze_count(), frozen)
+"""
+
+
+def test_main_freezes_the_import_heap_once(tmp_path):
+    res = subprocess.run([sys.executable, "-c", _FREEZE_ONCE, write_config(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_validate_rejects_unbounded_ratio(tmp_path):
     cfg = write_config(tmp_path, {"kernels.growth": {"type": "linear", "r": 1.0}})
     res = run_cli("validate", "--config", cfg)
@@ -709,6 +728,32 @@ def test_error_in_a_montecarlo_job_is_clean(tmp_path, capsys, monkeypatch,
     assert captured.err == "error: planted in the third job\n"
     assert captured.out == ""
     assert not (out / "mc_records.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_run_over_a_finished_one_leaves_no_stale_envelope(
+        tmp_path, capsys, monkeypatch, threads):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main(list(mc_args(cfg, out))) == 0
+    assert (out / "mc_envelope.csv").exists()
+    capsys.readouterr()
+    monkeypatch.setenv("BIOCTL_THREADS", threads)
+    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four jobs
+    real = mcharness._solve
+
+    def fails_in_second_job(cfg, start, stop):
+        if start >= 256:
+            raise DomainError("planted in the second job")
+        return real(cfg, start, stop)
+
+    monkeypatch.setattr(mcharness, "_solve", fails_in_second_job)
+    assert cli.main(list(mc_args(cfg, out))) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: planted in the second job\n"
+    assert captured.out == ""
+    assert not (out / "mc_records.csv").exists()
+    assert not (out / "mc_envelope.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,7 +29,7 @@ from bioctl.kernels import (
     Proportional,
 )
 from bioctl.orbit import PestFreeOrbit, ReleaseProgram
-from helpers import dop853_release_run, orbit_peak
+from helpers import dense_reference, dop853_release_run, orbit_peak
 
 PROGRAM = ReleaseProgram(2.0, 0.8)
 
@@ -245,6 +245,57 @@ def test_dense_output_reproduces_the_step():
     # its derivative at s = 0 is the first stage, and at s = 1 the FSAL stage
     assert np.allclose(P[:, 0], np.eye(7)[0], rtol=0.0, atol=0.0)
     assert np.allclose(P @ np.arange(1, 5), np.eye(7)[6], rtol=0.0, atol=1e-14)
+
+
+def _generic_dense(h, ks):
+    return dense_reference(h, ks, impulsim._P)
+
+
+_EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0)
+
+
+def test_dense_is_bit_identical_to_the_generic_form():
+    rng = np.random.default_rng(14)
+    cases = [(1.0, (0.0,) * 7), (1.0, (-0.0,) * 7), (1e-300, (-0.0,) * 7),
+             (1.0, (-0.0, 1.0, -0.0, -0.0, -0.0, -0.0, -0.0))]
+    # zero stages whose every product with column j is -0.0
+    cases += [(1.0, tuple(math.copysign(0.0, -row[j]) for row in impulsim._P))
+              for j in (1, 2, 3)]
+    # random stages over twelve decades, and draws from the edge values
+    # mixed with random ones
+    for _ in range(20_000):
+        h = float(10.0 ** rng.uniform(-8.0, 1.0))
+        ks = rng.uniform(-1.0, 1.0, 7) * 10.0 ** rng.uniform(-6.0, 6.0, 7)
+        cases.append((h, tuple(ks.tolist())))
+    for _ in range(20_000):
+        h = float(rng.choice((1e-300, 1e-3, 1.0, 1e300)))
+        ks = [float(v) for v in rng.choice(_EDGE_VALUES, 7)]
+        for i in np.flatnonzero(rng.random(7) < 0.3):
+            ks[i] = float(rng.normal())
+        cases.append((h, tuple(ks)))
+    for h, ks in cases:
+        got = [v.hex() for v in impulsim._dense(h, ks)]
+        assert got == [v.hex() for v in _generic_dense(h, ks)], (h, ks)
+
+
+def test_crossings_match_the_generic_dense_form(reference_kernels, monkeypatch):
+    steps = itertools.islice(impulsim._steps(
+        reference_kernels, ReleaseProgram(2.0, 0.5), 5.0, 1.0, 0.0, 50.0,
+        SimConfig()), 3000)
+    cases = []
+    for t, h, _, x, _, kx, _, xn, _, _ in steps:
+        # eil strictly inside the step's range straddles it; just past
+        # either end it tests the screens on a near miss
+        lo, hi = min(x, xn), max(x, xn)
+        for eil in (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo),
+                    lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)):
+            cases.append((t, h, x, xn, kx, eil))
+    got = [impulsim._crossings(*case) for case in cases]
+    monkeypatch.setattr(impulsim, "_dense", _generic_dense)
+    assert [impulsim._crossings(*case) for case in cases] == got
+    straddling = [out for (_, _, x, xn, _, eil), out in zip(cases, got)
+                  if (x > eil) != (xn > eil)]
+    assert len(straddling) > 1000 and all(straddling)
 
 
 # --------------------------------------------------------------------------
