@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import impulsim, mcharness, planner, tables
+from . import forkpool, impulsim, mcharness, planner, tables
 from .kernels import (
     Allee,
     ConfigError,
@@ -43,6 +44,7 @@ __all__ = ["ConfigError", "load_config", "build_kernels", "main"]
 
 _MODEL_ERRORS = (
     tables.OutputWriteError,
+    forkpool.PoolBroken,
     DomainError,
     planner.PeriodTooLargeError,
     impulsim.IntegrationError,
@@ -426,6 +428,9 @@ _SVG_H = 500
 _SVG_PAD = 60
 _SVG_MAX_POINTS = 4000
 _PLOT_COLUMNS = ("T", "deviation", "failed")
+#: bytes of mc_records.csv a read-back job of plot parses (about 31k rows,
+#: 50 ms); a smaller file is one job in this process
+_READ_RANGE = 4 << 20
 
 
 def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
@@ -503,34 +508,69 @@ def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
     return "\n".join(parts) + "\n"
 
 
+def _read_points(path, start: int, stop: int, usecols):
+    """T and deviation of the non-failed rows in bytes [start, stop) of a
+    records file, which begin at a line start: one np.loadtxt, as of the
+    whole file, with usecols naming the T, deviation and failed columns."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = io.BytesIO(fh.read(stop - start))
+    with warnings.catch_warnings():
+        # a header-only file is an empty scatter, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        Ts, devs, failed = np.loadtxt(data, delimiter=",", ndmin=2, usecols=usecols,
+                                      encoding="utf-8").T
+    ok = failed == 0
+    return Ts[ok], devs[ok]
+
+
+def _line_ranges(fh, start: int, size: int) -> list:
+    """Bytes [start, size) of the open binary file fh cut into ranges of
+    about _READ_RANGE bytes that begin at line starts; the cuts are found
+    by seeking, never by reading the whole file."""
+    cuts = [start]
+    while cuts[-1] + _READ_RANGE < size:
+        fh.seek(cuts[-1] + _READ_RANGE - 1)
+        fh.readline()
+        if fh.tell() >= size:
+            break
+        cuts.append(fh.tell())
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
 def cmd_plot(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     mu = _mu_only(cfg)
     box = _build_box(cfg)
     out = _out_dir(args)
+    workers = forkpool.thread_count()
     rec_path = os.path.join(out, "mc_records.csv")
     try:
-        fh = open(rec_path, newline="")
+        fh = open(rec_path, "rb")
     except FileNotFoundError:
         raise ConfigError(f"{rec_path}: not found (run montecarlo with the "
                           "same --out first)") from None
     except OSError as e:
         raise ConfigError(f"{rec_path}: {e.strerror or e}") from None
-    with fh, warnings.catch_warnings():
-        # a header-only file is an empty scatter, not a warning
-        warnings.simplefilter("ignore", UserWarning)
-        header = fh.readline().rstrip("\r\n").split(",")
+    with fh:
+        header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split(",")
         missing = [c for c in _PLOT_COLUMNS if c not in header]
         if missing:
             raise ConfigError(f"{rec_path}: no {', '.join(missing)} column")
-        try:
-            cols = np.loadtxt(fh, delimiter=",", ndmin=2,
-                              usecols=[header.index(c) for c in _PLOT_COLUMNS])
-        except ValueError as e:
-            raise ConfigError(f"{rec_path}: {e}") from None
-    Ts, devs, failed = cols.T
-    ok = failed == 0
-    Ts, devs = Ts[ok], devs[ok]
+        usecols = [header.index(c) for c in _PLOT_COLUMNS]
+        size = os.fstat(fh.fileno()).st_size
+        ranges = _line_ranges(fh, fh.tell(), size)
+    try:
+        parts = list(forkpool.map_jobs(
+            lambda k: _read_points(rec_path, *ranges[k], usecols), len(ranges), workers))
+    except ValueError as e:
+        error = e
+        try:   # the whole file in one piece: the row and column of its message
+            _read_points(rec_path, ranges[0][0], size, usecols)
+        except ValueError as whole:
+            error = whole
+        raise ConfigError(f"{rec_path}: {error}") from None
+    Ts, devs = (np.concatenate(c) for c in zip(*parts))
     t_upper, _ = planner.t_limits(box, mu)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, mu)

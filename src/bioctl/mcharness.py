@@ -25,16 +25,17 @@ worker count or evaluation order.  Job sizes are fixed constants for the
 same reason.
 
 A run is cut into jobs of consecutive trials.  ``stream_mc`` hands each
-job to a fork worker process that draws, solves, checks, bins and formats
-its trials; the parent writes the rows in trial order and folds the
-per-job counts, maxima and minima, which do not depend on order.  So the
-parent never holds the trial columns, and its memory does not grow with
-the trial count.
+job to a worker of ``forkpool``, a forked copy of this process that
+draws, solves, checks, bins and formats its trials and sends back only
+the rows and the partials; the parent writes the rows in trial order and
+folds the per-job counts, maxima and minima, which do not depend on
+order.  So the parent never holds the trial columns, and its memory does
+not grow with the trial count.  Processes, not threads: formatting alone
+costs about 0.2 us a field under the GIL (see ``tables.rows``).
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import os
 from dataclasses import dataclass, field
@@ -42,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import impulsim, planner, tables
-from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet
+from . import forkpool, impulsim, planner, tables
+from .kernels import DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
@@ -117,23 +118,6 @@ def stream_uniforms(seed: int, counters) -> np.ndarray:
         keyed = np.uint64(seed) + (counters + np.uint64(1)) * _GOLDEN64
     bits = _mix64(keyed)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (a container can report the host's CPUs in ``os.cpu_count``)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _thread_count() -> int:
-    """Worker processes for the jobs of a run: BIOCTL_THREADS (default 4),
-    capped at the usable CPUs."""
-    env = os.environ.get("BIOCTL_THREADS", "").strip() or "4"
-    if not env.isdecimal() or int(env) < 1:
-        raise ConfigError(f"BIOCTL_THREADS must be a positive integer, got {env!r}")
-    return min(int(env), _usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -468,41 +452,6 @@ def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
                        deviation, failed)
 
 
-def _map_jobs(fun, jobs, workers: int):
-    """fun(*job) for each job, yielded in job order.
-
-    Up to `workers` processes run fun (formatting alone costs about 0.2 us
-    a field under the GIL, see ``tables.rows``); the caller reads
-    BIOCTL_THREADS with ``_thread_count`` before it opens its output, so a
-    bad value leaves an old file alone.  At most two jobs a worker are in
-    flight, so the results held here do not grow with the job count.  With
-    one worker or no os.fork the jobs run in this process.  fork, not
-    spawn: a worker inherits the imported package instead of importing
-    numpy again, and this process runs no other thread when it forks.
-    Closing the generator early cancels the jobs not yet started and shuts
-    the pool down.
-    """
-    if workers <= 1 or not hasattr(os, "fork"):
-        for job in jobs:
-            yield fun(*job)
-        return
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        window = collections.deque()
-        try:
-            for job in jobs:
-                window.append(pool.submit(fun, *job))
-                if len(window) >= 2 * workers:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-        finally:
-            for future in window:
-                future.cancel()
-
-
 def write_records_csv(trials: Trials, path) -> None:
     """One row per trial.  Fixed-size blocks of rows are formatted by up to
     BIOCTL_THREADS worker processes and written in trial order, so the
@@ -511,12 +460,15 @@ def write_records_csv(trials: Trials, path) -> None:
     """
     cols = [getattr(trials, c) for c in _COLUMNS]
     starts = range(0, len(trials.T), _CSV_ROWS)
-    jobs = ((s, trials.engine, *(c[s:s + _CSV_ROWS] for c in cols)) for s in starts)
-    workers = min(_thread_count(), len(starts))
+    workers = forkpool.thread_count()
+
+    def job(k):
+        s = starts[k]
+        return _format_rows(s, trials.engine, *(c[s:s + starts.step] for c in cols))
 
     def chunks():
         yield _RECORDS_HEADER
-        yield from _map_jobs(_format_rows, jobs, workers)
+        yield from forkpool.map_jobs(job, len(starts), workers)
 
     tables.write(path, chunks())
 
@@ -549,7 +501,7 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
     failed trial count) and writes the same bytes to path.
 
     Each job draws, solves, checks, bins and formats its own trials in a
-    worker process (see ``_map_jobs``); the rows are written in trial
+    worker process (see ``forkpool``); the rows are written in trial
     order and the per-job partials folded, so neither the bytes nor the
     report depend on the worker count.  Any failure removes the partial
     file, as in ``write_records_csv``.  The files named in ``stale`` (a
@@ -559,8 +511,7 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
     """
     _check_bins(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)
-    jobs = ((cfg, n_bins, s, min(s + starts.step, cfg.n_trials)) for s in starts)
-    workers = min(_thread_count(), len(starts))
+    workers = forkpool.thread_count()
     for name in stale:
         try:
             os.remove(name)
@@ -576,9 +527,13 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
         acc.fold(part)
         return rows
 
+    def job(k):
+        s = starts[k]
+        return _run_chunk(cfg, n_bins, s, min(s + starts.step, cfg.n_trials))
+
     def chunks():
         yield _RECORDS_HEADER
-        yield from map(fold, _map_jobs(_run_chunk, jobs, workers))
+        yield from map(fold, forkpool.map_jobs(job, len(starts), workers))
 
     tables.write(path, chunks())
     report = _envelope_report(violations, cfg.t_upper, acc.stats(cfg.t_upper),

@@ -28,10 +28,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import BrokenExecutor
 from types import SimpleNamespace
 
 import numpy as np
+
+from .forkpool import PoolBroken
 
 __all__ = ["OutputWriteError", "rows", "write"]
 
@@ -100,7 +101,7 @@ def write(path, chunks) -> None:
         if hasattr(chunks, "close"):
             chunks.close()
         os.remove(path)
-        if isinstance(e, (OSError, BrokenExecutor)):
+        if isinstance(e, (OSError, PoolBroken)):
             raise OutputWriteError(
                 f"writing {path} failed ({type(e).__name__}: {e}); the partial "
                 "file was removed") from e

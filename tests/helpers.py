@@ -7,13 +7,15 @@ agreement between the two is meaningful evidence.  The generic form of
 the stepper's dense output is kept here as the bit-level reference for its
 unrolled one, and the former ``csv.writer`` writers of the package's CSV
 artifacts and its former whole-block ``%`` row builder as the byte-level
-reference for its exact vectorised row formatter.
+reference for its exact vectorised row formatter.  Last, a check that no
+worker process outlived the pool that forked it.
 """
 
 import csv
 import functools
 import math
 import operator
+import os
 
 import mpmath
 import numpy as np
@@ -421,3 +423,13 @@ def csv_envelope(report, path) -> None:
         for b in report.bins:
             w.writerow([_fmt(b.bin_mid), _fmt(b.max_dev), _fmt(b.min_dev),
                         _fmt(b.bound), b.count])
+
+
+def assert_no_child_processes() -> None:
+    """This process has no child left, running or unreaped.  It sees bare
+    os.fork children, which multiprocessing.active_children does not."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process is left: {pid or 'still running'}")

@@ -11,7 +11,6 @@ import dataclasses
 import errno
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,7 +21,7 @@ import helpers
 import numpy as np
 import pytest
 
-from bioctl import cli, impulsim, mcharness, planner
+from bioctl import cli, forkpool, impulsim, mcharness, planner
 from bioctl.impulsim import SimConfig, damage_time_full
 from bioctl.kernels import (
     DomainError,
@@ -615,18 +614,17 @@ def _exit_in_worker(*job):
     os._exit(3)
 
 
-def _fork_fails(*args, **kwargs):
-    raise OSError(11, "Resource temporarily unavailable")
+def _fork_fails():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 
 @pytest.mark.parametrize("failure", ["fork fails", "worker dies"])
 def test_csv_pool_failure_is_a_clean_error(tmp_path, capsys, monkeypatch, failure):
-    from concurrent.futures import process
     monkeypatch.setenv("BIOCTL_THREADS", "2")
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four CSV jobs
     if failure == "fork fails":
-        monkeypatch.setattr(process, "ProcessPoolExecutor", _fork_fails)
+        monkeypatch.setattr(os, "fork", _fork_fails)
     else:
         # a forked worker finds this module's function under the patched name
         monkeypatch.setattr(mcharness, "_format_rows", _exit_in_worker)
@@ -635,9 +633,34 @@ def test_csv_pool_failure_is_a_clean_error(tmp_path, capsys, monkeypatch, failur
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: writing ")
+    assert "(PoolBroken: " in captured.err
     assert "the partial file was removed" in captured.err
-    assert "records_csv=" not in captured.out
+    assert captured.out == ""
     assert not (out / "mc_records.csv").exists()
+    helpers.assert_no_child_processes()
+
+
+def test_workers_leave_the_parents_stdout_buffer_alone(tmp_path):
+    # text buffered in sys.stdout at the fork is in every worker's copy of
+    # the buffer; a worker that exited through the interpreter would flush
+    # it.  stdout is a pipe here, so it is block-buffered unless
+    # PYTHONUNBUFFERED is set.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    script = (
+        "import sys\n"
+        "from bioctl import cli, forkpool, mcharness\n"
+        "mcharness._CSV_ROWS = 256\n"
+        "forkpool._usable_cpus = lambda: 2\n"
+        "sys.stdout.write('unflushed before the fork\\n')\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    res = subprocess.run(
+        [sys.executable, "-c", script, *mc_args(write_config(tmp_path), out)],
+        capture_output=True, text=True, env=dict(env, BIOCTL_THREADS="2"),
+        timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("unflushed before the fork") == 1
+    assert res.stdout.startswith("unflushed before the fork\ntrials=800\n")
 
 
 def test_unwritable_records_csv_is_a_clean_error(tmp_path, capsys):
@@ -671,7 +694,7 @@ def _library_montecarlo(mc_cfg, out, bins):
 def test_streamed_montecarlo_matches_library_path(tmp_path, capsys, monkeypatch,
                                                   engine, n_trials, threads):
     monkeypatch.setenv("BIOCTL_THREADS", threads)
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
     cfg = write_config(tmp_path)
     raw = cli.load_config(cfg)
     kw = {}
@@ -712,7 +735,7 @@ def test_streamed_montecarlo_matches_library_path(tmp_path, capsys, monkeypatch,
 def test_error_in_a_montecarlo_job_is_clean(tmp_path, capsys, monkeypatch,
                                             threads, error, code):
     monkeypatch.setenv("BIOCTL_THREADS", threads)
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four jobs
     real = mcharness._solve
 
@@ -728,6 +751,7 @@ def test_error_in_a_montecarlo_job_is_clean(tmp_path, capsys, monkeypatch,
     assert captured.err == "error: planted in the third job\n"
     assert captured.out == ""
     assert not (out / "mc_records.csv").exists()
+    helpers.assert_no_child_processes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -738,7 +762,7 @@ def test_failed_run_over_a_finished_one_leaves_no_stale_envelope(
     assert (out / "mc_envelope.csv").exists()
     capsys.readouterr()
     monkeypatch.setenv("BIOCTL_THREADS", threads)
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four jobs
     real = mcharness._solve
 
@@ -827,7 +851,7 @@ class _DiskFull:
 def test_disk_full_leaves_no_partial_file_and_no_stdout(tmp_path, capsys, monkeypatch,
                                                         argv, name):
     monkeypatch.setenv("BIOCTL_THREADS", "2")
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(mcharness, "_CSV_ROWS", 256)   # four records jobs
     cfg = write_config(tmp_path, sim={"t_end": 10.0})
     out = tmp_path / "out"
@@ -850,7 +874,7 @@ def test_disk_full_leaves_no_partial_file_and_no_stdout(tmp_path, capsys, monkey
     assert captured.err.startswith(f"error: writing {out / name} failed (OSError: ")
     assert captured.out == ""
     assert not (out / name).exists()
-    assert multiprocessing.active_children() == []   # the worker pool is shut down
+    helpers.assert_no_child_processes()   # the closed pool's workers are gone
 
 
 # --------------------------------------------------------------------------
@@ -1026,29 +1050,105 @@ def _records_with_failures(cfg_path, out):
     return failed
 
 
-def test_plot_matches_row_by_row_reader(tmp_path, capsys):
-    # the reader cmd_plot had before it read the columns in one numpy pass
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    failed = _records_with_failures(cfg, out)
+def _row_by_row_plot(cfg, records):
+    """The points and the envelope.svg of the reader cmd_plot had before it
+    read the columns with numpy."""
     Ts, devs = [], []
-    with open(out / "mc_records.csv", newline="") as fh:
+    with open(records, newline="") as fh:
         for row in csv.DictReader(fh):
             if row["failed"] == "0":
                 Ts.append(float(row["T"]))
                 devs.append(float(row["deviation"]))
-    assert len(Ts) == int((~failed).sum())
-    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
-    assert parse_kv(capsys.readouterr().out)["points"] == str(len(Ts))
     box = cli._build_box(cli.load_config(cfg))
     t_upper, _ = planner.t_limits(box, 2.0)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, 2.0)
-    expected = cli.render_scatter_svg(
+    return len(Ts), cli.render_scatter_svg(
         Ts, devs, curve_x, curve_y,
         title="Damage-time deviation vs release period",
         x_label="release period T", y_label="Pi - T1")
+
+
+@pytest.fixture(params=["1", "2"])
+def read_back(request, monkeypatch):
+    """plot at BIOCTL_THREADS 1 and 2, with read ranges small enough that
+    the records of ``_records_with_failures`` (about 650 kB) span four."""
+    monkeypatch.setenv("BIOCTL_THREADS", request.param)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_READ_RANGE", 200_000)
+
+
+def test_plot_matches_row_by_row_reader(tmp_path, capsys):
+    # about 650 kB of records: one read job, in this process
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    failed = _records_with_failures(cfg, out)
+    points, expected = _row_by_row_plot(cfg, out / "mc_records.csv")
+    assert points == int((~failed).sum())
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert parse_kv(capsys.readouterr().out)["points"] == str(points)
     assert (out / "envelope.svg").read_text() == expected
+
+
+@pytest.mark.parametrize("ending", ["newline", "no final newline"])
+def test_plot_read_back_in_ranges_matches_row_by_row_reader(tmp_path, capsys,
+                                                            read_back, ending):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    failed = _records_with_failures(cfg, out)
+    records = out / "mc_records.csv"
+    if ending == "no final newline":
+        records.write_bytes(records.read_bytes().rstrip(b"\n"))
+    with open(records, "rb") as fh:
+        header = fh.readline()
+        assert len(cli._line_ranges(fh, len(header), records.stat().st_size)) >= 3
+    points, expected = _row_by_row_plot(cfg, records)
+    assert points == int((~failed).sum())
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert parse_kv(capsys.readouterr().out)["points"] == str(points)
+    assert (out / "envelope.svg").read_text() == expected
+    helpers.assert_no_child_processes()
+
+
+def test_plot_of_a_bad_number_in_a_later_range_exits_2(tmp_path, capsys, read_back):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    _records_with_failures(cfg, out)
+    records = out / "mc_records.csv"
+    lines = records.read_bytes().split(b"\n")
+    fields = lines[4001].split(b",")
+    fields[6] = b"1.5e"     # the deviation of trial 4000, in the third range
+    lines[4001] = b",".join(fields)
+    records.write_bytes(b"\n".join(lines))
+    # the message of one np.loadtxt of the whole file, row and column included
+    with open(records, newline="") as fh:
+        fh.readline()
+        with pytest.raises(ValueError) as whole:
+            np.loadtxt(fh, delimiter=",", ndmin=2, usecols=[1, 6, 8])
+    assert "at row 4000, column 7" in str(whole.value)
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {records}: {whole.value}\n"
+    assert captured.out == ""
+    assert not (out / "envelope.svg").exists()
+    helpers.assert_no_child_processes()
+
+
+def test_plot_with_a_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIOCTL_THREADS", "2")
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_READ_RANGE", 200_000)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    _records_with_failures(cfg, out)
+    # a forked worker finds this module's function under the patched name
+    monkeypatch.setattr(cli, "_read_points", _exit_in_worker)
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: a worker process died\n"
+    assert captured.out == ""
+    assert not (out / "envelope.svg").exists()
+    helpers.assert_no_child_processes()
 
 
 def test_plot_of_header_only_records_has_no_points(tmp_path, capsys):
@@ -1070,16 +1170,35 @@ def test_plot_of_header_only_records_has_no_points(tmp_path, capsys):
     ("trial,T,t0,z0,Pi,T1,deviation,engine,failed\n"
      "0,0.5,0.1,2,3,2,1,closed,0\n1,abc,0.1,2,3,2,1,closed,0\n",
      "could not convert string 'abc'"),
-], ids=["no-deviation", "no-columns", "bad-number"])
+    (b"trial,T\xff,t0,z0,Pi,T1,deviation,engine,failed\n0,0.5,0.1,2,3,2,1,closed,0\n",
+     "no T column"),
+    (b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n0,0.5\xff,0.1,2,3,2,1,closed,0\n",
+     "can't decode byte 0xff"),
+], ids=["no-deviation", "no-columns", "bad-number", "not-utf8-header", "not-utf8-row"])
 def test_plot_of_unreadable_records_exits_2(tmp_path, capsys, records, message):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
-    (out / "mc_records.csv").write_text(records)
+    (out / "mc_records.csv").write_bytes(
+        records if isinstance(records, bytes) else records.encode())
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert "Traceback" not in err
+    assert not (out / "envelope.svg").exists()
+
+
+def test_plot_with_a_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # BIOCTL_THREADS sizes plot's read-back pool too
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main(list(mc_args(cfg, out))) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BIOCTL_THREADS", "0")
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: BIOCTL_THREADS must be a positive "
+                            "integer, got '0'\n")
+    assert captured.out == ""
     assert not (out / "envelope.svg").exists()
 
 

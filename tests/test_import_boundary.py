@@ -1,5 +1,5 @@
-"""No bioctl code path loads scipy, and importing the CLI loads no
-multiprocessing.
+"""No bioctl code path loads scipy, and neither importing the CLI nor
+running its worker pool loads multiprocessing or concurrent.futures.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already (the oracles in helpers.py use it).
@@ -56,13 +56,35 @@ def test_no_bioctl_path_loads_scipy(tmp_path):
     assert {step: mods for step, mods in loaded.items() if mods} == {}
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # the CSV writer imports it when it starts worker processes
-    res = _python("-c", "import sys, bioctl.cli; print(sorted(m for m in "
-                  "sys.modules if m.split('.')[0] == 'multiprocessing' "
-                  "or m == 'concurrent.futures.process'))")
+# Imports the CLI, then runs a montecarlo with two workers and a plot in
+# the same interpreter, and prints the pool modules loaded after each step.
+_POOL_SCRIPT = r"""
+import json, sys
+
+def pool_modules(names=("concurrent.futures", "multiprocessing", "logging")):
+    return sorted(m for m in sys.modules if m in names or m.startswith(names))
+
+loaded = {}
+from bioctl import cli, forkpool
+loaded["import"] = pool_modules()
+forkpool._usable_cpus = lambda: 2
+cli._READ_RANGE = 1 << 20    # the 2.7 MB of records in three read jobs
+cfg, out = sys.argv[1], sys.argv[2]
+for argv in (["montecarlo", "--trials", "20000"], ["plot"]):
+    assert cli.main([argv[0], "--config", cfg, "--out", out, *argv[1:]]) == 0
+    loaded[argv[0]] = pool_modules(("concurrent.futures", "multiprocessing"))
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_loads_no_multiprocessing(tmp_path, monkeypatch):
+    # the fork pool needs neither concurrent.futures nor multiprocessing,
+    # and nothing else the CLI imports pulls in logging
+    monkeypatch.setenv("BIOCTL_THREADS", "2")
+    res = _python("-c", _POOL_SCRIPT, write_config(tmp_path), str(tmp_path / "out"))
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "montecarlo": [], "plot": []}
 
 
 def test_impulsim_solve_ivp_resolves_to_scipy():

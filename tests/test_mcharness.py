@@ -4,7 +4,6 @@ import math
 import os
 import tracemalloc
 import warnings
-from concurrent.futures import process
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_simpson
 
 import helpers
-from bioctl import impulsim, mcharness, planner
+from bioctl import forkpool, impulsim, mcharness, planner
 from bioctl.impulsim import SimConfig
 from bioctl.kernels import (
     DomainError,
@@ -258,13 +257,13 @@ def csv_pools(monkeypatch):
     per CSV process pool started."""
     started = []
 
-    class CountingPool(process.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
+    class CountingPool(forkpool._Workers):
+        def start(self, job, n):
+            started.append(n)
+            super().start(job, n)
 
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(process, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "_Workers", CountingPool)
     return started
 
 
@@ -282,22 +281,23 @@ def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch,
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
     assert len(csv_pools) == 2   # one per engine, at two workers
+    helpers.assert_no_child_processes()
 
 
 def test_thread_count_is_capped_at_usable_cpus(monkeypatch):
     # the count alone: a huge value must never start that many workers
     monkeypatch.setenv("BIOCTL_THREADS", "100000000000000000000")
-    assert mcharness._thread_count() == mcharness._usable_cpus()
-    monkeypatch.setattr(mcharness, "_usable_cpus", lambda: 3)
-    assert mcharness._thread_count() == 3
+    assert forkpool.thread_count() == forkpool._usable_cpus()
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 3)
+    assert forkpool.thread_count() == 3
     monkeypatch.setenv("BIOCTL_THREADS", "2")
-    assert mcharness._thread_count() == 2
+    assert forkpool.thread_count() == 2
     monkeypatch.delenv("BIOCTL_THREADS")
-    assert mcharness._thread_count() == 3
+    assert forkpool.thread_count() == 3
     monkeypatch.undo()
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    assert mcharness._usable_cpus() == 7
+    assert forkpool._usable_cpus() == 7
 
 
 def test_csv_workers_fork_after_the_engine_threads_end(reference_box, tmp_path,
