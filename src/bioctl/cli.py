@@ -221,8 +221,9 @@ def _mc_settings(cfg: dict, args):
     seed = args.seed if args.seed is not None else _int(d, "seed", 0, "mc")
     engine = args.engine if args.engine is not None else d.get("engine", "closed")
     bins = args.bins if args.bins is not None else _int(d, "bins", 50, "mc")
-    if engine not in ("closed", "zsim", "full"):
-        raise ConfigError(f"mc: engine must be closed, zsim or full; got {engine!r}")
+    if engine not in mcharness.ENGINES:
+        raise ConfigError(f"mc: engine must be one of {', '.join(mcharness.ENGINES)}; "
+                          f"got {engine!r}")
     if trials < 1:
         raise ConfigError("mc: trials must be at least 1")
     if trials > mcharness.MAX_TRIALS:
@@ -648,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--engine", choices=("closed", "zsim", "full"), default=None)
+    p.add_argument("--engine", choices=mcharness.ENGINES, default=None)
 
     add("plot", cmd_plot, "scatter + bound SVG from montecarlo output",
         out=True)

@@ -359,6 +359,15 @@ def _sample_times(t0: float, t_end: float, T: float) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _t_end(k: KernelSet, program: ReleaseProgram, t0: float, cfg: SimConfig) -> float:
+    """t0 plus the horizon, 200/m unless cfg sets one.  The stepper lands
+    on every release before it, so a horizon of 2^53 release periods or
+    more is refused (InputOverflowError), as ``next_release`` refuses t0."""
+    t_end = t0 + (cfg.t_end if cfg.t_end is not None else 200.0 / k.m)
+    next_release(t_end, program.T)
+    return t_end
+
+
 def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
              cfg: Optional[SimConfig] = None, eil=None) -> Trajectory:
     """Integrate from state (x0, y0) at t0, releasing at every nT > t0.
@@ -370,8 +379,7 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
     x0, y0 = _check_start(x0, y0)
     cfg = cfg or SimConfig()
     t0 = float(t0)
-    horizon = cfg.t_end if cfg.t_end is not None else 200.0 / k.m
-    t_end = t0 + horizon
+    t_end = _t_end(k, program, t0, cfg)
     ts = _sample_times(t0, t_end, program.T)
     xs, ys = np.empty_like(ts), np.empty_like(ts)
     xs[0], ys[0] = x0, y0
@@ -412,7 +420,7 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
     y0 = PestFreeOrbit(program.mu, program.T, k.m).eval(t0, post=True) + delta
     x0, y0 = _check_start(x0, y0)
     t0 = float(t0)
-    t_end = t0 + (cfg.t_end if cfg.t_end is not None else 200.0 / k.m)
+    t_end = _t_end(k, program, t0, cfg)
     # every step starts above eil, so the first crossing is the way down
     for t, h, _, x, _, kx, _, xn, _, _ in _steps(k, program, x0, y0, t0, t_end, cfg):
         for t_cross, _ in _crossings(t, h, x, xn, kx, eil):

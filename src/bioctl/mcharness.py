@@ -1,7 +1,7 @@
 """Monte Carlo reproduction of the worst-case deviation envelope.
 
 Draws (T, t0, z0) triples from a counter-based deterministic stream,
-computes the damage time of every trial with one of three engines, and
+computes the damage time of every trial with one of two engines, and
 checks the deviation scatter Pi - T1 against the closed-form envelope
 from :mod:`bioctl.planner`.
 
@@ -9,11 +9,6 @@ Engines:
 
 * ``closed``: the comparison model's piecewise-analytic damage time from
   :mod:`bioctl.planner`, one Newton inversion per trial (default);
-* ``zsim``: independent numerical route, cumulative Simpson quadrature of
-  the comparison model on fixed uniform grids with local grid refinement
-  at the crossing, a block of trials at a time as 2-D numpy arrays; it
-  shares no closed form with :mod:`bioctl.planner`, so it cross-checks
-  the closed engine;
 * ``full``: nonlinear simulation via :mod:`bioctl.impulsim`, the invasion
   size mapped back to a pest density through the local change of
   variables.
@@ -48,6 +43,7 @@ from .kernels import DomainError, InputOverflowError, KernelSet
 from .orbit import ReleaseProgram
 
 __all__ = [
+    "ENGINES",
     "MAX_BINS",
     "MAX_SEED",
     "MAX_TRIALS",
@@ -75,8 +71,10 @@ MAX_TRIALS = (2 ** 64 - 1) // 3
 MAX_SEED = 2 ** 64 - 1
 #: most envelope bins; the binning allocates a few arrays of this length
 MAX_BINS = 2 ** 20
+#: the damage-time engines, the default first
+ENGINES = ("closed", "full")
 
-#: trials per job of the closed and zsim engines, and rows per formatting
+#: trials per job of the closed engine, and rows per formatting
 #: job of ``write_records_csv``: a job's text is about 0.5 MB
 _CSV_ROWS = 4096
 #: trials per full-engine job.  A trial costs about a millisecond and far
@@ -85,11 +83,6 @@ _CSV_ROWS = 4096
 _FULL_ROWS = 256
 #: the record columns, in CSV order
 _COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
-
-_ZSIM_NODES = 513
-_ZSIM_SUBNODES = 129
-#: trials per zsim block: bounded memory, 1 MB (256 x 513 floats) an array
-_ZSIM_BLOCK = 256
 
 #: absolute slack of ``verify_envelope`` for rounding in Pi - T1
 _ENVELOPE_SLACK = 1e-9
@@ -132,7 +125,7 @@ class McConfig:
     mu: float
     n_trials: int = 200_000
     seed: int = 0
-    engine: str = "closed"                 # closed | zsim | full
+    engine: str = "closed"                 # one of ENGINES
     kernels: Optional[KernelSet] = None    # full engine only
     eil: Optional[float] = None            # full engine only
     sim: Optional[impulsim.SimConfig] = None
@@ -143,7 +136,7 @@ class McConfig:
             raise DomainError("n_trials must be at least 1")
         if not 0 <= self.seed <= MAX_SEED:
             raise DomainError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
-        if self.engine not in ("closed", "zsim", "full"):
+        if self.engine not in ENGINES:
             raise DomainError(f"unknown engine {self.engine!r}")
         if self.engine == "full" and (self.kernels is None or self.eil is None):
             raise DomainError("the full engine needs kernels and eil")
@@ -156,10 +149,10 @@ class McConfig:
         object.__setattr__(self, "t_upper", t_upper)
         # comparison-model Pi and T1 are both about t1 = z0/(mu - sigma), so
         # Pi - T1 carries rounding noise of about ulp(t1)
-        if self.engine != "full" and not math.ulp(
+        if self.engine == "closed" and not math.ulp(
                 self.box.z0_hi / (self.mu - self.box.sigma_lo)) <= _ENVELOPE_SLACK:
             raise InputOverflowError(
-                f"z0={self.box.z0_hi:g} is too large for the {self.engine} "
+                f"z0={self.box.z0_hi:g} is too large for the closed "
                 "engine: one ulp of z0/(mu - sigma) exceeds the "
                 f"{_ENVELOPE_SLACK:g} slack of the envelope check")
         if self.engine == "full":
@@ -193,72 +186,6 @@ class Trials:
 # engines
 
 
-def _cum_simpson(f, h):
-    """Cumulative composite Simpson from 0 along each row of f, which
-    samples an odd number of nodes h apart (h one per row).  The first
-    interval of each pair is (h/12)(5f_0 + 8f_1 - f_2), the second its
-    mirror image (h/12)(-f_0 + 8f_1 + 5f_2)."""
-    out, eight = np.zeros_like(f), 8.0 * f[:, 1::2]
-    np.subtract(5.0 * f[:, :-2:2] + eight, f[:, 2::2], out=out[:, 1::2])
-    np.subtract(5.0 * f[:, 2::2] + eight, f[:, :-2:2], out=out[:, 2::2])
-    out[:, 1:] *= (h / 12.0)[:, None]
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
-    return out
-
-
-def _zsim_path(a, b, z_a, nodes, sigma, m, peak):
-    """Comparison-model path from z_a at phase a to phase b, one trial a
-    row, on a uniform grid of the given node count."""
-    grid = np.linspace(a, b, nodes, axis=1)
-    rhs = sigma - m * peak[:, None] * np.exp(-m * grid)
-    return grid, z_a[:, None] + _cum_simpson(rhs, (b - a) / (nodes - 1))
-
-
-def _zsim_cross(grid, z, sigma, m, peak):
-    """First root along each row of a sampled z path: find the sign-change
-    cell, re-quadrate it on a finer grid and interpolate linearly."""
-    rows = np.arange(len(z))
-    i = np.argmax(z <= 0.0, axis=1)
-    sub, zs = _zsim_path(grid[rows, i - 1], grid[rows, i], z[rows, i - 1],
-                         _ZSIM_SUBNODES, sigma, m, peak)
-    j = np.argmax(zs <= 0.0, axis=1)
-    za, zb, lo = zs[rows, j - 1], zs[rows, j], sub[rows, j - 1]
-    return np.where(z[:, 0] <= 0.0, grid[:, 0],
-                    lo + za / (za - zb) * (sub[rows, j] - lo))
-
-
-def _pi_zsim(Ts, t0s, z0s, sigma, m, mu):
-    """Quadrature route, a block of trials at a time as 2-D arrays.  One
-    quadrated period per trial serves every whole period after the first
-    partial segment; the crossing cell gets its own finer grid."""
-    out = np.empty(len(Ts))
-    for s in range(0, len(Ts), _ZSIM_BLOCK):
-        T, t0, z0 = (c[s:s + _ZSIM_BLOCK] for c in (Ts, t0s, z0s))
-        peak = mu * T / -np.expm1(-m * T)
-        grid, z = _zsim_path(t0, T, z0, _ZSIM_NODES, sigma, m, peak)
-        pgrid, pz = _zsim_path(0.0 * T, T, 0.0 * T, _ZSIM_NODES, sigma, m, peak)
-        z_b1, drop, first = z[:, -1], -pz[:, -1], z[:, -1] <= 0.0
-        periods = np.where(first, 1.0, z_b1 / drop)
-        # past 2^53 a float can no longer count periods: n - 1 rounds, and
-        # the drift guards below would never move the remainder
-        if not (counted := periods < 2.0 ** 53).all():
-            k = int(np.argmin(counted))
-            raise InputOverflowError(
-                f"z0={z0[k]:g} is too large for the zsim engine: at "
-                f"T={T[k]:g} the invasion outlasts 2^53 release periods")
-        n = np.ceil(periods)
-        while (down := (n > 1.0) & (z_b1 - (n - 1.0) * drop <= 0.0)).any():
-            n[down] -= 1.0
-        while (up := z_b1 - (n - 1.0) * drop > drop).any():
-            n[up] += 1.0
-        seg = first[:, None]
-        cross = _zsim_cross(np.where(seg, grid, pgrid), np.where(
-            seg, z, (z_b1 - (n - 1.0) * drop)[:, None] + pz), sigma, m, peak)
-        out[s:s + _ZSIM_BLOCK] = np.where(
-            first, cross - t0, (T - t0) + (n - 1.0) * T + cross)
-    return out
-
-
 def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
     """Trials [start, stop) of a run: their draws from the counter stream
     and their damage times from the engine."""
@@ -273,8 +200,6 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
     x0s = None
     if cfg.engine == "closed":
         pis = planner._damage_times(Ts, t0s, z0s, sigma, m, cfg.mu)
-    elif cfg.engine == "zsim":
-        pis = _pi_zsim(Ts, t0s, z0s, sigma, m, cfg.mu)
     else:
         gp0 = cfg.kernels.response.slope0()
         sim_cfg = cfg.sim or impulsim.SimConfig()
@@ -288,7 +213,7 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
                     cfg.kernels, program, float(x0s[i]), cfg.eil,
                     t0=float(t0s[i]), cfg=sim_cfg)
             except (impulsim.HorizonExceededError, impulsim.IntegrationError,
-                    impulsim.StateConsistencyError):
+                    impulsim.StateConsistencyError, InputOverflowError):
                 pis[i] = math.nan
                 failed[i] = True
     return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=pis - t1s,
@@ -309,7 +234,8 @@ def run_mc(cfg: McConfig) -> Trials:
 
     Trial i draws T uniform in (0, T_L), t0 uniform in (0, T) and z0
     uniform in the z0 box.  Full-engine trials that exceed the horizon,
-    fail to integrate or leave the state space are flagged failed with
+    fail to integrate, leave the state space or overflow a float (a
+    horizon of 2^53 release periods, say) are flagged failed with
     Pi = nan, never dropped.  The trials are solved job by job, as in
     ``stream_mc``.
     """

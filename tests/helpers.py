@@ -302,7 +302,8 @@ def mp_ratio_supremum(k, grid_n=4096):
 
 
 # --------------------------------------------------------------------------
-# the former per-trial zsim engine, kept as the reference for the columnar one
+# the closed engine's quadrature oracle: scipy's cumulative Simpson on fixed
+# grids, with no closed form shared with bioctl.planner
 
 
 def _scipy_zsim_cross(grid, z, sigma, m, peak):
@@ -341,7 +342,7 @@ def scipy_zsim_damage_time(T, t0, z0, sigma, m, mu) -> float:
     periods = z_b1 / drop
     if not periods < 2.0 ** 53:
         raise InputOverflowError(
-            f"z0={z0:g} is too large for the zsim engine: at T={T:g} the "
+            f"z0={z0:g} is too large for the quadrature oracle: at T={T:g} the "
             "invasion outlasts 2^53 release periods")
     n = math.ceil(periods)
     while n > 1 and z_b1 - (n - 1) * drop <= 0.0:

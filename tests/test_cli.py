@@ -341,25 +341,25 @@ def test_optimize_huge_invasion_terminates(tmp_path):
         assert fh.read() == "T,pi_max,deviation\n"
 
 
-@pytest.mark.parametrize("z0_hi", [1e12, 1e300, 1e308])
-def test_zsim_huge_invasion_box_terminates(tmp_path, z0_hi):
-    # as for the closed engine, Pi - T1 is rounding noise above the envelope
-    # check's slack: 26 false violations in 2000 trials at 1e12; at 1e300
-    # the period count is also past 2^53, and at 1e308 it overflows a float
-    cfg = write_config(tmp_path, {"box.z0": [1.0, z0_hi]})
-    res = run_cli("montecarlo", "--config", cfg, "--engine", "zsim",
-                  "--trials", "2000", "--out", str(tmp_path / "out"), timeout=60)
+@pytest.mark.parametrize("flags, overrides", [
+    (["--engine", "zsim"], None), ([], {"mc": {"engine": "zsim"}})],
+    ids=["flag", "config"])
+def test_unknown_engine_is_refused(tmp_path, flags, overrides):
+    cfg = write_config(tmp_path, overrides)
+    res = run_cli("montecarlo", "--config", cfg, *flags, "--trials", "10",
+                  "--out", str(tmp_path / "out"), timeout=60)
     assert res.returncode == 2, res.stderr
-    assert "too large for the zsim engine" in res.stderr
-    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert "zsim" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("z0_hi", [1e300, 1e308])
+@pytest.mark.parametrize("z0_hi", [1e12, 1e300, 1e308])
 def test_closed_engine_refuses_huge_invasion_box(tmp_path, z0_hi):
-    # Pi and T1 are both about z0 there, so Pi - T1 is rounding noise far
-    # above the envelope check's slack: 88 false violations at 1e300, and
-    # Pi = inf with a RuntimeWarning at 1e308
+    # Pi and T1 are both about z0 there, so Pi - T1 is rounding noise
+    # above the envelope check's slack: ulp(1e12) is about 1.2e-4, there
+    # are 88 false violations at 1e300, and Pi = inf with a RuntimeWarning
+    # at 1e308
     cfg = write_config(tmp_path, {"box.z0": [1.0, z0_hi]})
     res = run_cli("montecarlo", "--config", cfg, "--trials", "2000",
                   "--out", str(tmp_path / "out"), timeout=60)
@@ -497,6 +497,21 @@ def test_damage_default_period_exceeds_ceiling(tmp_path):
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["damage", "--z0", "1"],
+                                  ["simulate", "--x0", "1"]])
+def test_horizon_past_2_53_periods_is_an_input_error(tmp_path, argv):
+    # the 200/m horizon is about 2e302 periods of 1e-300, and the stepper
+    # and the sampling would visit every release
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    res = run_cli(*argv, "--config", write_config(tmp_path), "--period", "1e-300",
+                  timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "release counts past 2^53" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------
@@ -690,7 +705,7 @@ def _library_montecarlo(mc_cfg, out, bins):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("engine, n_trials", [
-    ("closed", 10_000), ("zsim", 5_000), ("full", 40)])
+    ("closed", 10_000), ("full", 40)])
 def test_streamed_montecarlo_matches_library_path(tmp_path, capsys, monkeypatch,
                                                   engine, n_trials, threads):
     monkeypatch.setenv("BIOCTL_THREADS", threads)

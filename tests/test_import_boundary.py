@@ -33,7 +33,6 @@ steps = [
     ["montecarlo", "--trials", "500", "--out", out],
     ["plot", "--out", out],
     ["montecarlo", "--engine", "full", "--trials", "3", "--out", out],
-    ["montecarlo", "--engine", "zsim", "--trials", "50", "--out", out],
 ]
 for argv in steps:
     code = cli.main([argv[0], "--config", cfg, *argv[1:]])
@@ -52,7 +51,7 @@ def test_no_bioctl_path_loads_scipy(tmp_path):
     res = _python("-c", _SCRIPT, write_config(tmp_path), str(tmp_path / "out"))
     assert res.returncode == 0, res.stderr
     loaded = json.loads(res.stdout.splitlines()[-1])
-    assert len(loaded) == 11
+    assert len(loaded) == 10
     assert {step: mods for step, mods in loaded.items() if mods} == {}
 
 
