@@ -410,7 +410,7 @@ def cmd_montecarlo(args) -> tuple[int, dict]:
     report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins,
                                          stale=[env_path])
     mcharness.write_envelope_csv(report, env_path)
-    code = 1 if (report.violations > 0 and engine != "full") else 0
+    code = 1 if report.violations > 0 else 0
     return code, {"trials": trials,
                   "seed": seed,
                   "engine": engine,
@@ -441,14 +441,9 @@ def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
     if len(xs) > _SVG_MAX_POINTS:
         stride = int(math.ceil(len(xs) / _SVG_MAX_POINTS))
         xs, ys = xs[::stride], ys[::stride]
-    all_x = np.concatenate([xs, curve_x]) if len(xs) else np.asarray(curve_x)
-    all_y = np.concatenate([ys, curve_y]) if len(ys) else np.asarray(curve_y)
+    all_x, all_y = np.concatenate([xs, curve_x]), np.concatenate([ys, curve_y])
     x_lo, x_hi = float(all_x.min(initial=0.0)), float(all_x.max(initial=1.0))
-    y_lo, y_hi = float(min(all_y.min(initial=0.0), 0.0)), float(all_y.max(initial=1.0))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    y_lo, y_hi = float(all_y.min(initial=0.0)), float(all_y.max(initial=1.0))
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
     w_in = _SVG_W - 2 * _SVG_PAD

@@ -49,8 +49,6 @@ __all__ = [
     "MAX_TRIALS",
     "McConfig",
     "Trials",
-    "BinStat",
-    "BinReport",
     "EnvelopeReport",
     "stream_uniforms",
     "run_mc",
@@ -250,29 +248,19 @@ def run_mc(cfg: McConfig) -> Trials:
 # envelope statistics
 
 
-@dataclass(frozen=True)
-class BinStat:
-    bin_mid: float
-    max_dev: float
-    min_dev: float
-    count: int
-
-
-@dataclass(frozen=True)
-class BinReport:
-    bin_mid: float
-    max_dev: float
-    min_dev: float
-    bound: float
-    count: int
-    coverage_ratio: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeReport:
+    """The envelope check, its bins as columns: entry j of each array is
+    period bin j.  Empty bins have count 0 and nan extremes and ratio."""
+
     violations: int
     t_upper: float
-    bins: list
+    bin_mid: np.ndarray
+    max_dev: np.ndarray
+    min_dev: np.ndarray
+    bound: np.ndarray
+    count: np.ndarray
+    coverage_ratio: np.ndarray
 
 
 def _bin_partial(trials: Trials, n_bins: int, t_upper: float):
@@ -304,13 +292,12 @@ class _Bins:
         self.hi[bins] = np.maximum(self.hi[bins], hi)
         self.lo[bins] = np.minimum(self.lo[bins], lo)
 
-    def stats(self, t_upper: float) -> list:
+    def columns(self, t_upper: float) -> tuple:
+        """(bin_mid, max_dev, min_dev, count), with nan extremes in empty bins."""
         empty = self.count == 0
-        hi, lo = np.where(empty, np.nan, self.hi), np.where(empty, np.nan, self.lo)
         edges = np.linspace(0.0, t_upper, len(self.count) + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return [BinStat(*row) for row in zip(mids.tolist(), hi.tolist(),
-                                             lo.tolist(), self.count.tolist())]
+        return (0.5 * (edges[:-1] + edges[1:]), np.where(empty, np.nan, self.hi),
+                np.where(empty, np.nan, self.lo), self.count)
 
 
 def _check_bins(n_bins: int, t_upper: float) -> None:
@@ -320,8 +307,9 @@ def _check_bins(n_bins: int, t_upper: float) -> None:
         raise DomainError("t_upper must be positive")
 
 
-def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> list:
-    """Deviation extremes per equal-width period bin over (0, t_upper).
+def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> tuple:
+    """Deviation extremes per equal-width period bin over (0, t_upper), as
+    the columns (bin_mid, max_dev, min_dev, count); entry j is bin j.
 
     Empty bins (and bins whose only trials failed) report count 0 with nan
     extremes.
@@ -329,7 +317,7 @@ def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> list:
     _check_bins(n_bins, t_upper)
     acc = _Bins(n_bins)
     acc.fold(_bin_partial(trials, n_bins, t_upper))
-    return acc.stats(t_upper)
+    return acc.columns(t_upper)
 
 
 def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
@@ -341,13 +329,14 @@ def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
     return int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
 
 
-def _envelope_report(violations: int, t_upper: float, stats: list,
+def _envelope_report(violations: int, t_upper: float, columns: tuple,
                      box: planner.UncertaintyBox, mu: float) -> EnvelopeReport:
-    bin_bounds = planner.envelope_bound_curve([st.bin_mid for st in stats], box, mu)
-    bins = [BinReport(st.bin_mid, st.max_dev, st.min_dev, bound, st.count,
-                      st.max_dev / bound if st.count and bound > 0 else math.nan)
-            for st, bound in zip(stats, bin_bounds.tolist())]
-    return EnvelopeReport(violations, t_upper, bins)
+    bin_mid, max_dev, min_dev, count = columns
+    bound = planner.envelope_bound_curve(bin_mid, box, mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where((count > 0) & (bound > 0), max_dev / bound, np.nan)
+    return EnvelopeReport(violations, t_upper, bin_mid, max_dev, min_dev, bound,
+                          count, ratio)
 
 
 def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
@@ -359,6 +348,7 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     full engine is only locally approximated by the comparison model and
     is exempt.  Per bin, ``coverage_ratio`` is max_dev over the bound at
     the bin midpoint; it approaches 1 from below as trials accumulate.
+    The bins are columns, as in ``bin_envelope``.
     """
     t_upper, _ = planner.t_limits(box, mu)
     return _envelope_report(_violations(trials, box, mu), t_upper,
@@ -400,10 +390,10 @@ def write_records_csv(trials: Trials, path) -> None:
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:
-    fields = ("bin_mid", "max_dev", "min_dev", "bound", "count")
-    cols = ([getattr(b, f) for b in report.bins] for f in fields)
     tables.write(path, [b"bin_mid,max_dev,min_dev,bound,count\n",
-                        tables.rows("%.17g,%.17g,%.17g,%.17g,%d\n", *cols)])
+                        tables.rows("%.17g,%.17g,%.17g,%.17g,%d\n", report.bin_mid,
+                                    report.max_dev, report.min_dev, report.bound,
+                                    report.count)])
 
 
 # --------------------------------------------------------------------------
@@ -462,6 +452,6 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
         yield from map(fold, forkpool.map_jobs(job, len(starts), workers))
 
     tables.write(path, chunks())
-    report = _envelope_report(violations, cfg.t_upper, acc.stats(cfg.t_upper),
+    report = _envelope_report(violations, cfg.t_upper, acc.columns(cfg.t_upper),
                               cfg.box, cfg.mu)
     return report, failed

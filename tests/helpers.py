@@ -421,9 +421,10 @@ def csv_envelope(report, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["bin_mid", "max_dev", "min_dev", "bound", "count"])
-        for b in report.bins:
-            w.writerow([_fmt(b.bin_mid), _fmt(b.max_dev), _fmt(b.min_dev),
-                        _fmt(b.bound), b.count])
+        for mid, hi, lo, bound, count in zip(
+                report.bin_mid.tolist(), report.max_dev.tolist(),
+                report.min_dev.tolist(), report.bound.tolist(), report.count.tolist()):
+            w.writerow([_fmt(mid), _fmt(hi), _fmt(lo), _fmt(bound), count])
 
 
 def assert_no_child_processes() -> None:

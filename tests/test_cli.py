@@ -961,10 +961,10 @@ def test_csv_bytes_match_the_csv_writer_reference(tmp_path, capsys, monkeypatch,
         new = out / "robust_bound.csv"
         helpers.csv_robust_bound(seen[0], _specials(200), t_lower, old)
     else:
-        bins = [mcharness.BinReport(*vals, count, math.nan) for vals, count in zip(
-            zip(_specials(9), _specials(9, 2), _specials(9, 5), _specials(9, 7)),
-            [0, 1, 7, 2 ** 40, 3, 0, 12, 5, 9])]
-        report = mcharness.EnvelopeReport(0, 1.0, bins)
+        report = mcharness.EnvelopeReport(
+            0, 1.0, *(_specials(9, k) for k in (0, 2, 5, 7)),
+            count=np.array([0, 1, 7, 2 ** 40, 3, 0, 12, 5, 9]),
+            coverage_ratio=np.full(9, math.nan))
         new = tmp_path / "mc_envelope.csv"
         mcharness.write_envelope_csv(report, new)
         helpers.csv_envelope(report, old)

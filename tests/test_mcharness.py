@@ -30,6 +30,7 @@ from bioctl.mcharness import (
 
 MU = 2.0
 COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
+BIN_COLUMNS = ("bin_mid", "max_dev", "min_dev", "bound", "count", "coverage_ratio")
 
 
 def small_cfg(box, **kw):
@@ -295,7 +296,13 @@ def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, eng
         report, failed = mcharness.stream_mc(
             small_cfg(reference_box, n_trials=3000, engine=engine), path, n_bins=7)
         outputs.append((path.read_bytes(), report, failed))
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    (data, report, failed), *others = outputs
+    for other_data, other, other_failed in others:
+        assert (other_data, other_failed) == (data, failed)
+        assert (other.violations, other.t_upper) == (report.violations, report.t_upper)
+        for name in BIN_COLUMNS:
+            assert np.array_equal(getattr(other, name), getattr(report, name),
+                                  equal_nan=True)
 
 
 def test_repeat_run_is_identical(reference_box):
@@ -313,30 +320,30 @@ def test_repeat_run_is_identical(reference_box):
 def test_bin_envelope_counts_and_gaps(reference_box):
     trials = run_mc(small_cfg(reference_box))
     t_upper, _ = planner.t_limits(reference_box, MU)
-    stats = bin_envelope(trials, 40, t_upper)
-    assert len(stats) == 40
-    assert sum(s.count for s in stats) == len(trials.T)
-    for s in stats:
-        if s.count:
-            assert s.min_dev <= s.max_dev
-        else:
-            assert math.isnan(s.max_dev) and math.isnan(s.min_dev)
+    cols = bin_envelope(trials, 40, t_upper)
+    assert all(c.shape == (40,) for c in cols)
+    mid, hi, lo, count = cols
+    assert count.dtype == np.int64 and count.sum() == len(trials.T)
+    full = count > 0
+    assert np.all(lo[full] <= hi[full])
+    assert np.isnan(hi[~full]).all() and np.isnan(lo[~full]).all()
     # failed trials drop out; every bin matches a direct mask over the trials
     failed = np.arange(len(trials.T)) % 7 == 0
     trials = dataclasses.replace(
         trials, failed=failed, deviation=np.where(failed, np.nan, trials.deviation))
     edges = np.linspace(0.0, t_upper, 41)
-    for b, s in enumerate(bin_envelope(trials, 40, t_upper)):
+    mid, hi, lo, count = bin_envelope(trials, 40, t_upper)
+    for b in range(40):
         sel = ~failed & (trials.T >= edges[b]) & ((trials.T < edges[b + 1]) | (b == 39))
-        assert s.count == sel.sum()
-        assert s.bin_mid == 0.5 * (edges[b] + edges[b + 1])
-        if s.count:
-            assert (s.max_dev, s.min_dev) == (trials.deviation[sel].max(),
-                                              trials.deviation[sel].min())
+        assert count[b] == sel.sum()
+        assert mid[b] == 0.5 * (edges[b] + edges[b + 1])
+        if count[b]:
+            assert (hi[b], lo[b]) == (trials.deviation[sel].max(),
+                                      trials.deviation[sel].min())
     # far-right bins beyond every draw stay empty rather than vanishing
-    wide = bin_envelope(trials, 10, 4.0 * t_upper)
-    assert wide[-1].count == 0
-    assert math.isnan(wide[-1].max_dev) and math.isnan(wide[-1].min_dev)
+    _, hi, lo, count = bin_envelope(trials, 10, 4.0 * t_upper)
+    assert len(count) == 10 and count[-1] == 0
+    assert math.isnan(hi[-1]) and math.isnan(lo[-1])
     with pytest.raises(DomainError):
         bin_envelope(trials, 0, t_upper)
     with pytest.raises(DomainError):
@@ -349,15 +356,36 @@ def test_verify_envelope_reference(reference_box):
     assert report.violations == 0
     t_upper, _ = planner.t_limits(reference_box, MU)
     assert math.isclose(report.t_upper, t_upper, rel_tol=1e-12)
-    assert len(report.bins) == 25
-    for b in report.bins:
-        assert b.bound == planner.envelope_bound_curve(b.bin_mid, reference_box, MU)
-        assert b.bound > 0.0
-        if b.count >= 100:
-            assert b.min_dev <= 0.0   # early invasions beat the mean time
-            assert 0.0 < b.coverage_ratio
-    populated = [b for b in report.bins if b.count >= 200]
-    assert populated and max(b.coverage_ratio for b in populated) > 0.6
+    for name in BIN_COLUMNS:
+        assert getattr(report, name).shape == (25,)
+    for j in range(25):
+        assert report.bound[j] == planner.envelope_bound_curve(
+            float(report.bin_mid[j]), reference_box, MU)
+    assert np.all(report.bound > 0.0)
+    busy = report.count >= 100
+    assert busy.any()
+    assert np.all(report.min_dev[busy] <= 0.0)   # early invasions beat the mean time
+    assert np.all(report.coverage_ratio[busy] > 0.0)
+    assert np.array_equal(report.coverage_ratio,
+                          np.where(report.count > 0, report.max_dev / report.bound, np.nan),
+                          equal_nan=True)
+    populated = report.count >= 200
+    assert populated.any() and report.coverage_ratio[populated].max() > 0.6
+
+
+def test_envelope_memory_is_bounded_at_max_bins(reference_box):
+    # the bins stay numpy columns: no per-bin Python object at 2^20 bins
+    trials = run_mc(small_cfg(reference_box, n_trials=20_000))
+    tracemalloc.start()
+    try:
+        report = verify_envelope(trials, reference_box, MU, n_bins=mcharness.MAX_BINS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for name in BIN_COLUMNS:
+        assert getattr(report, name).shape == (mcharness.MAX_BINS,)
+    assert report.count.sum() == 20_000
+    assert peak < 100 * 2 ** 20
 
 
 def test_envelope_csv_layout(reference_box, tmp_path):
