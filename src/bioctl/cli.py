@@ -428,19 +428,28 @@ _SVG_W = 800
 _SVG_H = 500
 _SVG_PAD = 60
 _SVG_MAX_POINTS = 4000
+_SVG_CIRCLE = ('<circle cx="%.2f" cy="%.2f" r="1.5" '
+               'fill="#4878a8" fill-opacity="0.35"/>')
 _PLOT_COLUMNS = ("T", "deviation", "failed")
-#: bytes of mc_records.csv a read-back job of plot parses (about 31k rows,
-#: 50 ms); a smaller file is one job in this process
-_READ_RANGE = 4 << 20
+#: bytes of mc_records.csv a read-back job of plot parses (about 7.8k rows,
+#: whose answer is about 125 kB); a smaller file is one job in this process
+_READ_RANGE = 1 << 20
+
+
+def _plot_stride(n: int) -> int:
+    """The least power of two g with ceil(n / g) <= _SVG_MAX_POINTS: the
+    scatter of n points draws every g-th."""
+    g = 1
+    while -(-n // g) > _SVG_MAX_POINTS:
+        g *= 2
+    return g
 
 
 def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
                        x_label: str, y_label: str) -> str:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) > _SVG_MAX_POINTS:
-        stride = int(math.ceil(len(xs) / _SVG_MAX_POINTS))
-        xs, ys = xs[::stride], ys[::stride]
+    stride = _plot_stride(len(xs))
+    xs = np.asarray(xs, dtype=float)[::stride]
+    ys = np.asarray(ys, dtype=float)[::stride]
     all_x, all_y = np.concatenate([xs, curve_x]), np.concatenate([ys, curve_y])
     x_lo, x_hi = float(all_x.min(initial=0.0)), float(all_x.max(initial=1.0))
     y_lo, y_hi = float(all_y.min(initial=0.0)), float(all_y.max(initial=1.0))
@@ -494,9 +503,10 @@ def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
         parts.append(f'<line x1="{_SVG_PAD}" y1="{zy:.2f}" '
                      f'x2="{_SVG_W - _SVG_PAD}" y2="{zy:.2f}" '
                      'stroke="#bbbbbb" stroke-dasharray="4 3"/>')
-    for x, y in zip(xs, ys):
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.5" '
-                     'fill="#4878a8" fill-opacity="0.35"/>')
+    if len(xs):
+        centres = np.column_stack([sx(xs), sy(ys)])
+        parts.append("\n".join([_SVG_CIRCLE] * len(xs))
+                     % tuple(centres.ravel().tolist()))
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(curve_x, curve_y))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#c0392b" '
                  'stroke-width="1.8"/>')
@@ -534,6 +544,26 @@ def _line_ranges(fh, start: int, size: int) -> list:
     return list(zip(cuts, cuts[1:] + [size]))
 
 
+def _subsample(parts):
+    """(n, Ts, devs): the count n of the points in the (T, deviation) array
+    pairs of parts, and every _plot_stride(n)-th point, folded as the parts
+    come, in order.  It keeps the points whose index is a multiple of g, a
+    power of two, and doubles g (dropping every other kept point) whenever
+    more than _SVG_MAX_POINTS would be kept, so what it holds does not grow
+    with n.  Kept points are copies: a view would pin a whole part."""
+    n, g = 0, 1
+    Ts = devs = np.empty(0)
+    for T, dev in parts:
+        first = -n % g
+        Ts = np.concatenate([Ts, T[first::g]])
+        devs = np.concatenate([devs, dev[first::g]])
+        n += len(T)
+        while len(Ts) > _SVG_MAX_POINTS:
+            g *= 2
+            Ts, devs = Ts[::2], devs[::2]
+    return n, Ts, devs
+
+
 def cmd_plot(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     mu = _mu_only(cfg)
@@ -557,7 +587,7 @@ def cmd_plot(args) -> tuple[int, dict]:
         size = os.fstat(fh.fileno()).st_size
         ranges = _line_ranges(fh, fh.tell(), size)
     try:
-        parts = list(forkpool.map_jobs(
+        n_points, Ts, devs = _subsample(forkpool.map_jobs(
             lambda k: _read_points(rec_path, *ranges[k], usecols), len(ranges), workers))
     except ValueError as e:
         error = e
@@ -566,7 +596,6 @@ def cmd_plot(args) -> tuple[int, dict]:
         except ValueError as whole:
             error = whole
         raise ConfigError(f"{rec_path}: {error}") from None
-    Ts, devs = (np.concatenate(c) for c in zip(*parts))
     t_upper, _ = planner.t_limits(box, mu)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, mu)
@@ -576,7 +605,7 @@ def cmd_plot(args) -> tuple[int, dict]:
         x_label="release period T", y_label="Pi - T1")
     svg_path = os.path.join(out, "envelope.svg")
     tables.write(svg_path, [svg.encode()])
-    return 0, {"points": len(Ts), "svg": svg_path}
+    return 0, {"points": n_points, "svg": svg_path}
 
 
 # --------------------------------------------------------------------------

@@ -18,8 +18,9 @@ time, and one ``bytearray.translate`` a pass drops the NULs:
 * the layout (fixed or scientific, the point, the stripped trailing
   zeros) is a word-wise select from small mask tables, with no per-byte
   gather;
-* a value the product does not certify (nan, inf, nonzero |x| outside
-  [2^-200, 2^200), a rounding near a tie), and ``%d`` of |x| >= 2^53, is
+* nan, inf and -inf are fixed words, like the literal text;
+* a value the product does not certify (nonzero |x| outside [2^-200,
+  2^200), a rounding near a tie), and ``%d`` of |x| >= 2^53, is
   formatted alone with ``%``.
 """
 
@@ -47,6 +48,8 @@ _E2_MIN, _E2_SPAN = -200, 400
 _K_LO, _K_HI = -64, 80
 #: a rounding is trusted when the fraction is this far from one half
 _TIE = 0.5 - 1e-6
+#: %.17g of nan (of either sign), inf and -inf, as little-endian words
+_NAN, _INF, _NEG_INF = (int.from_bytes(w, "little") for w in (b"nan", b"inf", b"-inf"))
 
 
 class OutputWriteError(RuntimeError):
@@ -203,8 +206,8 @@ def _digit_words(t, b0, r):
 def _g_words(t, x, out, lit):
     """%.17g of the float64 values x into the four word rows of out: the
     head (sign, "0.000"), the digit area and its tail (exponent, then lit,
-    at most one byte).  Returns the indices left to ``%``: nan, inf,
-    nonzero |x| outside [2^-200, 2^200) and roundings within 1e-6 of a tie.
+    at most one byte).  Returns the indices left to ``%``: nonzero |x|
+    outside [2^-200, 2^200) and roundings within 1e-6 of a tie.
     """
     bits = x.view(np.uint64)
     e2 = (bits >> 52 & 0x7FF).view(np.int64) - 1023
@@ -246,7 +249,14 @@ def _g_words(t, x, out, lit):
         ma, ms, pt = area[3 * j:3 * j + 3]
         np.bitwise_or(w & ma | s & ms, pt, out=out[j + 1])
     out[3] |= tail | lit << 56
-    return np.flatnonzero(~ok & (x != 0) | tie)
+    special = e2 == 1024     # nan and inf: fixed words
+    if special.any():
+        i = np.flatnonzero(special)
+        out[0, i] = np.where(np.isnan(x[i]), _NAN,
+                             np.where(x[i] > 0, _INF, _NEG_INF))
+        out[1:3, i] = 0
+        out[3, i] = np.uint64(lit << 56)
+    return np.flatnonzero(~ok & ~special & (x != 0) | tie)
 
 
 def _d_words(t, x, out, lit):

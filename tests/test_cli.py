@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -1123,6 +1124,87 @@ def test_plot_read_back_in_ranges_matches_row_by_row_reader(tmp_path, capsys,
     assert parse_kv(capsys.readouterr().out)["points"] == str(points)
     assert (out / "envelope.svg").read_text() == expected
     helpers.assert_no_child_processes()
+
+
+@pytest.mark.parametrize("max_points", [4000, 333, 50])
+def test_plot_streams_every_stride_th_point_across_range_cuts(
+        tmp_path, capsys, monkeypatch, read_back, max_points):
+    # the picks are folded range by range, a doubling of the stride falls
+    # inside a range, and failed rows shift the index at every cut
+    monkeypatch.setattr(cli, "_SVG_MAX_POINTS", max_points)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    _records_with_failures(cfg, out)
+    Ts, devs = [], []
+    with open(out / "mc_records.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["failed"] == "0":
+                Ts.append(float(row["T"]))
+                devs.append(float(row["deviation"]))
+    drawn = []
+    render = cli.render_scatter_svg
+    monkeypatch.setattr(cli, "render_scatter_svg",
+                        lambda xs, ys, *rest, **kw: drawn.append((xs, ys))
+                        or render(xs, ys, *rest, **kw))
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert parse_kv(capsys.readouterr().out)["points"] == str(len(Ts))
+    (xs, ys), = drawn
+    g = cli._plot_stride(len(Ts))
+    assert g > 1 and len(xs) <= max_points
+    assert xs.tolist() == Ts[::g] and ys.tolist() == devs[::g]
+    helpers.assert_no_child_processes()
+
+
+@pytest.mark.parametrize("n, stride", [
+    (0, 1), (1, 1), (4000, 1), (4001, 2), (8000, 2), (8001, 4),
+    *((4000 * 2 ** k + d, 2 ** k + (d > 0) * 2 ** k) for k in range(1, 21)
+      for d in (-1, 0, 1))])
+def test_plot_stride_is_the_least_power_of_two_that_fits(n, stride):
+    assert cli._plot_stride(n) == stride
+    assert -(-n // stride) <= cli._SVG_MAX_POINTS
+    assert stride == 1 or -(-n // (stride // 2)) > cli._SVG_MAX_POINTS
+
+
+def test_scatter_circles_match_per_point_formatting():
+    rng = np.random.default_rng(11)
+    w_in = cli._SVG_W - 2 * cli._SVG_PAD
+    h_in = cli._SVG_H - 2 * cli._SVG_PAD
+    for n in (1, 7, 4000, 9001):
+        xs = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        ys = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        curve_x = np.linspace(-1.0, 2.0, 50)
+        curve_y = rng.standard_normal(50)
+        svg = cli.render_scatter_svg(xs, ys, curve_x, curve_y, "t", "x", "y")
+        # the renderer's arithmetic and f-strings, one point at a time
+        g = cli._plot_stride(n)
+        px, py = xs[::g].tolist(), ys[::g].tolist()
+        x_lo, x_hi = min(px + curve_x.tolist() + [0.0]), max(px + curve_x.tolist() + [1.0])
+        y_lo, y_hi = min(py + curve_y.tolist() + [0.0]), max(py + curve_y.tolist() + [1.0])
+        y_pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+        want = [f'<circle cx="{cli._SVG_PAD + (x - x_lo) / (x_hi - x_lo) * w_in:.2f}" '
+                f'cy="{cli._SVG_H - cli._SVG_PAD - (y - y_lo) / (y_hi - y_lo) * h_in:.2f}" '
+                'r="1.5" fill="#4878a8" fill-opacity="0.35"/>' for x, y in zip(px, py)]
+        assert [line for line in svg.splitlines() if line.startswith("<circle")] == want
+
+
+def test_plot_memory_does_not_grow_with_the_trial_count(tmp_path, capsys, monkeypatch):
+    # in this process, so tracemalloc sees every read-back job
+    monkeypatch.setenv("BIOCTL_THREADS", "1")
+    cfg = write_config(tmp_path)
+    peaks = []
+    for n_trials in (40_000, 160_000):
+        out = tmp_path / str(n_trials)
+        assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                         "--trials", str(n_trials)]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
 
 def test_plot_of_a_bad_number_in_a_later_range_exits_2(tmp_path, capsys, read_back):

@@ -114,6 +114,21 @@ def test_d_of_nan_or_inf_raises_as_percent(bad):
     same_as_percent("%.17g,%d\n", [bad, 1.0], [3.0, bad])
 
 
+@pytest.mark.parametrize("special", [np.nan, -np.nan, np.inf, -np.inf])
+def test_nan_and_inf_are_fixed_words(special):
+    for pos in range(3):
+        cols = [np.linspace(-2.0, 2.0, 9) for _ in range(3)]
+        cols[pos][::2] = special
+        same_as_percent("%.17g,%.17g;%.17g\n", *cols)
+        same_as_percent("%d %.17g%.17g|", np.arange(9), cols[pos], cols[pos - 1])
+        same_as_percent("%.17g\u00e9%.17g%.17g", *cols)
+    # none of them goes to the per-value fallback; 1e300 (outside the
+    # certified range) still does
+    x = np.array([special, 1.0, special, -0.0, 1e300, special])
+    out = np.zeros((4, len(x)), np.uint64)
+    assert tables._g_words(tables._tables(), x, out, ord(",")).tolist() == [4]
+
+
 def test_literals_and_pass_boundaries():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-80, 80, (9000, 3))
