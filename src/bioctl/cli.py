@@ -336,7 +336,7 @@ def cmd_damage(args) -> tuple[int, dict]:
     pi_z = planner.damage_time(p, z0, t0=args.t0)
     pi_full, t_cross = impulsim.damage_time_full(k, program, x0, eil,
                                                  t0=args.t0,
-                                                 cfg=_build_sim(cfg))
+                                                 cfg=_build_sim(cfg), bound=pi_z)
     return 0, {"x0": float(x0),
                "z0": z0,
                "sigma": report.s_sup,
@@ -514,20 +514,26 @@ def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
     return "\n".join(parts) + "\n"
 
 
-def _read_points(path, start: int, stop: int, usecols):
-    """T and deviation of the non-failed rows in bytes [start, stop) of a
-    records file, which begin at a line start: one np.loadtxt, as of the
-    whole file, with usecols naming the T, deviation and failed columns."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = io.BytesIO(fh.read(stop - start))
+def _parse_points(lines, usecols):
+    """T and deviation of the non-failed rows among the records file lines
+    (an iterable of bytes lines): one np.loadtxt, with usecols naming the
+    T, deviation and failed columns."""
     with warnings.catch_warnings():
         # a header-only file is an empty scatter, not a warning
         warnings.simplefilter("ignore", UserWarning)
-        Ts, devs, failed = np.loadtxt(data, delimiter=",", ndmin=2, usecols=usecols,
+        Ts, devs, failed = np.loadtxt(lines, delimiter=",", ndmin=2, usecols=usecols,
                                       encoding="utf-8").T
     ok = failed == 0
     return Ts[ok], devs[ok]
+
+
+def _read_points(path, start: int, stop: int, usecols):
+    """_parse_points of bytes [start, stop) of a records file, which begin
+    at a line start."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = io.BytesIO(fh.read(stop - start))
+    return _parse_points(data, usecols)
 
 
 def _line_ranges(fh, start: int, size: int) -> list:
@@ -591,10 +597,14 @@ def cmd_plot(args) -> tuple[int, dict]:
             lambda k: _read_points(rec_path, *ranges[k], usecols), len(ranges), workers))
     except ValueError as e:
         error = e
-        try:   # the whole file in one piece: the row and column of its message
-            _read_points(rec_path, ranges[0][0], size, usecols)
-        except ValueError as whole:
-            error = whole
+        # the whole file from the header on, streamed: the row and column of
+        # its message
+        with open(rec_path, "rb") as fh:
+            fh.seek(ranges[0][0])
+            try:
+                _parse_points(fh, usecols)
+            except ValueError as whole:
+                error = whole
         raise ConfigError(f"{rec_path}: {error}") from None
     t_upper, _ = planner.t_limits(box, mu)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
@@ -680,6 +690,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: main has frozen the heap; a flag, as gc.get_freeze_count() walks the
+#: whole frozen generation on every call
+_heap_frozen = False
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  Its key=value lines are printed only once it
     has returned, so a command that fails leaves stdout empty.
@@ -687,8 +702,10 @@ def main(argv=None) -> int:
     The first call in a process freezes the heap built so far (numpy's and
     bioctl's import-time objects) out of the garbage collector: the exit-time
     collections stop walking it, and fork workers leave its pages shared."""
-    if not gc.get_freeze_count():
+    global _heap_frozen
+    if not _heap_frozen:
         gc.freeze()
+        _heap_frozen = True
     args = _build_parser().parse_args(argv)
     try:
         code, pairs = args.fn(args)

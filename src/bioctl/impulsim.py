@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import tables
-from .kernels import DomainError, InputOverflowError, KernelSet
+from .kernels import DomainError, InputOverflowError, KernelSet, real_roots
 from .orbit import PestFreeOrbit, ReleaseProgram, next_release
 
 __all__ = [
@@ -99,6 +99,12 @@ _LAND_SLACK = 1e-6
 # 1e8 steps to reach the horizon
 _STIFF_EVERY, _STIFF_HITS, _STIFF_CALM, _STIFF_STEP_BUDGET = 1000, 15, 6, 1e8
 _SQRT_HALF = math.sqrt(0.5)
+# release budgets: the stepper lands on every release instant, about 13 us
+# each on one core of a 2-vCPU host, so 10^7 releases take about two
+# minutes; simulate also keeps and writes 64 samples a release, about
+# 0.6 ms and 28 kB of peak RSS each, so 2^14 releases (2^20 samples) take
+# about 10 s and 460 MB
+DAMAGE_RELEASES, SIMULATE_RELEASES = 10 ** 7, 2 ** 14
 
 
 class IntegrationError(RuntimeError):
@@ -170,10 +176,6 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
         return math.hypot(u, v) * _SQRT_HALF
 
     fx, fy = rhs(x, y)
-    if not (math.isfinite(fx) and math.isfinite(fy)):
-        raise InputOverflowError(
-            f"initial state (x0={x:g}, y0={y:g}) is too large: the model "
-            "rates there overflow a float")
     # initial step size: Hairer, Norsett & Wanner II.4, as in scipy
     sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
     d0, d1 = rms(x / sx, y / sy), rms(fx / sx, fy / sy)
@@ -327,10 +329,9 @@ def _crossings(t, h, x, xn, ks, eil):
     q = _dense(h, ks)
     if same_side and abs(x - eil) > sum(map(abs, q)):
         return []
-    # the quartic is monotone between its critical points; real parts of
-    # complex roots only add cut points, which does no harm
-    crit = np.roots((4.0 * q[3], 3.0 * q[2], 2.0 * q[1], q[0])).real
-    ss = [0.0, *sorted(float(s) for s in crit if 0.0 < s < 1.0), 1.0]
+    # the quartic is monotone between its critical points
+    ss = [0.0, *real_roots((4.0 * q[3], 3.0 * q[2], 2.0 * q[1], q[0]), 0.0, 1.0),
+          1.0]
     xs = [x, *(_poly(x, q, s) for s in ss[1:-1]), xn]
     out = []
     for lo, hi, x_lo, x_hi in zip(ss, ss[1:], xs, xs[1:]):
@@ -340,10 +341,18 @@ def _crossings(t, h, x, xn, ks, eil):
     return out
 
 
-def _check_start(x0, y0):
+def _check_start(k: KernelSet, x0, y0):
+    """(x0, y0) as floats, refused unless nonnegative with finite rates."""
     if x0 < 0 or y0 < 0:
         raise DomainError("initial state must be nonnegative")
-    return float(x0), float(y0)
+    x0, y0 = float(x0), float(y0)
+    gx = k.response.rate(x0)
+    if not (math.isfinite(k.growth.rate(x0) - gx * y0)
+            and math.isfinite((k.numerical.e * gx - k.m) * y0)):
+        raise InputOverflowError(
+            f"initial state (x0={x0:g}, y0={y0:g}) is too large: the model "
+            "rates there overflow a float")
+    return x0, y0
 
 
 def _sample_times(t0: float, t_end: float, T: float) -> np.ndarray:
@@ -368,18 +377,32 @@ def _t_end(k: KernelSet, program: ReleaseProgram, t0: float, cfg: SimConfig) -> 
     return t_end
 
 
+def _check_releases(t0: float, t1: float, T: float, budget: int) -> None:
+    """Refuse a run from t0 to t1 that would pass more than ``budget``
+    release instants of period T (InputOverflowError), before it starts;
+    past 2^53 periods ``next_release`` refuses first."""
+    n = next_release(t1, T) - next_release(t0, T)
+    if n > budget:
+        raise InputOverflowError(
+            f"the run from t={t0:g} to t={t1:g} passes {n} releases of period "
+            f"T={T:g}, more than the budget of {budget}; raise the period or "
+            "shorten the run")
+
+
 def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
              cfg: Optional[SimConfig] = None, eil=None) -> Trajectory:
     """Integrate from state (x0, y0) at t0, releasing at every nT > t0.
 
     y0 is taken as the post-release level if t0 itself is a release
     instant.  Dense sampling at 64 points per period; samples carry the
-    pre-release value at release instants.
+    pre-release value at release instants.  A horizon of more than
+    SIMULATE_RELEASES periods is refused (InputOverflowError).
     """
-    x0, y0 = _check_start(x0, y0)
+    x0, y0 = _check_start(k, x0, y0)
     cfg = cfg or SimConfig()
     t0 = float(t0)
     t_end = _t_end(k, program, t0, cfg)
+    _check_releases(t0, t_end, program.T, SIMULATE_RELEASES)
     ts = _sample_times(t0, t_end, program.T)
     xs, ys = np.empty_like(ts), np.empty_like(ts)
     xs[0], ys[0] = x0, y0
@@ -404,13 +427,15 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
 
 def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
                      t0=0.0, delta: float = 0.0,
-                     cfg: Optional[SimConfig] = None):
+                     cfg: Optional[SimConfig] = None, bound=None):
     """Damage time of the full model: first t with x(t) <= eil, minus t0.
 
     Predators start delta above the release orbit (on it by default, more
     for sensitivity runs); starting at or above the orbit keeps the
     predators above it forever, which is what makes the comparison-model
-    damage time an upper bound.  Returns (Pi, t_cross).
+    damage time an upper bound.  Given that bound, a run that would pass
+    more than DAMAGE_RELEASES releases before t0 + bound is refused before
+    it steps (InputOverflowError).  Returns (Pi, t_cross).
     """
     if not x0 > eil > 0.0:
         raise DomainError("need x0 > eil > 0")
@@ -418,9 +443,11 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
         raise DomainError(f"delta must be nonnegative, got {delta}")
     cfg = cfg or SimConfig()
     y0 = PestFreeOrbit(program.mu, program.T, k.m).eval(t0, post=True) + delta
-    x0, y0 = _check_start(x0, y0)
+    x0, y0 = _check_start(k, x0, y0)
     t0 = float(t0)
     t_end = _t_end(k, program, t0, cfg)
+    if bound is not None:
+        _check_releases(t0, t0 + bound, program.T, DAMAGE_RELEASES)
     # every step starts above eil, so the first crossing is the way down
     for t, h, _, x, _, kx, _, xn, _, _ in _steps(k, program, x0, y0, t0, t_end, cfg):
         for t_cross, _ in _crossings(t, h, x, xn, kx, eil):

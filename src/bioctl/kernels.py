@@ -30,6 +30,7 @@ largest of s_limit and R at the critical points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -299,6 +300,78 @@ _RESPONSE_FACTOR = {
 _RATIO_OVERFLOW = "the kernel parameters are too large: m*f/g overflows a float"
 
 
+def _horner(c, x: float) -> float:
+    """The polynomial c (coefficients highest power first) at x, by Horner's
+    rule from 0.0, in Python floats: the same arithmetic as ``np.polyval``."""
+    v = 0.0
+    for a in c:
+        v = v * x + a
+    return v
+
+
+def _derivative(c) -> list:
+    """The derivative of c over the least power of two 2^k above its
+    degree n: the same roots bit for bit, as scaling by 2^-k is exact, and
+    coefficients no larger than c's, so finite where c's are."""
+    n = len(c) - 1
+    scale = 0.5 ** n.bit_length()
+    return [(n - i) * scale * a for i, a in enumerate(c[:-1])]
+
+
+def _bisect(c, a: float, b: float, neg: bool) -> float:
+    """A root of c between a < b, where c(a) < 0 iff neg and c(b) has the
+    other sign: bisected until a and b are adjacent floats, then the one
+    where |c| is smaller (a on a tie), or a midpoint where c is 0."""
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return a if abs(_horner(c, a)) <= abs(_horner(c, b)) else b
+        v = _horner(c, mid)
+        if v == 0.0:
+            return mid
+        if (v < 0.0) == neg:
+            a = mid
+        else:
+            b = mid
+
+
+def real_roots(c, lo: float, hi: float) -> list:
+    """The real roots in (lo, hi) of the polynomial c (Python floats,
+    highest power first; leading zeros drop the degree), in increasing
+    order, for finite lo < hi.
+
+    The roots of the derivative, found the same way, cut (lo, hi) into
+    pieces on which c is monotone.  A piece whose ends have opposite signs
+    holds one root, bisected to adjacent floats.  A cut point where c is 0
+    to within the rounding of Horner's rule, (2n + 1)u * sum |c_i| |x|^i
+    for degree n and u = 2^-53 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, 5.1), is a root: a root of even
+    multiplicity, or one whose sign change rounding hides.  A root costs
+    about 53 evaluations of c near 1 on (0, 1), more many binades below
+    the width of (lo, hi).
+    """
+    c = list(c)
+    while c and c[0] == 0.0:
+        c.pop(0)
+    n = len(c) - 1
+    if n < 1:
+        return []
+    cuts = real_roots(_derivative(c), lo, hi)
+    noise = (2 * n + 1) * 2.0 ** -53
+    size = [abs(a) for a in c]
+    roots = []
+    a, va = lo, _horner(c, lo)
+    for b in cuts + [hi]:
+        vb = _horner(c, b)
+        if b < hi and abs(vb) <= noise * _horner(size, abs(b)):
+            roots.append(b)
+            vb = 0.0
+        elif va != 0.0 and vb != 0.0 and (va < 0.0) != (vb < 0.0):
+            roots.append(_bisect(c, a, b, va < 0.0))
+        a, va = b, vb
+    return roots
+
+
 def ratio_supremum(k: KernelSet):
     """sup over x >= 0 of m * f(x) / g(x), and where it is attained.
 
@@ -307,50 +380,50 @@ def ratio_supremum(k: KernelSet):
     coefficients stay near 1.  Positive degree and leading coefficient:
     :class:`UnboundedRatioError`.  Otherwise the largest of s_limit (the
     x -> 0 limit) and m * f(x) / g(x) -- factored, as the expanded
-    coefficients cancel -- at the positive roots of the derivative
-    (polished by one Newton step) where p > 0; elsewhere the ratio is
-    <= 0, below any supremum of a ratio that is not constant.  Where f(x)
-    overflows a float although the ratio does not (x near a huge K), the
-    candidate is the factored form (m*r/lam) * p(u) * q(u) instead.  A
-    supremum not above s_limit returns (s_limit, 0.0).  A coefficient or
-    candidate value that overflows a float: :class:`InputOverflowError`.
+    coefficients cancel -- at the roots of the derivative (by
+    :func:`real_roots`, below its Cauchy bound) where p > 0; elsewhere the
+    ratio is <= 0, below any supremum of a ratio that is not constant.
+    Where f(x) overflows a float although the ratio does not (x near a
+    huge K), the candidate is the factored form (m*r/lam) * p(u) * q(u)
+    instead.  A supremum not above s_limit returns (s_limit, 0.0).  A
+    coefficient or candidate value that overflows a float:
+    :class:`InputOverflowError`.
     """
     scale, p = _GROWTH_FACTOR[type(k.growth)](k.growth)
     s_limit = k.m * k.growth.slope0() / k.response.slope0()
     with np.errstate(all="ignore"):
         q = _RESPONSE_FACTOR[type(k.response)](k.response, scale)
-        c = np.trim_zeros(np.polymul(p, q), "f")
-        if not (np.all(np.isfinite(c)) and math.isfinite(s_limit)):
+        c = np.trim_zeros(np.polymul(p, q), "f").tolist()
+    if not (all(map(math.isfinite, c)) and math.isfinite(s_limit)):
+        raise InputOverflowError(_RATIO_OVERFLOW)
+    if len(c) == 1:
+        return s_limit, 0.0
+    if c[0] > 0.0:
+        raise UnboundedRatioError(
+            "m*f/g grows without bound; no finite budget clears s_sup")
+    dc = _derivative(c)
+    # leading terms below eps of the largest change the derivative on
+    # 0 < u < 1 by less than its rounding, but put a root past the float
+    # range (a subnormal a or b) and the Cauchy bound with it
+    big = max(map(abs, dc)) * sys.float_info.epsilon
+    while len(dc) > 1 and abs(dc[0]) <= big:
+        dc.pop(0)
+    bound = 1.0 + max((abs(a / dc[0]) for a in dc[1:]), default=0.0)
+    best, x_best = s_limit, 0.0
+    for u in real_roots(dc, 0.0, bound):
+        if not _horner(p, u) > 0.0:
+            continue
+        x = scale * u
+        g = k.response.rate(x)
+        s = k.m * k.growth.rate(x) / g if g else math.inf
+        if not math.isfinite(s):
+            # f(x) alone can overflow where the ratio fits a float
+            s = k.m * k.growth.r / k.response.lam * _horner(p, u) * _horner(q, u)
+        if not math.isfinite(s):
             raise InputOverflowError(_RATIO_OVERFLOW)
-        if len(c) == 1:
-            return s_limit, 0.0
-        if c[0] > 0.0:
-            raise UnboundedRatioError(
-                "m*f/g grows without bound; no finite budget clears s_sup")
-        dc = np.polyder(c)
-        ddc = np.polyder(dc)
-        # leading terms below eps of the largest change the derivative on
-        # 0 < u < 1 by less than its rounding, but put a root past the
-        # float range (a subnormal a or b): the companion matrix overflows
-        big = np.abs(dc) > np.finfo(float).eps * np.abs(dc).max()
-        best, x_best = s_limit, 0.0
-        for u in np.roots(dc[np.argmax(big):]).real:
-            slope = np.polyval(ddc, u)
-            if slope != 0.0:
-                u -= np.polyval(dc, u) / slope
-            if not (u > 0.0 and np.polyval(p, u) > 0.0):
-                continue
-            x = scale * u
-            s = k.m * k.growth.rate(x) / k.response.rate(x)
-            if not math.isfinite(s):
-                # f(x) alone can overflow where the ratio fits a float
-                s = (k.m * k.growth.r / k.response.lam
-                     * np.polyval(p, u) * np.polyval(q, u))
-            if not math.isfinite(s):
-                raise InputOverflowError(_RATIO_OVERFLOW)
-            if s > best:
-                best, x_best = s, x
-    return float(best), float(x_best)
+        if s > best:
+            best, x_best = s, x
+    return best, x_best
 
 
 def validate_kernels(k: KernelSet) -> KernelReport:

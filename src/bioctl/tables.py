@@ -8,7 +8,8 @@ all: if it cannot be opened, or a chunk cannot be produced or written,
 the partial file is removed, and a failure of the file system, a fork or
 a worker is raised as ``OutputWriteError`` (exit 1).
 
-The rows come from an exact vectorised formatter.  Each field is built
+A table of at most ``_SMALL`` values is formatted with ``%`` itself.
+Larger ones come from an exact vectorised formatter.  Each field is built
 as fixed NUL-padded uint64 words with numpy, over a pass of rows at a
 time, and one ``bytearray.translate`` a pass drops the NULs:
 
@@ -39,6 +40,11 @@ __all__ = ["OutputWriteError", "rows", "write"]
 
 #: rows per pass: the temporaries of a column stay in the CPU cache
 _PASS = 4096
+#: a table of at most this many values (rows times columns) is formatted
+#: with ``%`` itself, and the formatter's tables are never built: ``%``
+#: is faster up to about 2k values once they are built, and up to about
+#: 7k on a first call, which builds them (2-3 ms, 0.7 MB of peak RSS)
+_SMALL = 4096
 #: |x| in [2^-200, 2^200) (about 6.2e-61 to 1.6e60) has its digits
 #: computed in double-double; a wider range buys nothing for the artifacts
 #: and costs table build time on every first call
@@ -62,8 +68,9 @@ def rows(fmt: str, *columns) -> bytes:
     columns take their common numpy type, as one stacked block would, so a
     %d of a float column prints int(value).
 
-    The bytes equal ``%`` for every value, at about 0.2 us a field on one
-    core, a quarter to a third of what ``%`` takes.
+    The bytes equal ``%`` for every value.  Past _SMALL values the
+    vectorised formatter takes about 0.2 us a field on one core, a quarter
+    to a third of what ``%`` takes.
     """
     layout = _layout(fmt)
     convs = [conv for conv, _ in layout if conv is not None]
@@ -77,6 +84,8 @@ def rows(fmt: str, *columns) -> bytes:
     if kind.kind not in "biuf" or kind.itemsize > 8:
         raise TypeError(f"rows formats real numbers, got {kind}")
     cols = [c.astype(kind, copy=False) for c in cols]
+    if len(cols) * len(cols[0]) <= _SMALL:
+        return "".join([fmt % row for row in zip(*[c.tolist() for c in cols])]).encode()
     t = _tables()
     return b"".join(_pass(t, layout, [c[s:s + _PASS] for c in cols])
                     for s in range(0, len(cols[0]), _PASS))

@@ -34,7 +34,7 @@ from bioctl.kernels import (
     ratio_supremum,
     validate_kernels,
 )
-from bioctl.orbit import PestFreeOrbit, ReleaseProgram, floquet_multipliers
+from bioctl.orbit import PestFreeOrbit, ReleaseProgram, floquet_multipliers, next_release
 
 REFERENCE = {
     "kernels": {
@@ -108,13 +108,16 @@ def test_validate_is_a_thin_adapter(tmp_path):
 _FREEZE_ONCE = """
 import gc, sys
 from bioctl import cli
-assert gc.get_freeze_count() == 0
+count = gc.get_freeze_count
+assert count() == 0
 argv = ["validate", "--config", sys.argv[1]]
+# main keeps a flag: gc.get_freeze_count() walks the whole frozen generation
+gc.get_freeze_count = None
 assert cli.main(argv) == 0
-frozen = gc.get_freeze_count()
+frozen = count()
 assert frozen > 0, frozen
 assert cli.main(argv) == 0
-assert gc.get_freeze_count() == frozen, (gc.get_freeze_count(), frozen)
+assert count() == frozen, (count(), frozen)
 """
 
 
@@ -513,6 +516,45 @@ def test_horizon_past_2_53_periods_is_an_input_error(tmp_path, argv):
     assert "release counts past 2^53" in res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, releases", [
+    (["damage", "--z0", "1", "--period", "1e-9"], 5429570457),
+    (["simulate", "--x0", "1", "--period", "1e-4"], 2000000),
+])
+def test_countable_but_endless_runs_are_refused_up_front(tmp_path, argv, releases):
+    # damage steps through the pi_z/T releases of its comparison-model bound
+    # (5.43 here), simulate through its 200/m horizon over T; both are far
+    # below 2^53 periods, and ran for hours before
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    res = run_cli(*argv, "--config", write_config(tmp_path), timeout=30)
+    assert res.returncode == 2, res.stderr
+    assert f"passes {releases} releases of period" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_release_budgets_count_the_releases_passed(reference_kernels, monkeypatch,
+                                                   tmp_path, capsys):
+    # t_end = 10 at T = 0.5 passes the releases at 0.5, 1, ..., 10: 20
+    monkeypatch.setattr(impulsim, "SIMULATE_RELEASES", 20)
+    cfg = impulsim.SimConfig(t_end=10.0)
+    traj = impulsim.simulate(reference_kernels, ReleaseProgram(2.0, 0.5), 1.0, 1.0,
+                             cfg=cfg)
+    assert len(traj.impulses) == 20
+    with pytest.raises(InputOverflowError, match="passes 22 releases"):
+        impulsim.simulate(reference_kernels, ReleaseProgram(2.0, 0.45), 1.0, 1.0,
+                          cfg=cfg)
+    # damage's count runs from t0 to t0 + pi_z: a budget one below it refuses
+    argv = ["damage", "--config", write_config(tmp_path), "--z0", "1", "--period", "0.05"]
+    assert cli.main(argv) == 0
+    pi_z = float(parse_kv(capsys.readouterr().out)["pi_z"])
+    n = next_release(pi_z, 0.05) - next_release(0.0, 0.05)
+    assert n == 108
+    monkeypatch.setattr(impulsim, "DAMAGE_RELEASES", n - 1)
+    assert cli.main(argv) == 2
+    assert f"passes {n} releases" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -1229,6 +1271,30 @@ def test_plot_of_a_bad_number_in_a_later_range_exits_2(tmp_path, capsys, read_ba
     assert captured.out == ""
     assert not (out / "envelope.svg").exists()
     helpers.assert_no_child_processes()
+
+
+def test_plot_of_a_bad_last_row_streams_the_whole_file(tmp_path, capsys, monkeypatch):
+    # the message's row comes from one parse of the whole file, streamed
+    # from the open file, not from a copy of its 2.7 MB
+    monkeypatch.setenv("BIOCTL_THREADS", "1")
+    monkeypatch.setattr(cli, "_READ_RANGE", 200_000)
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--trials", "20000"]) == 0
+    records = out / "mc_records.csv"
+    lines = records.read_bytes().split(b"\n")
+    lines[-2] = lines[-2].replace(b",closed,", b"e,closed,")
+    records.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "at row 19999, column 7" in err and err.startswith("config error: ")
+    assert peak < records.stat().st_size / 2, (peak, records.stat().st_size)
 
 
 def test_plot_with_a_dead_worker_exits_1(tmp_path, capsys, monkeypatch):

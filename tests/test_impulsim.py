@@ -278,24 +278,39 @@ def test_dense_is_bit_identical_to_the_generic_form():
         assert got == [v.hex() for v in _generic_dense(h, ks)], (h, ks)
 
 
-def test_crossings_match_the_generic_dense_form(reference_kernels, monkeypatch):
+def _crossing_cases(k):
+    """(t, h, x, xn, kx, eil) of 3,000 reference steps, each with eil
+    strictly inside the step's range, where it straddles it, and just past
+    either end, which tests the screens on a near miss."""
     steps = itertools.islice(impulsim._steps(
-        reference_kernels, ReleaseProgram(2.0, 0.5), 5.0, 1.0, 0.0, 50.0,
-        SimConfig()), 3000)
+        k, ReleaseProgram(2.0, 0.5), 5.0, 1.0, 0.0, 50.0, SimConfig()), 3000)
     cases = []
     for t, h, _, x, _, kx, _, xn, _, _ in steps:
-        # eil strictly inside the step's range straddles it; just past
-        # either end it tests the screens on a near miss
         lo, hi = min(x, xn), max(x, xn)
         for eil in (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo),
                     lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)):
             cases.append((t, h, x, xn, kx, eil))
+    return cases
+
+
+def test_crossings_match_the_generic_dense_form(reference_kernels, monkeypatch):
+    cases = _crossing_cases(reference_kernels)
     got = [impulsim._crossings(*case) for case in cases]
     monkeypatch.setattr(impulsim, "_dense", _generic_dense)
     assert [impulsim._crossings(*case) for case in cases] == got
     straddling = [out for (_, _, x, xn, _, eil), out in zip(cases, got)
                   if (x > eil) != (xn > eil)]
     assert len(straddling) > 1000 and all(straddling)
+
+
+def test_crossings_match_companion_matrix_cut_points(reference_kernels, monkeypatch):
+    # the quartic's critical points as np.roots gave them, real parts of
+    # complex roots included, cut the step into the same crossings
+    cases = _crossing_cases(reference_kernels)
+    got = [impulsim._crossings(*case) for case in cases]
+    monkeypatch.setattr(impulsim, "real_roots", lambda c, lo, hi: sorted(
+        float(s) for s in np.roots(c).real if lo < s < hi))
+    assert [impulsim._crossings(*case) for case in cases] == got
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from bioctl.kernels import (
     derivatives_at_zero,
     eval_rates,
     ratio_supremum,
+    real_roots,
     validate_kernels,
 )
 
@@ -264,3 +265,118 @@ def test_huge_carrying_capacity_keeps_the_checks():
     assert report.all_ok
     assert math.isclose(report.s_sup, float(helpers.mp_ratio_supremum(k)),
                         rel_tol=1e-13)
+
+
+def test_supremum_where_the_derivative_coefficients_overflow():
+    # K/A = 1.5e308 is finite, but 2*K/A, the derivative's leading
+    # coefficient, is not; the peak is m*r/lam * (K - A)^2/(4*A*K) at (A + K)/2
+    k = make(Allee(1.0, 1.0, 1.5e308), HollingI(1.0))
+    s, x_star = ratio_supremum(k)
+    assert math.isclose(s, 1.5e308 / 4.0, rel_tol=1e-15)
+    assert math.isclose(x_star, 0.75e308, rel_tol=1e-15)
+
+
+# --------------------------------------------------------------------------
+# the real-root routine
+
+
+def _poly_from_roots(lead, roots):
+    """Float coefficients of lead * prod(x - r), expanded at 60 digits."""
+    with mpmath.workdps(60):
+        c = [mpmath.mpf(lead)]
+        for r in roots:
+            r = mpmath.mpmathify(r)
+            c = [a - r * b for a, b in zip(c + [0], [0] + c)]
+        return [float(mpmath.re(a)) for a in c]
+
+
+def _root_tol(c, z):
+    """How far a root of c found in floats may lie from its exact root z:
+    four times Horner's rounding bound at z over |c'(z)|, plus two ulps."""
+    n = len(c) - 1
+    with mpmath.workdps(60):
+        size = sum(abs(mpmath.mpf(a)) * abs(z) ** (n - i) for i, a in enumerate(c))
+        slope = abs(mpmath.polyval([mpmath.mpf((n - i) * a)
+                                    for i, a in enumerate(c[:-1])], z))
+        if slope == 0:
+            return math.inf
+        return (float(4 * (2 * n + 1) * mpmath.mpf(2) ** -53 * size / slope)
+                + 2 * math.ulp(abs(float(mpmath.re(z)))))
+
+
+def _random_polys(seed, count):
+    """(coefficients, lo, hi) of random polynomials of degree 1 to 3: real
+    roots anywhere in or near (lo, hi), close to its ends, repeated, or
+    with a complex pair; leading coefficients from 1e-20 to 1e3."""
+    rng = np.random.default_rng(seed)
+
+    def real_root(lo, hi):
+        w = hi - lo
+        kind = rng.integers(5)
+        if kind == 0:
+            return lo + w * 10.0 ** -rng.uniform(1, 15)
+        if kind == 1:
+            return hi - w * 10.0 ** -rng.uniform(1, 15)
+        if kind == 2:
+            return lo + w * rng.uniform(-1, 2)
+        return lo + w * rng.uniform()
+
+    for _ in range(count):
+        lo, hi = ((0.0, 1.0), (0.0, 40.0), (-3.0, 0.5))[rng.integers(3)]
+        degree = int(rng.integers(1, 4))
+        roots = [real_root(lo, hi) for _ in range(degree)]
+        if degree >= 2 and rng.random() < 0.3:
+            roots[1] = roots[0]                      # a double root
+        if degree >= 2 and rng.random() < 0.2:
+            re, im = real_root(lo, hi), (hi - lo) * 10.0 ** -rng.uniform(0, 8)
+            roots[-2:] = [mpmath.mpc(re, im), mpmath.mpc(re, -im)]
+        lead = (1.0 if rng.random() < 0.5 else
+                float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-20, 3)))
+        yield _poly_from_roots(lead, roots), lo, hi
+
+
+def test_real_roots_against_60_digit_roots():
+    n_checked = 0
+    for c, lo, hi in _random_polys(7, 1500):
+        found = real_roots(c, lo, hi)
+        assert found == sorted(found) and all(lo < f < hi for f in found), (c, found)
+        with mpmath.workdps(60):
+            exact = mpmath.polyroots([mpmath.mpf(a) for a in c], maxsteps=500,
+                                     extraprec=500)
+        tols = [_root_tol(c, z) for z in exact]
+        # every root found lies within its tolerance of an exact root
+        for f in found:
+            assert any(abs(f - z) <= t for z, t in zip(exact, tols)), (c, f, exact)
+        # every exact real root that rounding leaves apart from the other
+        # roots and from the ends of (lo, hi) is found, once
+        for j, (z, t) in enumerate(zip(exact, tols)):
+            if abs(mpmath.im(z)) > 0 or not lo + t < z < hi - t:
+                continue
+            if any(abs(z - w) <= t + u for i, (w, u) in enumerate(zip(exact, tols))
+                   if i != j):
+                continue
+            assert sum(abs(f - z) <= t for f in found) == 1, (c, z, found)
+            n_checked += 1
+    assert n_checked > 1000
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25, 0.9375, 2.0 ** -40, 1.0 - 2.0 ** -40])
+@pytest.mark.parametrize("s", [0.125, 0.75, 3.0, None])
+def test_real_roots_finds_a_double_root_once(r, s):
+    # (x - r)^2 (x - s) with exact coefficients: the double root is where
+    # the derivative vanishes and c rounds to 0
+    c = _poly_from_roots(1.0, [r, r] + ([s] if s is not None else []))
+    found = real_roots(c, 0.0, 1.0)
+    want = sorted({v for v in (r, s) if v is not None and 0.0 < v < 1.0})
+    assert len(found) == len(want), (found, want)
+    for f, w in zip(found, want):
+        assert abs(f - w) <= 1e-12
+
+
+def test_real_roots_of_a_constant_or_zero_polynomial():
+    assert real_roots([0.0, 0.0, 2.0], 0.0, 1.0) == []
+    assert real_roots([0.0], 0.0, 1.0) == []
+    assert real_roots([], 0.0, 1.0) == []
+    # a root at an end of the interval is outside it
+    assert real_roots([1.0, -1.0], 0.0, 1.0) == []
+    assert real_roots([2.0, -1.0], 0.0, 1.0) == [0.5]

@@ -14,6 +14,17 @@ from bioctl import tables
 from helpers import rows_reference
 
 RECORDS = "%d" + ",%.17g" * 6 + ",closed,%d\n"
+#: the crossover of rows: tables of at most this many values use ``%``
+SMALL = tables._SMALL
+
+
+@pytest.fixture(autouse=True, scope="module")
+def kernel_only():
+    """Every test here runs the vectorised kernel, however small its table;
+    the tests of the crossover put the ``%`` path back themselves."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_SMALL", 0)
+        yield
 
 
 def same_as_percent(fmt, *columns):
@@ -164,3 +175,34 @@ def test_the_table_of_powers_of_ten_is_exact():
         assert hi == float(exact)   # Fraction -> float rounds correctly
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2 ** 104
         assert t.pow10[i, 1] + t.pow10[i, 2] == hi
+
+
+def _mixed_columns(n_rows):
+    """An int, a float, a bool and a float column of n_rows, the floats
+    holding nan, inf, -inf, -0.0 and values across the certified range."""
+    rng = np.random.default_rng(n_rows)
+    x = rng.standard_normal((2, n_rows)) * 10.0 ** rng.integers(-30, 30, (2, n_rows))
+    x[:, ::7] = np.nan
+    x[:, 1::7] = np.inf
+    x[:, 2::7] = -np.inf
+    x[:, 3::7] = -0.0
+    return [np.arange(n_rows) - n_rows // 2, x[0], rng.random(n_rows) < 0.5, x[1]]
+
+
+@pytest.mark.parametrize("extra_rows, path", [(0, "%"), (1, "kernel")])
+def test_small_tables_use_percent_and_larger_ones_the_kernel(monkeypatch, extra_rows,
+                                                            path):
+    monkeypatch.setattr(tables, "_SMALL", SMALL)
+    fmt = "%d,%.17g%%|%d;%.17g\n"
+    cols = _mixed_columns(SMALL // 4 + extra_rows)
+    passes = []
+    kernel_pass = tables._pass
+    monkeypatch.setattr(tables, "_pass", lambda *a: passes.append(1) or kernel_pass(*a))
+    assert tables.rows(fmt, *cols) == rows_reference(fmt, *cols)
+    assert bool(passes) == (path == "kernel")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_small_tables_raise_as_percent(monkeypatch, bad):
+    monkeypatch.setattr(tables, "_SMALL", SMALL)
+    same_as_percent("%d\n", [1.0, bad])
