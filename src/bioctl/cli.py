@@ -284,9 +284,8 @@ def cmd_stability(args) -> tuple[int, dict]:
              "predator_multiplier": predator,
              "s_limit": verdict.s_limit,
              "s_sup": verdict.s_sup,
-             "mu": program.mu}
-    if verdict.note:
-        pairs["note"] = verdict.note
+             "mu": program.mu,
+             "note": verdict.note}
     return (1 if verdict.verdict is Verdict.UNSTABLE else 0), pairs
 
 
@@ -407,8 +406,7 @@ def cmd_montecarlo(args) -> tuple[int, dict]:
     out = _out_dir(args)
     rec_path = os.path.join(out, "mc_records.csv")
     env_path = os.path.join(out, "mc_envelope.csv")
-    report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins,
-                                         stale=[env_path])
+    report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins)
     mcharness.write_envelope_csv(report, env_path)
     code = 1 if report.violations > 0 else 0
     return code, {"trials": trials,

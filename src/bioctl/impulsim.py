@@ -22,6 +22,7 @@ its samples off the same polynomials.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -460,11 +461,19 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Columns t, x, y, is_impulse; each release adds a second row at the
     same t carrying the post-release predator level."""
+    # a sample matches a release time as a dict key does (-0.0 is 0.0,
+    # nan is nothing), and the last release at a time wins
     post = {t: y_post for t, _, y_post in traj.impulses}
-    lines = []
-    for t, x, y in zip(traj.ts.tolist(), traj.xs.tolist(), traj.ys.tolist()):
-        lines.append((t, x, y, 0))
-        if t in post:
-            lines.append((t, x, post[t], 1))
-    tables.write(path, [b"t,x,y,is_impulse\n",
-                        tables.rows("%.17g,%.17g,%.17g,%d\n", *zip(*lines))])
+    times = np.array([*post, math.nan])
+    order = np.argsort(times)   # the nan sorts last: every index below is in range
+    times, levels = times[order], np.array([*post.values(), math.nan])[order]
+    i = np.searchsorted(times, traj.ts)
+    at = np.flatnonzero(times[i] == traj.ts)   # samples with a release row
+    after = at + 1
+    tables.write(path, itertools.chain(
+        [b"t,x,y,is_impulse\n"],
+        tables.row_chunks("%.17g,%.17g,%.17g,%d\n",
+                          np.insert(traj.ts, after, traj.ts[at]),
+                          np.insert(traj.xs, after, traj.xs[at]),
+                          np.insert(traj.ys, after, levels[i[at]]),
+                          np.insert(np.zeros(len(traj.ts)), after, 1))))

@@ -31,8 +31,8 @@ costs about 0.2 us a field under the GIL (see ``tables.rows``).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -372,7 +372,7 @@ def write_records_csv(trials: Trials, path) -> None:
     """One row per trial.  Fixed-size blocks of rows are formatted by up to
     BIOCTL_THREADS worker processes and written in trial order, so the
     bytes never depend on the worker count.  The file is written whole or
-    removed (see ``tables.write``).
+    not at all (see ``tables.write``).
     """
     cols = [getattr(trials, c) for c in _COLUMNS]
     starts = range(0, len(trials.T), _CSV_ROWS)
@@ -390,10 +390,11 @@ def write_records_csv(trials: Trials, path) -> None:
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:
-    tables.write(path, [b"bin_mid,max_dev,min_dev,bound,count\n",
-                        tables.rows("%.17g,%.17g,%.17g,%.17g,%d\n", report.bin_mid,
-                                    report.max_dev, report.min_dev, report.bound,
-                                    report.count)])
+    tables.write(path, itertools.chain(
+        [b"bin_mid,max_dev,min_dev,bound,count\n"],
+        tables.row_chunks("%.17g,%.17g,%.17g,%.17g,%d\n", report.bin_mid,
+                          report.max_dev, report.min_dev, report.bound,
+                          report.count)))
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +412,7 @@ def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
             int(trials.failed.sum()))
 
 
-def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
+def stream_mc(cfg: McConfig, path, n_bins: int = 50):
     """``run_mc``, ``verify_envelope`` and ``write_records_csv`` in one pass
     that never holds the trial columns: returns (the envelope report, the
     failed trial count) and writes the same bytes to path.
@@ -419,20 +420,12 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50, stale=()):
     Each job draws, solves, checks, bins and formats its own trials in a
     worker process (see ``forkpool``); the rows are written in trial
     order and the per-job partials folded, so neither the bytes nor the
-    report depend on the worker count.  Any failure removes the partial
-    file, as in ``write_records_csv``.  The files named in ``stale`` (a
-    previous run's other artifacts) are removed once the up-front checks
-    pass, before path is opened, so a run that fails part-way leaves none
-    of them next to a missing path.
+    report depend on the worker count.  A run that fails leaves path as
+    it was, as in ``write_records_csv``.
     """
     _check_bins(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)
     workers = forkpool.thread_count()
-    for name in stale:
-        try:
-            os.remove(name)
-        except OSError:
-            pass   # missing, or not removable: writing it later reports that
     acc, violations, failed = _Bins(n_bins), 0, 0
 
     def fold(result):

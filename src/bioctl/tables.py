@@ -4,9 +4,9 @@ a command leaves under --out.
 Rows are ASCII lines of a ``%``-style format with two conversions,
 ``%.17g`` (17 significant digits round-trip a double) and ``%d``; their
 bytes equal Python's ``fmt % row``.  A file is written whole or not at
-all: if it cannot be opened, or a chunk cannot be produced or written,
-the partial file is removed, and a failure of the file system, a fork or
-a worker is raised as ``OutputWriteError`` (exit 1).
+all, under a temporary name renamed onto it once whole (see ``write``);
+a failure of the file system, a fork or a worker is raised as
+``OutputWriteError`` (exit 1).
 
 A table of at most ``_SMALL`` values is formatted with ``%`` itself.
 Larger ones come from an exact vectorised formatter.  Each field is built
@@ -36,7 +36,7 @@ import numpy as np
 
 from .forkpool import PoolBroken
 
-__all__ = ["OutputWriteError", "rows", "write"]
+__all__ = ["OutputWriteError", "row_chunks", "rows", "write"]
 
 #: rows per pass: the temporaries of a column stay in the CPU cache
 _PASS = 4096
@@ -72,6 +72,14 @@ def rows(fmt: str, *columns) -> bytes:
     vectorised formatter takes about 0.2 us a field on one core, a quarter
     to a third of what ``%`` takes.
     """
+    return b"".join(row_chunks(fmt, *columns))
+
+
+def row_chunks(fmt: str, *columns):
+    """``rows(fmt, *columns)`` as a generator of consecutive pieces of at
+    most _PASS rows, each formatted when it is taken, so that ``write``
+    never holds the whole table.  A table of at most _SMALL values is one
+    piece."""
     layout = _layout(fmt)
     convs = [conv for conv, _ in layout if conv is not None]
     cols = [np.asarray(c) for c in columns]
@@ -85,14 +93,19 @@ def rows(fmt: str, *columns) -> bytes:
         raise TypeError(f"rows formats real numbers, got {kind}")
     cols = [c.astype(kind, copy=False) for c in cols]
     if len(cols) * len(cols[0]) <= _SMALL:
-        return "".join([fmt % row for row in zip(*[c.tolist() for c in cols])]).encode()
+        yield "".join([fmt % row for row in zip(*[c.tolist() for c in cols])]).encode()
+        return
     t = _tables()
-    return b"".join(_pass(t, layout, [c[s:s + _PASS] for c in cols])
-                    for s in range(0, len(cols[0]), _PASS))
+    for s in range(0, len(cols[0]), _PASS):
+        yield _pass(t, layout, [c[s:s + _PASS] for c in cols])
 
 
 def write(path, chunks) -> None:
     """Write the byte chunks to path in order, whole or not at all.
+
+    The chunks go to ``<path>.tmp``, renamed onto path once all are
+    written: a failed or killed run leaves a previous path as it was, and
+    a killed one leaves at most that one stray, which the next write reuses.
 
     chunks may be a generator that computes each chunk as it is written;
     if the write fails it is closed first, so a worker pool it holds is
@@ -100,8 +113,9 @@ def write(path, chunks) -> None:
     the partial file; an OSError or a broken worker pool is raised as
     OutputWriteError, anything else unchanged.
     """
+    tmp = f"{path}.tmp"
     try:
-        fh = open(path, "wb")
+        fh = open(tmp, "wb")
     except OSError as e:
         raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
     try:
@@ -112,12 +126,17 @@ def write(path, chunks) -> None:
     except BaseException as e:
         if hasattr(chunks, "close"):
             chunks.close()
-        os.remove(path)
+        os.remove(tmp)
         if isinstance(e, (OSError, PoolBroken)):
             raise OutputWriteError(
                 f"writing {path} failed ({type(e).__name__}: {e}); the partial "
                 "file was removed") from e
         raise
+    try:
+        os.replace(tmp, path)
+    except OSError as e:
+        os.remove(tmp)
+        raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 # --------------------------------------------------------------------------

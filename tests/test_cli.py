@@ -12,8 +12,10 @@ import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -812,12 +814,15 @@ def test_error_in_a_montecarlo_job_is_clean(tmp_path, capsys, monkeypatch,
     helpers.assert_no_child_processes()
 
 
+_MC_FILES = ("mc_records.csv", "mc_envelope.csv")
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_failed_run_over_a_finished_one_leaves_no_stale_envelope(
+def test_failed_run_over_a_finished_one_leaves_its_files_as_they_were(
         tmp_path, capsys, monkeypatch, threads):
     cfg, out = write_config(tmp_path), tmp_path / "out"
     assert cli.main(list(mc_args(cfg, out))) == 0
-    assert (out / "mc_envelope.csv").exists()
+    before = [(out / name).read_bytes() for name in _MC_FILES]
     capsys.readouterr()
     monkeypatch.setenv("BIOCTL_THREADS", threads)
     monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
@@ -830,12 +835,48 @@ def test_failed_run_over_a_finished_one_leaves_no_stale_envelope(
         return real(cfg, start, stop)
 
     monkeypatch.setattr(mcharness, "_solve", fails_in_second_job)
-    assert cli.main(list(mc_args(cfg, out))) == 1
+    # another seed, so that rows of this run differ from the previous ones
+    assert cli.main([*mc_args(cfg, out), "--seed", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: planted in the second job\n"
     assert captured.out == ""
-    assert not (out / "mc_records.csv").exists()
-    assert not (out / "mc_envelope.csv").exists()
+    assert [(out / name).read_bytes() for name in _MC_FILES] == before
+    assert sorted(os.listdir(out)) == sorted(_MC_FILES)   # no temporary file
+    helpers.assert_no_child_processes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_killed_run_over_a_finished_one_leaves_its_files_as_they_were(tmp_path, threads):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    env = {"BIOCTL_THREADS": threads}
+    assert run_cli(*mc_args(cfg, out), env_extra=env).returncode == 0
+    before = [(out / name).read_bytes() for name in _MC_FILES]
+    tmp = out / "mc_records.csv.tmp"
+    # a run of many seconds, killed once it has written rows
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bioctl", "montecarlo", "--config", cfg,
+         "--out", str(out), "--trials", "3000000"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=dict(os.environ, **env))
+    try:
+        deadline = time.monotonic() + 60
+        while not (tmp.exists() and tmp.stat().st_size > 0):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == -signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert tmp.exists()   # the one stray a killed run can leave
+    assert [(out / name).read_bytes() for name in _MC_FILES] == before
+    res = run_cli("plot", "--config", cfg, "--out", str(out), env_extra=env)
+    assert res.returncode == 0
+    assert parse_kv(res.stdout)["points"] == "800"
+    # the next run reuses the stray and leaves none
+    assert run_cli(*mc_args(cfg, out), env_extra=env).returncode == 0
+    assert not tmp.exists()
+    assert [(out / name).read_bytes() for name in _MC_FILES] == before
 
 
 @pytest.mark.parametrize("argv", [
@@ -920,7 +961,7 @@ def test_disk_full_leaves_no_partial_file_and_no_stdout(tmp_path, capsys, monkey
 
     def disk_full(path, mode="r", *args, **kwargs):
         fh = real_open(path, mode, *args, **kwargs)
-        if "w" in mode and os.path.basename(path) == name:
+        if "w" in mode and os.path.basename(path) == name + ".tmp":
             return _DiskFull(fh)
         return fh
 
@@ -932,6 +973,7 @@ def test_disk_full_leaves_no_partial_file_and_no_stdout(tmp_path, capsys, monkey
     assert captured.err.startswith(f"error: writing {out / name} failed (OSError: ")
     assert captured.out == ""
     assert not (out / name).exists()
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
     helpers.assert_no_child_processes()   # the closed pool's workers are gone
 
 
@@ -1012,6 +1054,27 @@ def test_csv_bytes_match_the_csv_writer_reference(tmp_path, capsys, monkeypatch,
         mcharness.write_envelope_csv(report, new)
         helpers.csv_envelope(report, old)
     assert new.read_bytes() == old.read_bytes()
+
+
+def test_trajectory_in_row_chunks_matches_the_csv_writer_reference(tmp_path):
+    # more rows than one pass of tables.row_chunks; samples at signed zeros,
+    # nan and one time twice; releases at those times, and two releases at
+    # one time (the last one's level is written)
+    rng = np.random.default_rng(3)
+    ts = rng.uniform(0.0, 1.0, 10_000)
+    ts[[100, 200, 300, 5001]] = -0.0, 0.0, math.nan, ts[5000]
+    ts2 = ts.tolist()
+    impulses = [(t, 0.0, 2.0 * t) for t in ts2[7::97]]
+    impulses += [(0.0, 1.0, 1.5), (ts2[5000], 1.0, 2.5), (ts2[5000], 1.0, 3.5),
+                 (math.nan, 1.0, 4.5)]
+    traj = impulsim.Trajectory(ts, rng.uniform(size=ts.size),
+                               rng.uniform(size=ts.size), impulses=impulses)
+    new, old = tmp_path / "trajectory.csv", tmp_path / "reference.csv"
+    impulsim.trajectory_to_csv(traj, new)
+    helpers.csv_trajectory(traj, old)
+    assert new.read_bytes() == old.read_bytes()
+    # a release row per sampled random time, two at 0.0 and two at ts[5000]
+    assert len(new.read_bytes().splitlines()) == 1 + ts.size + 104 + 2 + 2
 
 
 def test_unreadable_records_csv_is_a_config_error(tmp_path, capsys):

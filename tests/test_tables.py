@@ -1,7 +1,9 @@
 """bioctl.tables.rows against the whole-block ``%`` builder it replaced:
 the same bytes for every float64 bit pattern, the same exception for a
-value ``%d`` cannot take, and an exact double-double table of 10^k."""
+value ``%d`` cannot take, and an exact double-double table of 10^k; and
+``tables.write``'s commit by rename."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -206,3 +208,31 @@ def test_small_tables_use_percent_and_larger_ones_the_kernel(monkeypatch, extra_
 def test_small_tables_raise_as_percent(monkeypatch, bad):
     monkeypatch.setattr(tables, "_SMALL", SMALL)
     same_as_percent("%d\n", [1.0, bad])
+
+
+@pytest.mark.parametrize("n_rows, n_chunks", [(SMALL // 4, 1), (2 * tables._PASS + 1, 3)])
+def test_row_chunks_are_the_rows_in_passes(monkeypatch, n_rows, n_chunks):
+    monkeypatch.setattr(tables, "_SMALL", SMALL)
+    fmt = "%d,%.17g%%|%d;%.17g\n"
+    cols = _mixed_columns(n_rows)
+    chunks = list(tables.row_chunks(fmt, *cols))
+    assert len(chunks) == n_chunks
+    assert all(chunk.count(b"\n") <= tables._PASS for chunk in chunks)
+    assert b"".join(chunks) == rows_reference(fmt, *cols)
+
+
+def test_write_replaces_the_file_only_once_whole(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"previous\n")
+
+    def fails_late():
+        yield b"header\n"
+        raise KeyError("planted")
+
+    with pytest.raises(KeyError):
+        tables.write(path, fails_late())
+    assert path.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+    tables.write(path, [b"header\n", b"row\n"])
+    assert path.read_bytes() == b"header\nrow\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
