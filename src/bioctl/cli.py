@@ -112,11 +112,15 @@ def _section(cfg: dict, name: str, required: bool = True) -> Optional[dict]:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:
+        # a byte that is not UTF-8, an integer past Python's digit limit, or
+        # nesting deeper than the recursion limit
+        raise ConfigError(f"{path}: cannot parse: {e}") from None
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}")
     if not isinstance(raw, dict):
@@ -434,20 +438,12 @@ _PLOT_COLUMNS = ("T", "deviation", "failed")
 _READ_RANGE = 1 << 20
 
 
-def _plot_stride(n: int) -> int:
-    """The least power of two g with ceil(n / g) <= _SVG_MAX_POINTS: the
-    scatter of n points draws every g-th."""
-    g = 1
-    while -(-n // g) > _SVG_MAX_POINTS:
-        g *= 2
-    return g
-
-
 def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
                        x_label: str, y_label: str) -> str:
-    stride = _plot_stride(len(xs))
-    xs = np.asarray(xs, dtype=float)[::stride]
-    ys = np.asarray(ys, dtype=float)[::stride]
+    """The scatter of every point (xs, ys) under the curve; ``cmd_plot``
+    hands it at most _SVG_MAX_POINTS points (see ``_subsample``)."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     all_x, all_y = np.concatenate([xs, curve_x]), np.concatenate([ys, curve_y])
     x_lo, x_hi = float(all_x.min(initial=0.0)), float(all_x.max(initial=1.0))
     y_lo, y_hi = float(all_y.min(initial=0.0)), float(all_y.max(initial=1.0))
@@ -550,11 +546,12 @@ def _line_ranges(fh, start: int, size: int) -> list:
 
 def _subsample(parts):
     """(n, Ts, devs): the count n of the points in the (T, deviation) array
-    pairs of parts, and every _plot_stride(n)-th point, folded as the parts
-    come, in order.  It keeps the points whose index is a multiple of g, a
-    power of two, and doubles g (dropping every other kept point) whenever
-    more than _SVG_MAX_POINTS would be kept, so what it holds does not grow
-    with n.  Kept points are copies: a view would pin a whole part."""
+    pairs of parts, and every g-th point, with g the least power of two
+    that keeps at most _SVG_MAX_POINTS, folded as the parts come, in
+    order.  It keeps the points whose index is a multiple of g, and doubles
+    g (dropping every other kept point) whenever more than _SVG_MAX_POINTS
+    would be kept, so what it holds does not grow with n.  Kept points are
+    copies: a view would pin a whole part."""
     n, g = 0, 1
     Ts = devs = np.empty(0)
     for T, dev in parts:

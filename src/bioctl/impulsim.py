@@ -427,23 +427,20 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
 
 
 def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
-                     t0=0.0, delta: float = 0.0,
-                     cfg: Optional[SimConfig] = None, bound=None):
+                     t0=0.0, cfg: Optional[SimConfig] = None, bound=None):
     """Damage time of the full model: first t with x(t) <= eil, minus t0.
 
-    Predators start delta above the release orbit (on it by default, more
-    for sensitivity runs); starting at or above the orbit keeps the
-    predators above it forever, which is what makes the comparison-model
-    damage time an upper bound.  Given that bound, a run that would pass
-    more than DAMAGE_RELEASES releases before t0 + bound is refused before
-    it steps (InputOverflowError).  Returns (Pi, t_cross).
+    Predators start on the release orbit; starting at or above it keeps
+    the predators above it forever, which is what makes the
+    comparison-model damage time an upper bound (``simulate`` with its y0
+    starts them anywhere).  Given that bound, a run that would pass more
+    than DAMAGE_RELEASES releases before t0 + bound is refused before it
+    steps (InputOverflowError).  Returns (Pi, t_cross).
     """
     if not x0 > eil > 0.0:
         raise DomainError("need x0 > eil > 0")
-    if not delta >= 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
     cfg = cfg or SimConfig()
-    y0 = PestFreeOrbit(program.mu, program.T, k.m).eval(t0, post=True) + delta
+    y0 = PestFreeOrbit(program.mu, program.T, k.m).eval(t0, post=True)
     x0, y0 = _check_start(k, x0, y0)
     t0 = float(t0)
     t_end = _t_end(k, program, t0, cfg)

@@ -49,8 +49,6 @@ __all__ = [
     "Proportional",
     "KernelSet",
     "KernelReport",
-    "eval_rates",
-    "derivatives_at_zero",
     "ratio_supremum",
     "validate_kernels",
 ]
@@ -273,18 +271,6 @@ class KernelReport:
 # operations
 
 
-def eval_rates(k: KernelSet, x):
-    """(f(x), g(x), h(x)) for scalar or array x >= 0."""
-    if np.any(np.asarray(x) < 0):
-        raise DomainError("pest density must be nonnegative")
-    return k.growth.rate(x), k.response.rate(x), k.numerical.rate(x)
-
-
-def derivatives_at_zero(k: KernelSet):
-    """Analytic (f'(0), g'(0)); no finite differencing involved."""
-    return k.growth.slope0(), k.response.slope0()
-
-
 # f(x) / (r*x) and lam*x / g(x) as coefficients of u = x/scale, highest
 # power first, with scale = K where the growth law has a carrying capacity
 _GROWTH_FACTOR = {
@@ -435,15 +421,15 @@ def validate_kernels(k: KernelSet) -> KernelReport:
     raised: an unbounded ratio gives s_sup = inf and ``ratio_bounded``
     false.
     """
-    fp0, gp0 = derivatives_at_zero(k)
-    f0, g0, h0 = eval_rates(k, 0.0)
-    checks = {"growth_zero": f0 == 0.0,
-              "consumption_ok": g0 == 0.0 and gp0 > 0.0}
+    fp0, gp0 = k.growth.slope0(), k.response.slope0()
+    checks = {"growth_zero": k.growth.rate(0.0) == 0.0,
+              "consumption_ok": k.response.rate(0.0) == 0.0 and gp0 > 0.0}
     try:
         s_sup, s_argmax = ratio_supremum(k)
         checks["ratio_bounded"] = True
     except UnboundedRatioError:
         s_sup, s_argmax = math.inf, math.nan
         checks["ratio_bounded"] = False
-    checks["reproduction_ok"] = h0 == 0.0 and k.numerical.e * gp0 > 0.0
+    checks["reproduction_ok"] = (k.numerical.rate(0.0) == 0.0
+                                 and k.numerical.e * gp0 > 0.0)
     return KernelReport(fp0, gp0, k.m, k.m * fp0 / gp0, s_sup, s_argmax, checks)

@@ -72,8 +72,7 @@ MAX_BINS = 2 ** 20
 #: the damage-time engines, the default first
 ENGINES = ("closed", "full")
 
-#: trials per job of the closed engine, and rows per formatting
-#: job of ``write_records_csv``: a job's text is about 0.5 MB
+#: trials per job of the closed engine: a job's text is about 0.5 MB
 _CSV_ROWS = 4096
 #: trials per full-engine job.  A trial costs about a millisecond and far
 #: more at short periods, so small jobs keep the workers balanced, and
@@ -164,9 +163,7 @@ class McConfig:
 class Trials:
     """Monte Carlo trials as columns: entry i of each array is trial i.
 
-    Failed trials have Pi and deviation nan.  ``x0`` holds the initial pest
-    densities of the full engine (None for the others); it is not a CSV
-    column.
+    Failed trials have Pi and deviation nan.
     """
 
     T: np.ndarray
@@ -177,7 +174,6 @@ class Trials:
     deviation: np.ndarray
     failed: np.ndarray
     engine: str
-    x0: Optional[np.ndarray] = None
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +191,6 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
         * (cfg.box.z0_hi - cfg.box.z0_lo)
     t1s = z0s / (cfg.mu - sigma)
     failed = np.zeros(len(Ts), dtype=bool)
-    x0s = None
     if cfg.engine == "closed":
         pis = planner._damage_times(Ts, t0s, z0s, sigma, m, cfg.mu)
     else:
@@ -215,7 +210,7 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
                 pis[i] = math.nan
                 failed[i] = True
     return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=pis - t1s,
-                  failed=failed, engine=cfg.engine, x0=x0s)
+                  failed=failed, engine=cfg.engine)
 
 
 def _job_starts(cfg: McConfig) -> range:
@@ -240,8 +235,7 @@ def run_mc(cfg: McConfig) -> Trials:
     starts = _job_starts(cfg)
     parts = [_solve(cfg, s, min(s + starts.step, cfg.n_trials)) for s in starts]
     cols = {c: np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS}
-    x0 = np.concatenate([p.x0 for p in parts]) if cfg.engine == "full" else None
-    return Trials(**cols, engine=cfg.engine, x0=x0)
+    return Trials(**cols, engine=cfg.engine)
 
 
 # --------------------------------------------------------------------------
@@ -361,32 +355,21 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
 _RECORDS_HEADER = b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n"
 
 
-def _format_rows(start, engine, T, t0, z0, Pi, T1, deviation, failed) -> bytes:
-    """CSV rows of the trials numbered from start, as ASCII bytes."""
-    return tables.rows("%d" + ",%.17g" * 6 + f",{engine},%d\n",
-                       np.arange(start, start + len(T)), T, t0, z0, Pi, T1,
-                       deviation, failed)
+def _row_chunks(start, engine, T, t0, z0, Pi, T1, deviation, failed):
+    """CSV rows of the trials numbered from start, as ASCII byte chunks
+    (see ``tables.row_chunks``)."""
+    return tables.row_chunks("%d" + ",%.17g" * 6 + f",{engine},%d\n",
+                             np.arange(start, start + len(T)), T, t0, z0, Pi, T1,
+                             deviation, failed)
 
 
 def write_records_csv(trials: Trials, path) -> None:
-    """One row per trial.  Fixed-size blocks of rows are formatted by up to
-    BIOCTL_THREADS worker processes and written in trial order, so the
-    bytes never depend on the worker count.  The file is written whole or
-    not at all (see ``tables.write``).
+    """One row per trial, formatted in this process as the rows are written;
+    ``stream_mc`` writes the same bytes.  The file is written whole or not
+    at all (see ``tables.write``).
     """
-    cols = [getattr(trials, c) for c in _COLUMNS]
-    starts = range(0, len(trials.T), _CSV_ROWS)
-    workers = forkpool.thread_count()
-
-    def job(k):
-        s = starts[k]
-        return _format_rows(s, trials.engine, *(c[s:s + starts.step] for c in cols))
-
-    def chunks():
-        yield _RECORDS_HEADER
-        yield from forkpool.map_jobs(job, len(starts), workers)
-
-    tables.write(path, chunks())
+    tables.write(path, itertools.chain([_RECORDS_HEADER], _row_chunks(
+        0, trials.engine, *(getattr(trials, c) for c in _COLUMNS))))
 
 
 def write_envelope_csv(report: EnvelopeReport, path) -> None:
@@ -406,7 +389,8 @@ def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
     (their CSV rows, their envelope violations, their bin partial, their
     failed count)."""
     trials = _solve(cfg, start, stop)
-    return (_format_rows(start, trials.engine, *(getattr(trials, c) for c in _COLUMNS)),
+    return (b"".join(_row_chunks(start, trials.engine,
+                                 *(getattr(trials, c) for c in _COLUMNS))),
             _violations(trials, cfg.box, cfg.mu),
             _bin_partial(trials, n_bins, cfg.t_upper),
             int(trials.failed.sum()))
@@ -421,7 +405,7 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50):
     worker process (see ``forkpool``); the rows are written in trial
     order and the per-job partials folded, so neither the bytes nor the
     report depend on the worker count.  A run that fails leaves path as
-    it was, as in ``write_records_csv``.
+    it was (see ``tables.write``).
     """
     _check_bins(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)

@@ -15,8 +15,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import DomainError, InputOverflowError, KernelReport
 
 __all__ = [
@@ -72,11 +70,6 @@ class PestFreeOrbit:
     def floor(self) -> float:
         return self.mu * self.T / math.expm1(self.m * self.T)
 
-    @property
-    def integral_over_period(self) -> float:
-        # int_0^T y_p = mu*T/m: releases balance mortality over a cycle
-        return self.mu * self.T / self.m
-
     def eval(self, t: float, post: bool = False) -> float:
         """Orbit value at t >= 0, its phase counted from the last release
         instant at or before t.  At a release instant the pre-release value
@@ -87,10 +80,6 @@ class PestFreeOrbit:
         if phase == 0.0:
             return self.peak if post else self.floor
         return self.peak * math.exp(-self.m * phase)
-
-    def sample(self, ts) -> np.ndarray:
-        """``eval`` at each of ts, with the pre-release convention."""
-        return np.array([self.eval(t) for t in np.asarray(ts, dtype=float).tolist()])
 
 
 def next_release(t: float, T: float) -> int:

@@ -16,8 +16,8 @@ What the module provides:
 
 * ``max_decay_period``: the period ceiling below which z strictly
   decreases, whatever the invasion instant;
-* ``z_trajectory`` / ``damage_time``: exact piecewise-analytic evaluation
-  of z and of Pi for a given invasion instant;
+* ``damage_time``: the exact damage time Pi of a given invasion instant,
+  from the piecewise-analytic fall of z over a release period;
 * ``worst_invasion``: the invasion instant in [0, T) maximizing Pi, with
   its resonant/interior case split;
 * ``optimal_periods``: the periods T1/n whose worst case collapses to the
@@ -46,14 +46,11 @@ __all__ = [
     "WorstCaseReport",
     "OptimalPeriods",
     "UncertaintyBox",
-    "z_from_x_local",
     "x_from_z_local",
     "z_from_x_global",
     "max_decay_period",
-    "z_trajectory",
     "damage_time",
     "worst_invasion",
-    "deviation_closed_form",
     "optimal_periods",
     "envelope_argmax",
     "deviation_envelope",
@@ -91,11 +88,6 @@ class ZParams:
                 f"budget rate must exceed sigma, got mu={self.mu} <= sigma={self.sigma}")
 
     @property
-    def pulse_peak(self) -> float:
-        # post-release level of the pest-free orbit
-        return self.mu * self.T / -math.expm1(-self.m * self.T)
-
-    @property
     def net_drop(self) -> float:
         # z loses exactly this much over any full release period
         return (self.mu - self.sigma) * self.T
@@ -105,15 +97,9 @@ class ZParams:
 # changes of variables
 
 
-def z_from_x_local(x: float, x_ref: float, m: float, response_slope0: float) -> float:
-    """Logarithmic pest coordinate (m / g'(0)) * ln(x / x_ref)."""
-    if x <= 0 or x_ref <= 0:
-        raise DomainError("densities must be positive")
-    return m / response_slope0 * math.log(x / x_ref)
-
-
 def x_from_z_local(z: float, x_ref: float, m: float, response_slope0: float) -> float:
-    """Inverse of :func:`z_from_x_local`."""
+    """Pest density x_ref * exp(z * g'(0) / m) of the logarithmic local
+    coordinate z = (m / g'(0)) * ln(x / x_ref)."""
     if x_ref <= 0:
         raise DomainError("reference density must be positive")
     try:
@@ -186,23 +172,7 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# trajectories and damage times
-
-
-def _cum_orbit(p: ZParams, t):
-    """int_0^t y_p(s) ds, vectorized; continuous across release instants."""
-    k = np.floor(np.asarray(t, dtype=float) / p.T)
-    phase = t - k * p.T
-    return (k * p.mu * p.T - p.pulse_peak * np.expm1(-p.m * phase)) / p.m
-
-
-def z_trajectory(p: ZParams, z0: float, t0: float, t):
-    """Exact piecewise-analytic z(t) for scalar or array t >= t0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < t0):
-        raise DomainError("t must not precede t0")
-    out = z0 + p.sigma * (t - t0) - p.m * (_cum_orbit(p, t) - _cum_orbit(p, t0))
-    return out if out.shape else float(out)
+# damage times
 
 
 def _fall(t, T, sigma, m, mu):
@@ -301,11 +271,6 @@ def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
     t0_star = float(_invert_fall((k + 1) * p.net_drop - z0, p.T, p.sigma, p.m, p.mu))
     pi = (k + 1) * p.T - t0_star
     return WorstCaseReport("interior", int(k), t0_star, pi, t1, pi - t1)
-
-
-def deviation_closed_form(p: ZParams, t0_star: float) -> float:
-    """Closed-form pi_max - t1 at the interior worst instant t0_star."""
-    return float(_fall(t0_star, p.T, p.sigma, p.m, p.mu)[0] / (p.mu - p.sigma) - t0_star)
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +402,7 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     estimate in sigma.  The worst instant t0* for size z0 has fall
     F(t0*) = s = net_drop*ceil(z0/net_drop) - z0 (see ``worst_invasion``)
     and deviation D = s/(mu - sigma) - t0*, a concave G(t0*) =
-    ``deviation_closed_form``, zero at 0 and T, peaked at
+    F(t0*)/(mu - sigma) - t0*, zero at 0 and T, peaked at
     ``envelope_argmax``.  s drops in z0 between multiples of net_drop, so
     with t_lo, t_hi the instants of z0_lo, z0_hi the box reaches
     [t_hi, t_lo] within one gap, [0, t_lo] u [t_hi, T] across one multiple,

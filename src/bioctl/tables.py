@@ -22,7 +22,8 @@ time, and one ``bytearray.translate`` a pass drops the NULs:
 * nan, inf and -inf are fixed words, like the literal text;
 * a value the product does not certify (nonzero |x| outside [2^-200,
   2^200), a rounding near a tie), and ``%d`` of |x| >= 2^53, is
-  formatted alone with ``%``.
+  formatted alone with ``%``; a pass with a ``%d`` of 17 digits or more,
+  too long for its words, is formatted whole with ``%``.
 """
 
 from __future__ import annotations
@@ -93,11 +94,16 @@ def row_chunks(fmt: str, *columns):
         raise TypeError(f"rows formats real numbers, got {kind}")
     cols = [c.astype(kind, copy=False) for c in cols]
     if len(cols) * len(cols[0]) <= _SMALL:
-        yield "".join([fmt % row for row in zip(*[c.tolist() for c in cols])]).encode()
+        yield _percent(fmt, cols)
         return
     t = _tables()
     for s in range(0, len(cols[0]), _PASS):
-        yield _pass(t, layout, [c[s:s + _PASS] for c in cols])
+        yield _pass(t, fmt, layout, [c[s:s + _PASS] for c in cols])
+
+
+def _percent(fmt: str, cols) -> bytes:
+    """The rows of the columns formatted with ``%`` itself."""
+    return "".join([fmt % row for row in zip(*[c.tolist() for c in cols])]).encode()
 
 
 def write(path, chunks) -> None:
@@ -117,7 +123,7 @@ def write(path, chunks) -> None:
     try:
         fh = open(tmp, "wb")
     except OSError as e:
-        raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
+        raise OutputWriteError(f"cannot write {tmp}: {e.strerror or e}") from e
     try:
         with fh:
             for chunk in chunks:
@@ -327,9 +333,11 @@ def _layout(fmt: str):
     return layout
 
 
-def _pass(t, layout, cols) -> bytes:
+def _pass(t, fmt, layout, cols) -> bytes:
     """The rows of one pass: every field's words, the values left to ``%``
-    written into theirs, then the NULs dropped."""
+    written into theirs, then the NULs dropped.  A value whose text is too
+    long for its words (a %d of 17 digits or more) sends the whole pass
+    to ``%``."""
     n = len(cols[0])
     spans = []
     n_words = 0
@@ -338,9 +346,8 @@ def _pass(t, layout, cols) -> bytes:
         spans.append((n_words, size))
         n_words += size
     W = np.empty((n_words, n), dtype=np.uint64)
-    loose = []
     col = iter(cols)
-    for f, ((conv, data), (w, size)) in enumerate(zip(layout, spans)):
+    for (conv, data), (w, size) in zip(layout, spans):
         if conv is None:
             W[w:w + size] = np.frombuffer(data.ljust(8 * size, b"\0"),
                                           "<u8")[:, None]
@@ -349,30 +356,11 @@ def _pass(t, layout, cols) -> bytes:
         lit = int.from_bytes(data, "little")
         for i in _FIELDS[conv][2](t, c.astype(np.float64, copy=False),
                                   W[w:w + size], lit).tolist():
-            loose.append((i, f, c[i].item()))
-    long_rows = []
-    for i, f, value in sorted(loose):
-        conv, data = layout[f]
-        w, size = spans[f]
-        text = (conv % value).encode() + data
-        if len(text) <= 8 * size:
+            text = (conv % c[i].item()).encode() + data
+            if len(text) > 8 * size:
+                return _percent(fmt, cols)
             W[w:w + size, i] = np.frombuffer(text.ljust(8 * size, b"\0"), "<u8")
-        elif not long_rows or long_rows[-1] != i:
-            long_rows.append(i)
-    W = W[W.any(axis=1)]     # a word that is NUL in every row
-    if not long_rows:
-        return _compact(W)
-    # a %d too long for its words: those rows one value at a time
-    out, start = [], 0
-    values = [c.tolist() for c in cols]
-    for i in long_rows:
-        out.append(_compact(W[:, start:i]))
-        row = iter(v[i] for v in values)
-        out.append(b"".join((conv % next(row)).encode() + data if conv else data
-                            for conv, data in layout))
-        start = i + 1
-    out.append(_compact(W[:, start:]))
-    return b"".join(out)
+    return _compact(W[W.any(axis=1)])     # less the words NUL in every row
 
 
 def _compact(W) -> bytearray:

@@ -3,7 +3,9 @@
 Everything here recomputes model quantities by direct discretization
 (midpoint-rule quadrature, dense scans, generic high-order ODE
 integration), deliberately sharing no closed forms with the package, so
-agreement between the two is meaningful evidence.  The generic form of
+agreement between the two is meaningful evidence.  The piecewise-analytic
+z(t) of the comparison model, which the package no longer carries, is kept
+here as a second oracle for its damage times.  The generic form of
 the stepper's dense output is kept here as the bit-level reference for its
 unrolled one, and the former ``csv.writer`` writers of the package's CSV
 artifacts and its former whole-block ``%`` row builder as the byte-level
@@ -97,6 +99,23 @@ def param_grid(box, n=33):
                       1 if box.sigma_lo == box.sigma_hi else n)
     ms = np.linspace(box.m_lo, box.m_hi, 1 if box.m_lo == box.m_hi else n)
     return [(float(s), float(mm)) for s in sig for mm in ms]
+
+
+def z_trajectory(p, z0: float, t0: float, t):
+    """Exact z(t) of dz/dt = sigma - m*y_p(t) from (t0, z0), for scalar or
+    array t >= t0: y_p integrates to mu*T/m over each whole period, and to
+    peak*(1 - e^{-m*phase})/m over the phases [0, phase] of one."""
+    peak = orbit_peak(p.mu, p.T, p.m)
+
+    def cum_orbit(t):
+        # int_0^t y_p, continuous across release instants
+        k = np.floor(t / p.T)
+        return (k * p.mu * p.T - peak * np.expm1(-p.m * (t - k * p.T))) / p.m
+
+    t = np.asarray(t, dtype=float)
+    assert np.all(t >= t0), "t must not precede t0"
+    out = z0 + p.sigma * (t - t0) - p.m * (cum_orbit(t) - cum_orbit(t0))
+    return out if out.shape else float(out)
 
 
 def midpoint_z_value(sigma, m, mu, T, z0, t0, t, n_grid=1 << 16) -> float:
@@ -425,6 +444,20 @@ def csv_envelope(report, path) -> None:
                 report.bin_mid.tolist(), report.max_dev.tolist(),
                 report.min_dev.tolist(), report.bound.tolist(), report.count.tolist()):
             w.writerow([_fmt(mid), _fmt(hi), _fmt(lo), _fmt(bound), count])
+
+
+def assert_same_text(got, want) -> None:
+    """got == want for two texts (str or bytes), failing with the first line
+    that differs rather than a diff of the whole texts, which for a
+    4,000-point SVG takes pytest minutes to build."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            raise AssertionError(f"line {i + 1} differs:\n  got  {g!r}\n  want {w!r}")
+    raise AssertionError(f"{len(got_lines)} lines, want {len(want_lines)}, all "
+                         "shared lines agree: the lengths or line endings differ")
 
 
 def assert_no_child_processes() -> None:

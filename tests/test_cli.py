@@ -246,6 +246,20 @@ def test_truncated_json_is_a_usage_error(tmp_path):
     assert "line" in res.stderr
 
 
+@pytest.mark.parametrize("text", [
+    b'{"kernels": \xff}', b'{"kernels": {"m": ' + b"9" * 5000 + b"}}", b"[" * 200_000,
+], ids=["not UTF-8", "5000 digits", "200k nested"])
+def test_unparseable_config_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # Python 3.10 parses any number of digits, and the kernels check refuses them
+    prefix = "config error: " if sys.version_info < (3, 11) else f"config error: {path}: "
+    assert captured.err.startswith(prefix)
+
+
 def test_unknown_top_level_key_is_rejected(tmp_path):
     cfg = write_config(tmp_path, mystery=1)
     res = run_cli("validate", "--config", cfg)
@@ -421,8 +435,7 @@ def test_damage_matches_direct_calls(tmp_path):
 
     p = planner.ZParams(sigma=report.s_sup, m=1.0, mu=2.0, T=0.15)
     pi_z = planner.damage_time(p, z0)
-    pi_full, t_cross = damage_time_full(
-        k, ReleaseProgram(2.0, 0.15), 5.0, 0.1, delta=0.0)
+    pi_full, t_cross = damage_time_full(k, ReleaseProgram(2.0, 0.15), 5.0, 0.1)
     assert float(kv["pi_z"]) == pytest.approx(pi_z, rel=1e-12)
     assert float(kv["pi_full"]) == pytest.approx(pi_full, rel=1e-12)
     assert float(kv["crossing_t"]) == pytest.approx(t_cross, rel=1e-12)
@@ -667,7 +680,8 @@ def test_bad_thread_count_keeps_the_previous_run(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "BIOCTL_THREADS must be a positive integer" in captured.err
-    assert [(out / name).read_bytes() for name in names] == before
+    for name, old in zip(names, before):
+        helpers.assert_same_text((out / name).read_bytes(), old)
 
 
 def _exit_in_worker(*job):
@@ -687,7 +701,7 @@ def test_csv_pool_failure_is_a_clean_error(tmp_path, capsys, monkeypatch, failur
         monkeypatch.setattr(os, "fork", _fork_fails)
     else:
         # a forked worker finds this module's function under the patched name
-        monkeypatch.setattr(mcharness, "_format_rows", _exit_in_worker)
+        monkeypatch.setattr(mcharness, "_row_chunks", _exit_in_worker)
     out = tmp_path / "out"
     code = cli.main(list(mc_args(write_config(tmp_path), out)))
     captured = capsys.readouterr()
@@ -786,7 +800,8 @@ def test_streamed_montecarlo_matches_library_path(tmp_path, capsys, monkeypatch,
     assert captured.out == expected + (
         f"records_csv={out / 'mc_records.csv'}\nenvelope_csv={out / 'mc_envelope.csv'}\n")
     for name in ("mc_records.csv", "mc_envelope.csv"):
-        assert (out / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+        helpers.assert_same_text((out / name).read_bytes(),
+                                 (tmp_path / "library" / name).read_bytes())
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -840,7 +855,8 @@ def test_failed_run_over_a_finished_one_leaves_its_files_as_they_were(
     captured = capsys.readouterr()
     assert captured.err == "error: planted in the second job\n"
     assert captured.out == ""
-    assert [(out / name).read_bytes() for name in _MC_FILES] == before
+    for name, old in zip(_MC_FILES, before):
+        helpers.assert_same_text((out / name).read_bytes(), old)
     assert sorted(os.listdir(out)) == sorted(_MC_FILES)   # no temporary file
     helpers.assert_no_child_processes()
 
@@ -869,14 +885,35 @@ def test_killed_run_over_a_finished_one_leaves_its_files_as_they_were(tmp_path, 
         proc.kill()
         proc.wait()
     assert tmp.exists()   # the one stray a killed run can leave
-    assert [(out / name).read_bytes() for name in _MC_FILES] == before
+    for name, old in zip(_MC_FILES, before):
+        helpers.assert_same_text((out / name).read_bytes(), old)
     res = run_cli("plot", "--config", cfg, "--out", str(out), env_extra=env)
     assert res.returncode == 0
     assert parse_kv(res.stdout)["points"] == "800"
     # the next run reuses the stray and leaves none
     assert run_cli(*mc_args(cfg, out), env_extra=env).returncode == 0
     assert not tmp.exists()
-    assert [(out / name).read_bytes() for name in _MC_FILES] == before
+    for name, old in zip(_MC_FILES, before):
+        helpers.assert_same_text((out / name).read_bytes(), old)
+
+
+def test_unopenable_temporary_file_is_named_and_keeps_the_previous_run(
+        tmp_path, capsys):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main(list(mc_args(cfg, out))) == 0
+    before = [(out / name).read_bytes() for name in _MC_FILES]
+    capsys.readouterr()
+    tmp = out / "mc_envelope.csv.tmp"
+    tmp.mkdir()   # a stray left by hand or by another tool
+    # the same run again: its records are renamed into place byte for byte
+    # before the envelope's temporary file fails to open
+    assert cli.main(list(mc_args(cfg, out))) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {tmp}: Is a directory\n"
+    assert captured.out == ""
+    for name, old in zip(_MC_FILES, before):
+        helpers.assert_same_text((out / name).read_bytes(), old)
+    assert tmp.is_dir()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1053,7 +1090,7 @@ def test_csv_bytes_match_the_csv_writer_reference(tmp_path, capsys, monkeypatch,
         new = tmp_path / "mc_envelope.csv"
         mcharness.write_envelope_csv(report, new)
         helpers.csv_envelope(report, old)
-    assert new.read_bytes() == old.read_bytes()
+    helpers.assert_same_text(new.read_bytes(), old.read_bytes())
 
 
 def test_trajectory_in_row_chunks_matches_the_csv_writer_reference(tmp_path):
@@ -1072,7 +1109,7 @@ def test_trajectory_in_row_chunks_matches_the_csv_writer_reference(tmp_path):
     new, old = tmp_path / "trajectory.csv", tmp_path / "reference.csv"
     impulsim.trajectory_to_csv(traj, new)
     helpers.csv_trajectory(traj, old)
-    assert new.read_bytes() == old.read_bytes()
+    helpers.assert_same_text(new.read_bytes(), old.read_bytes())
     # a release row per sampled random time, two at 0.0 and two at ts[5000]
     assert len(new.read_bytes().splitlines()) == 1 + ts.size + 104 + 2 + 2
 
@@ -1171,9 +1208,18 @@ def _records_with_failures(cfg_path, out):
     return failed
 
 
+def _stride(n):
+    """The least power of two g with ceil(n / g) <= cli._SVG_MAX_POINTS:
+    plot draws every g-th of n points."""
+    g = 1
+    while -(-n // g) > cli._SVG_MAX_POINTS:
+        g *= 2
+    return g
+
+
 def _row_by_row_plot(cfg, records):
     """The points and the envelope.svg of the reader cmd_plot had before it
-    read the columns with numpy."""
+    read the columns with numpy and subsampled them as it read."""
     Ts, devs = [], []
     with open(records, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -1184,8 +1230,9 @@ def _row_by_row_plot(cfg, records):
     t_upper, _ = planner.t_limits(box, 2.0)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, 2.0)
+    g = _stride(len(Ts))
     return len(Ts), cli.render_scatter_svg(
-        Ts, devs, curve_x, curve_y,
+        Ts[::g], devs[::g], curve_x, curve_y,
         title="Damage-time deviation vs release period",
         x_label="release period T", y_label="Pi - T1")
 
@@ -1208,7 +1255,7 @@ def test_plot_matches_row_by_row_reader(tmp_path, capsys):
     assert points == int((~failed).sum())
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
     assert parse_kv(capsys.readouterr().out)["points"] == str(points)
-    assert (out / "envelope.svg").read_text() == expected
+    helpers.assert_same_text((out / "envelope.svg").read_text(), expected)
 
 
 @pytest.mark.parametrize("ending", ["newline", "no final newline"])
@@ -1227,7 +1274,7 @@ def test_plot_read_back_in_ranges_matches_row_by_row_reader(tmp_path, capsys,
     assert points == int((~failed).sum())
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
     assert parse_kv(capsys.readouterr().out)["points"] == str(points)
-    assert (out / "envelope.svg").read_text() == expected
+    helpers.assert_same_text((out / "envelope.svg").read_text(), expected)
     helpers.assert_no_child_processes()
 
 
@@ -1254,7 +1301,7 @@ def test_plot_streams_every_stride_th_point_across_range_cuts(
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
     assert parse_kv(capsys.readouterr().out)["points"] == str(len(Ts))
     (xs, ys), = drawn
-    g = cli._plot_stride(len(Ts))
+    g = _stride(len(Ts))
     assert g > 1 and len(xs) <= max_points
     assert xs.tolist() == Ts[::g] and ys.tolist() == devs[::g]
     helpers.assert_no_child_processes()
@@ -1265,9 +1312,15 @@ def test_plot_streams_every_stride_th_point_across_range_cuts(
     *((4000 * 2 ** k + d, 2 ** k + (d > 0) * 2 ** k) for k in range(1, 21)
       for d in (-1, 0, 1))])
 def test_plot_stride_is_the_least_power_of_two_that_fits(n, stride):
-    assert cli._plot_stride(n) == stride
+    assert _stride(n) == stride
     assert -(-n // stride) <= cli._SVG_MAX_POINTS
     assert stride == 1 or -(-n // (stride // 2)) > cli._SVG_MAX_POINTS
+    # _subsample keeps every stride-th of n points folded from parts of 2^20,
+    # zero-stride views, so that no n values are ever allocated
+    part = np.broadcast_to(0.0, (2 ** 20,))
+    parts = ((part[:n - s],) * 2 for s in range(0, n, len(part)))
+    count, Ts, _ = cli._subsample(parts)
+    assert count == n and len(Ts) == -(-n // stride)
 
 
 def test_scatter_circles_match_per_point_formatting():
@@ -1281,8 +1334,7 @@ def test_scatter_circles_match_per_point_formatting():
         curve_y = rng.standard_normal(50)
         svg = cli.render_scatter_svg(xs, ys, curve_x, curve_y, "t", "x", "y")
         # the renderer's arithmetic and f-strings, one point at a time
-        g = cli._plot_stride(n)
-        px, py = xs[::g].tolist(), ys[::g].tolist()
+        px, py = xs.tolist(), ys.tolist()
         x_lo, x_hi = min(px + curve_x.tolist() + [0.0]), max(px + curve_x.tolist() + [1.0])
         y_lo, y_hi = min(py + curve_y.tolist() + [0.0]), max(py + curve_y.tolist() + [1.0])
         y_pad = 0.05 * (y_hi - y_lo)

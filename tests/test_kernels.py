@@ -19,8 +19,6 @@ from bioctl.kernels import (
     Logistic,
     Proportional,
     UnboundedRatioError,
-    derivatives_at_zero,
-    eval_rates,
     ratio_supremum,
     real_roots,
     validate_kernels,
@@ -70,22 +68,12 @@ def test_slopes_at_zero():
     assert HollingIV(0.9, 0.3, 0.1).slope0() == 0.9
 
 
-def test_eval_rates_rejects_negative_density():
-    k = make(Logistic(1.0, 10.0), HollingII(1.0, 0.5))
-    with pytest.raises(DomainError):
-        eval_rates(k, -0.1)
-    with pytest.raises(DomainError):
-        eval_rates(k, np.array([0.5, -2.0]))
-
-
 @given(r=rates, K=st.floats(1.0, 50.0), lam=rates, a=st.floats(0.0, 2.0),
        x=st.floats(1e-9, 40.0))
 def test_rates_positive_and_vanishing_at_zero(r, K, lam, a, x):
     k = make(Logistic(r, K), HollingII(lam, a))
-    f0, g0, h0 = eval_rates(k, 0.0)
-    assert f0 == 0.0 and g0 == 0.0 and h0 == 0.0
-    _, g, h = eval_rates(k, x)
-    assert g > 0.0 and h > 0.0
+    assert k.growth.rate(0.0) == k.response.rate(0.0) == k.numerical.rate(0.0) == 0.0
+    assert k.response.rate(x) > 0.0 and k.numerical.rate(x) > 0.0
 
 
 @given(r=rates, A=st.floats(0.5, 5.0), gap=st.floats(0.5, 20.0))
@@ -179,7 +167,7 @@ def test_sup_dominates_zero_limit(r, K, lam, a, m):
     k = make(Logistic(r, K), HollingII(lam, a), m=m)
     report = validate_kernels(k)
     assert report.s_sup >= report.s_limit * (1.0 - 1e-12)
-    fp0, gp0 = derivatives_at_zero(k)
+    fp0, gp0 = k.growth.slope0(), k.response.slope0()
     assert math.isclose(report.s_limit, m * fp0 / gp0, rel_tol=1e-12)
 
 

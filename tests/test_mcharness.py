@@ -125,7 +125,7 @@ def test_run_mc_draws_respect_the_box(reference_box):
     np.testing.assert_allclose(trials.T1, trials.z0 / (MU - 1.0), rtol=1e-12)
     np.testing.assert_allclose(trials.deviation, trials.Pi - trials.T1,
                                rtol=1e-9, atol=1e-12)
-    assert trials.engine == "closed" and trials.x0 is None
+    assert trials.engine == "closed"
     assert not trials.failed.any()
 
 
@@ -159,7 +159,6 @@ def test_full_engine_on_collapsing_kernels():
     full = run_mc(McConfig(box=box, mu=MU, n_trials=20, seed=3, engine="full",
                            kernels=collapsing_kernels(), eil=0.1))
     assert not full.failed.any()
-    np.testing.assert_allclose(full.x0, 0.1 * np.exp(full.z0), rtol=1e-12)
     np.testing.assert_allclose(full.Pi, closed.Pi, rtol=1e-4)
 
 
@@ -216,7 +215,7 @@ def test_mc_config_validation(reference_box):
 @pytest.fixture
 def csv_pools(monkeypatch):
     """Two usable CPUs whatever the machine, and a list that gets one entry
-    per CSV process pool started."""
+    per process pool started."""
     started = []
 
     class CountingPool(forkpool._Workers):
@@ -231,13 +230,12 @@ def csv_pools(monkeypatch):
 
 def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch,
                                           csv_pools):
-    # the run spans more than one 16384-trial chunk
+    # the run spans ten jobs of 4096 trials
     paths = []
     for threads in ("1", "2"):
         monkeypatch.setenv("BIOCTL_THREADS", threads)
-        trials = run_mc(small_cfg(reference_box, n_trials=40_000))
         path = tmp_path / f"records_{threads}.csv"
-        write_records_csv(trials, path)
+        mcharness.stream_mc(small_cfg(reference_box, n_trials=40_000), path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert len(csv_pools) == 1   # at two workers
@@ -266,8 +264,8 @@ def test_csv_workers_fork_after_the_engine_threads_end(reference_box, tmp_path,
     monkeypatch.setenv("BIOCTL_THREADS", "2")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trials = run_mc(small_cfg(reference_box, n_trials=20_000))
-        write_records_csv(trials, tmp_path / "records.csv")
+        mcharness.stream_mc(small_cfg(reference_box, n_trials=20_000),
+                            tmp_path / "records.csv")
     assert len(csv_pools) == 1
 
 
@@ -308,7 +306,7 @@ def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, eng
 def test_repeat_run_is_identical(reference_box):
     a = run_mc(small_cfg(reference_box, n_trials=500))
     b = run_mc(small_cfg(reference_box, n_trials=500))
-    assert (a.engine, a.x0, b.x0) == (b.engine, None, None)
+    assert a.engine == b.engine
     for c in COLUMNS:
         assert np.array_equal(getattr(a, c), getattr(b, c))
 
@@ -422,19 +420,23 @@ def test_chunked_writer_matches_row_by_row_writer(reference_box, tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "no fork"])
-def test_formatter_matches_per_row_formatting(tmp_path, monkeypatch, csv_pools,
-                                              workers):
+def test_formatter_matches_per_row_formatting(reference_box, tmp_path, monkeypatch,
+                                              csv_pools, workers):
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
                0.1, 1.0 / 3.0, 2.0 ** 53, 1e-300]
     cols = {c: np.roll(np.array(special), k) for k, c in enumerate(COLUMNS[:-1])}
     failed = np.isnan(cols["Pi"]) | (np.arange(len(special)) % 5 == 0)
     trials = mcharness.Trials(**cols, failed=failed, engine="full")
-    monkeypatch.setattr(mcharness, "_CSV_ROWS", 5)   # three jobs, the last partial
+    # stream_mc's jobs solve these trials, in three jobs, the last partial
+    monkeypatch.setattr(mcharness, "_solve", lambda cfg, start, stop: mcharness.Trials(
+        **{c: getattr(trials, c)[start:stop] for c in COLUMNS}, engine="full"))
+    monkeypatch.setattr(mcharness, "_CSV_ROWS", 5)
     monkeypatch.setenv("BIOCTL_THREADS", "1" if workers == "1" else "2")
     if workers == "no fork":
         monkeypatch.delattr(os, "fork")
     new, old = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
-    write_records_csv(trials, new)
+    with np.errstate(over="ignore"):    # max_dev / bound of the report, at 1e308
+        mcharness.stream_mc(small_cfg(reference_box, n_trials=len(special)), new)
     row_by_row_records_csv(trials, old)
     assert new.read_bytes() == old.read_bytes()
     assert len(csv_pools) == (workers == "2")
