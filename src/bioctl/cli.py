@@ -363,9 +363,9 @@ def cmd_optimize(args) -> tuple[int, dict]:
     worst = [planner.worst_invasion(
         planner.ZParams(sigma=sigma, m=k.m, mu=mu, T=T), args.z0)
         for T in result.periods]
-    tables.write(path, [b"T,pi_max,deviation\n", tables.rows(
+    tables.write({path: [b"T,pi_max,deviation\n", tables.rows(
         "%.17g,%.17g,%.17g\n", result.periods, [w.pi_max for w in worst],
-        [w.deviation for w in worst])])
+        [w.deviation for w in worst])]})
     return 0, {"t1": result.t1,
                "n0": result.n0,
                "decay_ceiling": result.decay_ceiling,
@@ -386,8 +386,8 @@ def cmd_robustness(args) -> tuple[int, dict]:
     Ts = [t_hat_min * i / (n + 1) for i in range(1, n + 1)]
     bounds = planner.robust_envelope(Ts, box, mu)
     path = os.path.join(_out_dir(args), "robust_bound.csv")
-    tables.write(path, [b"T,bound,T_L_flag\n", tables.rows(
-        "%.17g,%.17g,%d\n", Ts, bounds, [T < t_lower for T in Ts])])
+    tables.write({path: [b"T,bound,T_L_flag\n", tables.rows(
+        "%.17g,%.17g,%d\n", Ts, bounds, [T < t_lower for T in Ts])]})
     return 0, {"t_lower": t_lower,
                "t_hat_min": t_hat_min,
                "points": n,
@@ -410,8 +410,7 @@ def cmd_montecarlo(args) -> tuple[int, dict]:
     out = _out_dir(args)
     rec_path = os.path.join(out, "mc_records.csv")
     env_path = os.path.join(out, "mc_envelope.csv")
-    report, failed = mcharness.stream_mc(mc_cfg, rec_path, n_bins=bins)
-    mcharness.write_envelope_csv(report, env_path)
+    report, failed = mcharness.stream_mc(mc_cfg, rec_path, env_path, n_bins=bins)
     code = 1 if report.violations > 0 else 0
     return code, {"trials": trials,
                   "seed": seed,
@@ -609,7 +608,7 @@ def cmd_plot(args) -> tuple[int, dict]:
         title="Damage-time deviation vs release period",
         x_label="release period T", y_label="Pi - T1")
     svg_path = os.path.join(out, "envelope.svg")
-    tables.write(svg_path, [svg.encode()])
+    tables.write({svg_path: [svg.encode()]})
     return 0, {"points": n_points, "svg": svg_path}
 
 

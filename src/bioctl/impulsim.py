@@ -4,9 +4,12 @@ Between releases the system is a smooth planar ODE; at every release
 instant nT the predator pool jumps by mu*T.  One adaptive Dormand-Prince
 5(4) stepper (the RK45 pair: Dormand & Prince 1980; Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4-6) runs on Python floats through the whole
-horizon, with scipy's RK45 step control: RMS error norm over (x, y),
-safety 0.9, step factor clamped to [0.2, 10], exponent -1/5.  Each stage
-evaluates g once and f once: the numerical response is h = e*g.
+horizon, with scipy's RK45 step control (RMS error norm over (x, y),
+safety 0.9, step factor clamped to [0.2, 10], exponent -1/5) except for
+the first step, which proposes one release period.  So no time constant
+is absolute: T and t0 times a power of two, with the rates divided by it,
+give every time times it, exactly.  Each stage evaluates g once and f
+once: the numerical response is h = e*g.
 
 Release instants and error control alone bound the step: the step that
 would pass nT, or end short of it by under a millionth of the step, lands
@@ -58,10 +61,9 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Dormand-Prince 5(4) tableau.  The seventh stage is the derivative at the
-# step end (first same as last); it enters the error estimate and the dense
-# output only.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# Dormand-Prince 5(4) tableau, without the stage nodes c: the rhs is
+# autonomous.  The seventh stage is the derivative at the step end (first
+# same as last); it enters the error estimate and the dense output only.
 _A = ((),
       (1 / 5,),
       (3 / 40, 9 / 40),
@@ -173,23 +175,10 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
         gx = g(x)
         return f(x) - gx * y, (e * gx - m) * y
 
-    def rms(u, v):
-        return math.hypot(u, v) * _SQRT_HALF
-
     fx, fy = rhs(x, y)
-    # initial step size: Hairer, Norsett & Wanner II.4, as in scipy
-    sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
-    d0, d1 = rms(x / sx, y / sy), rms(fx / sx, fy / sy)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t)
-    gx, gy = rhs(x + h0 * fx, y + h0 * fy)
-    d2 = rms((gx - fx) / sx, (gy - fy) / sy) / h0 if h0 > 0.0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, t_end - t)
-
+    # the first proposal is one release period, landed on the next release
+    # or the horizon below, and shrunk by error control like any other
+    h_abs = min(T, t_end - t)
     n = next_release(t, T)
     stop = min(n * T, t_end)
     err = 0.0
@@ -226,11 +215,12 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
             xn = x + h * (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
             yn = y + h * (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
             k7x, k7y = rhs(xn, yn)
-            err = rms(
+            # the RMS norm of the error over (x, y)
+            err = math.hypot(
                 h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
                 / (atol + max(abs(x), abs(xn)) * rtol),
                 h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
-                / (atol + max(abs(y), abs(yn)) * rtol))
+                / (atol + max(abs(y), abs(yn)) * rtol)) * _SQRT_HALF
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
                                                             _SAFETY * err ** -0.2)
@@ -467,10 +457,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     i = np.searchsorted(times, traj.ts)
     at = np.flatnonzero(times[i] == traj.ts)   # samples with a release row
     after = at + 1
-    tables.write(path, itertools.chain(
+    tables.write({path: itertools.chain(
         [b"t,x,y,is_impulse\n"],
         tables.row_chunks("%.17g,%.17g,%.17g,%d\n",
                           np.insert(traj.ts, after, traj.ts[at]),
                           np.insert(traj.xs, after, traj.xs[at]),
                           np.insert(traj.ys, after, levels[i[at]]),
-                          np.insert(np.zeros(len(traj.ts)), after, 1))))
+                          np.insert(np.zeros(len(traj.ts)), after, 1)))})

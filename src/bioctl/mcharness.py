@@ -56,7 +56,6 @@ __all__ = [
     "bin_envelope",
     "verify_envelope",
     "write_records_csv",
-    "write_envelope_csv",
 ]
 
 _GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
@@ -368,16 +367,17 @@ def write_records_csv(trials: Trials, path) -> None:
     ``stream_mc`` writes the same bytes.  The file is written whole or not
     at all (see ``tables.write``).
     """
-    tables.write(path, itertools.chain([_RECORDS_HEADER], _row_chunks(
-        0, trials.engine, *(getattr(trials, c) for c in _COLUMNS))))
+    tables.write({path: itertools.chain([_RECORDS_HEADER], _row_chunks(
+        0, trials.engine, *(getattr(trials, c) for c in _COLUMNS)))})
 
 
-def write_envelope_csv(report: EnvelopeReport, path) -> None:
-    tables.write(path, itertools.chain(
+def _envelope_chunks(report: EnvelopeReport):
+    """The envelope CSV of the report, as ASCII byte chunks."""
+    return itertools.chain(
         [b"bin_mid,max_dev,min_dev,bound,count\n"],
         tables.row_chunks("%.17g,%.17g,%.17g,%.17g,%d\n", report.bin_mid,
                           report.max_dev, report.min_dev, report.bound,
-                          report.count)))
+                          report.count))
 
 
 # --------------------------------------------------------------------------
@@ -396,21 +396,23 @@ def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
             int(trials.failed.sum()))
 
 
-def stream_mc(cfg: McConfig, path, n_bins: int = 50):
+def stream_mc(cfg: McConfig, records_path, envelope_path, n_bins: int = 50):
     """``run_mc``, ``verify_envelope`` and ``write_records_csv`` in one pass
     that never holds the trial columns: returns (the envelope report, the
-    failed trial count) and writes the same bytes to path.
+    failed trial count), writes the same bytes to records_path and the
+    report's bins to envelope_path.
 
     Each job draws, solves, checks, bins and formats its own trials in a
     worker process (see ``forkpool``); the rows are written in trial
     order and the per-job partials folded, so neither the bytes nor the
-    report depend on the worker count.  A run that fails leaves path as
-    it was (see ``tables.write``).
+    report depend on the worker count.  The two files are one commit: a
+    run that fails leaves both as they were (see ``tables.write``).
     """
     _check_bins(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)
     workers = forkpool.thread_count()
     acc, violations, failed = _Bins(n_bins), 0, 0
+    report = None
 
     def fold(result):
         nonlocal violations, failed
@@ -424,11 +426,16 @@ def stream_mc(cfg: McConfig, path, n_bins: int = 50):
         s = starts[k]
         return _run_chunk(cfg, n_bins, s, min(s + starts.step, cfg.n_trials))
 
-    def chunks():
+    def records():
         yield _RECORDS_HEADER
         yield from map(fold, forkpool.map_jobs(job, len(starts), workers))
 
-    tables.write(path, chunks())
-    report = _envelope_report(violations, cfg.t_upper, acc.columns(cfg.t_upper),
-                              cfg.box, cfg.mu)
+    def envelope():
+        # written after the records, whose jobs fold the bins
+        nonlocal report
+        report = _envelope_report(violations, cfg.t_upper,
+                                  acc.columns(cfg.t_upper), cfg.box, cfg.mu)
+        yield from _envelope_chunks(report)
+
+    tables.write({records_path: records(), envelope_path: envelope()})
     return report, failed

@@ -34,6 +34,7 @@ threshold (mu > sigma) and, where marked, that the period stays below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +157,12 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
         return math.inf
     if not sigma < mu < math.inf:
         raise DomainError("mu must exceed sigma and be finite")
-    # ln(sigma/mu) to full precision: sigma - mu is exact near the ratio 1,
-    # and the quotient itself can underflow far from it
+    # ln(sigma/mu) to full precision: sigma - mu is exact near the ratio 1;
+    # far from it the quotient, which rates scaled alike leave unchanged,
+    # unless it is subnormal or zero, where the logs are taken apart
+    ratio = sigma / mu
     lr = (math.log1p((sigma - mu) / mu) if 2.0 * sigma > mu
+          else math.log(ratio) if ratio >= sys.float_info.min
           else math.log(sigma) - math.log(mu))
     x = -2.0 * lr
     for _ in range(100):

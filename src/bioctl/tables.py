@@ -4,9 +4,9 @@ a command leaves under --out.
 Rows are ASCII lines of a ``%``-style format with two conversions,
 ``%.17g`` (17 significant digits round-trip a double) and ``%d``; their
 bytes equal Python's ``fmt % row``.  A file is written whole or not at
-all, under a temporary name renamed onto it once whole (see ``write``);
-a failure of the file system, a fork or a worker is raised as
-``OutputWriteError`` (exit 1).
+all, under a temporary name renamed onto it once whole, and the files of
+one command are renamed together (see ``write``); a failure of the file
+system, a fork or a worker is raised as ``OutputWriteError`` (exit 1).
 
 A table of at most ``_SMALL`` values is formatted with ``%`` itself.
 Larger ones come from an exact vectorised formatter.  Each field is built
@@ -106,19 +106,43 @@ def _percent(fmt: str, cols) -> bytes:
     return "".join([fmt % row for row in zip(*[c.tolist() for c in cols])]).encode()
 
 
-def write(path, chunks) -> None:
-    """Write the byte chunks to path in order, whole or not at all.
+def write(files) -> None:
+    """Write files, a mapping of each path to its byte chunks, as one
+    commit: every path whole, or none of them.
 
-    The chunks go to ``<path>.tmp``, renamed onto path once all are
-    written: a failed or killed run leaves a previous path as it was, and
-    a killed one leaves at most that one stray, which the next write reuses.
+    Each path's chunks go to ``<path>.tmp``, path after path, so a later
+    path's chunks may rest on what an earlier path's computed.  Once every
+    temporary file is whole, each is renamed onto its path.  A failed or
+    killed run leaves every previous path as it was, and a killed one
+    leaves at most those strays, which the next write reuses; only a crash
+    between two renames, or a rename that fails (a path that is a
+    directory), splits a commit.
 
     chunks may be a generator that computes each chunk as it is written;
     if the write fails it is closed first, so a worker pool it holds is
     shut down before the partial file is removed.  Any exception removes
-    the partial file; an OSError or a broken worker pool is raised as
+    every temporary file; an OSError or a broken worker pool is raised as
     OutputWriteError, anything else unchanged.
     """
+    pending = []    # (temporary file, path) pairs written, not yet renamed
+    try:
+        for path, chunks in files.items():
+            pending.append((_write_tmp(path, chunks), path))
+        while pending:
+            tmp, path = pending[0]
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
+            del pending[0]
+    finally:
+        for tmp, _ in pending:
+            os.remove(tmp)
+
+
+def _write_tmp(path, chunks) -> str:
+    """The chunks written to ``<path>.tmp``, whose name is returned; a
+    failure removes the partial file (see ``write``)."""
     tmp = f"{path}.tmp"
     try:
         fh = open(tmp, "wb")
@@ -138,11 +162,7 @@ def write(path, chunks) -> None:
                 f"writing {path} failed ({type(e).__name__}: {e}); the partial "
                 "file was removed") from e
         raise
-    try:
-        os.replace(tmp, path)
-    except OSError as e:
-        os.remove(tmp)
-        raise OutputWriteError(f"cannot write {path}: {e.strerror or e}") from e
+    return tmp
 
 
 # --------------------------------------------------------------------------

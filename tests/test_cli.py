@@ -24,7 +24,7 @@ import helpers
 import numpy as np
 import pytest
 
-from bioctl import cli, forkpool, impulsim, mcharness, planner
+from bioctl import cli, forkpool, impulsim, mcharness, planner, tables
 from bioctl.impulsim import SimConfig, damage_time_full
 from bioctl.kernels import (
     DomainError,
@@ -755,7 +755,7 @@ def _library_montecarlo(mc_cfg, out, bins):
     report = mcharness.verify_envelope(trials, mc_cfg.box, mc_cfg.mu, n_bins=bins)
     out.mkdir()
     mcharness.write_records_csv(trials, out / "mc_records.csv")
-    mcharness.write_envelope_csv(report, out / "mc_envelope.csv")
+    tables.write({out / "mc_envelope.csv": mcharness._envelope_chunks(report)})
     return trials, "".join(f"{k}={cli._fmt(v)}\n" for k, v in (
         ("trials", mc_cfg.n_trials), ("seed", mc_cfg.seed),
         ("engine", mc_cfg.engine), ("t_upper", report.t_upper),
@@ -898,22 +898,27 @@ def test_killed_run_over_a_finished_one_leaves_its_files_as_they_were(tmp_path, 
 
 
 def test_unopenable_temporary_file_is_named_and_keeps_the_previous_run(
-        tmp_path, capsys):
-    cfg, out = write_config(tmp_path), tmp_path / "out"
-    assert cli.main(list(mc_args(cfg, out))) == 0
-    before = [(out / name).read_bytes() for name in _MC_FILES]
-    capsys.readouterr()
-    tmp = out / "mc_envelope.csv.tmp"
-    tmp.mkdir()   # a stray left by hand or by another tool
-    # the same run again: its records are renamed into place byte for byte
-    # before the envelope's temporary file fails to open
-    assert cli.main(list(mc_args(cfg, out))) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: cannot write {tmp}: Is a directory\n"
-    assert captured.out == ""
-    for name, old in zip(_MC_FILES, before):
-        helpers.assert_same_text((out / name).read_bytes(), old)
-    assert tmp.is_dir()
+        tmp_path, capsys, monkeypatch):
+    # the two CSVs are one commit: a run with other trials whose envelope
+    # cannot be written leaves the previous run's pair byte for byte
+    cfg = write_config(tmp_path)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BIOCTL_THREADS", threads)
+        out = tmp_path / f"out-{threads}"
+        assert cli.main(list(mc_args(cfg, out))) == 0
+        before = [(out / name).read_bytes() for name in _MC_FILES]
+        capsys.readouterr()
+        tmp = out / "mc_envelope.csv.tmp"
+        tmp.mkdir()   # a stray left by hand or by another tool
+        assert cli.main([*mc_args(cfg, out), "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {tmp}: Is a directory\n"
+        assert captured.out == ""
+        for name, old in zip(_MC_FILES, before):
+            helpers.assert_same_text((out / name).read_bytes(), old)
+        assert sorted(os.listdir(out)) == sorted([*_MC_FILES, tmp.name])
+        assert tmp.is_dir()
+        helpers.assert_no_child_processes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1088,7 +1093,7 @@ def test_csv_bytes_match_the_csv_writer_reference(tmp_path, capsys, monkeypatch,
             count=np.array([0, 1, 7, 2 ** 40, 3, 0, 12, 5, 9]),
             coverage_ratio=np.full(9, math.nan))
         new = tmp_path / "mc_envelope.csv"
-        mcharness.write_envelope_csv(report, new)
+        tables.write({new: mcharness._envelope_chunks(report)})
         helpers.csv_envelope(report, old)
     helpers.assert_same_text(new.read_bytes(), old.read_bytes())
 

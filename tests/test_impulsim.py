@@ -204,7 +204,8 @@ def _tableau():
     for i, row in enumerate(impulsim._A):
         A[i, :len(row)] = row
     A[6, :6] = impulsim._B
-    c = np.array(impulsim._C + (1.0,))
+    # the stage nodes: the package does not keep them, its rhs is autonomous
+    c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
     b = np.append(impulsim._B, 0.0)
     b_hat = b - np.array(impulsim._E)
     return c, A, b, b_hat

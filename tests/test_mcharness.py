@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bioctl import forkpool, impulsim, mcharness, planner
+from bioctl import forkpool, impulsim, mcharness, planner, tables
 from bioctl.impulsim import SimConfig
 from bioctl.kernels import (
     DomainError,
@@ -24,7 +24,6 @@ from bioctl.mcharness import (
     run_mc,
     stream_uniforms,
     verify_envelope,
-    write_envelope_csv,
     write_records_csv,
 )
 
@@ -235,7 +234,8 @@ def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch,
     for threads in ("1", "2"):
         monkeypatch.setenv("BIOCTL_THREADS", threads)
         path = tmp_path / f"records_{threads}.csv"
-        mcharness.stream_mc(small_cfg(reference_box, n_trials=40_000), path)
+        mcharness.stream_mc(small_cfg(reference_box, n_trials=40_000), path,
+                            tmp_path / "envelope.csv")
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert len(csv_pools) == 1   # at two workers
@@ -265,7 +265,7 @@ def test_csv_workers_fork_after_the_engine_threads_end(reference_box, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mcharness.stream_mc(small_cfg(reference_box, n_trials=20_000),
-                            tmp_path / "records.csv")
+                            tmp_path / "records.csv", tmp_path / "envelope.csv")
     assert len(csv_pools) == 1
 
 
@@ -278,7 +278,7 @@ def test_streamed_run_memory_does_not_grow_with_the_trial_count(
         cfg = small_cfg(reference_box, n_trials=n_trials)
         tracemalloc.start()
         try:
-            mcharness.stream_mc(cfg, tmp_path / "records.csv")
+            mcharness.stream_mc(cfg, tmp_path / "records.csv", tmp_path / "envelope.csv")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -292,7 +292,8 @@ def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, eng
         monkeypatch.setattr(mcharness, "_CSV_ROWS", rows)
         path = tmp_path / f"records_{rows}.csv"
         report, failed = mcharness.stream_mc(
-            small_cfg(reference_box, n_trials=3000, engine=engine), path, n_bins=7)
+            small_cfg(reference_box, n_trials=3000, engine=engine), path,
+            tmp_path / "envelope.csv", n_bins=7)
         outputs.append((path.read_bytes(), report, failed))
     (data, report, failed), *others = outputs
     for other_data, other, other_failed in others:
@@ -392,7 +393,7 @@ def test_envelope_csv_layout(reference_box, tmp_path):
     rec_path = tmp_path / "records.csv"
     env_path = tmp_path / "envelope.csv"
     write_records_csv(trials, rec_path)
-    write_envelope_csv(report, env_path)
+    tables.write({env_path: mcharness._envelope_chunks(report)})
     rec_lines = rec_path.read_text().splitlines()
     assert rec_lines[0] == "trial,T,t0,z0,Pi,T1,deviation,engine,failed"
     assert len(rec_lines) == 401
@@ -436,7 +437,8 @@ def test_formatter_matches_per_row_formatting(reference_box, tmp_path, monkeypat
         monkeypatch.delattr(os, "fork")
     new, old = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
     with np.errstate(over="ignore"):    # max_dev / bound of the report, at 1e308
-        mcharness.stream_mc(small_cfg(reference_box, n_trials=len(special)), new)
+        mcharness.stream_mc(small_cfg(reference_box, n_trials=len(special)), new,
+                            tmp_path / "envelope.csv")
     row_by_row_records_csv(trials, old)
     assert new.read_bytes() == old.read_bytes()
     assert len(csv_pools) == (workers == "2")

@@ -230,9 +230,32 @@ def test_write_replaces_the_file_only_once_whole(tmp_path):
         raise KeyError("planted")
 
     with pytest.raises(KeyError):
-        tables.write(path, fails_late())
+        tables.write({path: fails_late()})
     assert path.read_bytes() == b"previous\n"
     assert os.listdir(tmp_path) == ["table.csv"]
-    tables.write(path, [b"header\n", b"row\n"])
+    tables.write({path: [b"header\n", b"row\n"]})
     assert path.read_bytes() == b"header\nrow\n"
     assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_write_commits_every_file_or_none(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_bytes(b"previous first\n")
+    second.write_bytes(b"previous second\n")
+    written = []
+
+    def after_first():
+        # a later file's chunks are taken once the earlier file is whole
+        written.append((tmp_path / "first.csv.tmp").read_bytes())
+        yield b"second\n"
+        raise KeyError("planted")
+
+    with pytest.raises(KeyError):
+        tables.write({first: [b"first\n"], second: after_first()})
+    assert written == [b"first\n"]
+    assert first.read_bytes() == b"previous first\n"
+    assert second.read_bytes() == b"previous second\n"
+    assert sorted(os.listdir(tmp_path)) == ["first.csv", "second.csv"]
+    tables.write({first: [b"first\n"], second: [b"second\n"]})
+    assert (first.read_bytes(), second.read_bytes()) == (b"first\n", b"second\n")
+    assert sorted(os.listdir(tmp_path)) == ["first.csv", "second.csv"]
