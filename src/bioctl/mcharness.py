@@ -26,7 +26,7 @@ the rows and the partials; the parent writes the rows in trial order and
 folds the per-job counts, maxima and minima, which do not depend on
 order.  So the parent never holds the trial columns, and its memory does
 not grow with the trial count.  Processes, not threads: formatting alone
-costs about 0.2 us a field under the GIL (see ``tables.rows``).
+costs about 0.1 us a field under the GIL (see ``tables.rows``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ MAX_BINS = 2 ** 20
 #: the damage-time engines, the default first
 ENGINES = ("closed", "full")
 
-#: trials per job of the closed engine: a job's text is about 0.5 MB
+#: trials per job of the closed engine: a job's text is about 0.5 MB, and
+#: one pass of ``tables.row_chunks``
 _CSV_ROWS = 4096
 #: trials per full-engine job.  A trial costs about a millisecond and far
 #: more at short periods, so small jobs keep the workers balanced, and
@@ -389,8 +390,9 @@ def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
     (their CSV rows, their envelope violations, their bin partial, their
     failed count)."""
     trials = _solve(cfg, start, stop)
-    return (b"".join(_row_chunks(start, trials.engine,
-                                 *(getattr(trials, c) for c in _COLUMNS))),
+    chunks = list(_row_chunks(start, trials.engine,
+                              *(getattr(trials, c) for c in _COLUMNS)))
+    return (chunks[0] if len(chunks) == 1 else b"".join(chunks),
             _violations(trials, cfg.box, cfg.mu),
             _bin_partial(trials, n_bins, cfg.t_upper),
             int(trials.failed.sum()))

@@ -24,6 +24,11 @@ time, and one ``bytearray.translate`` a pass drops the NULs:
   2^200), a rounding near a tie), and ``%d`` of |x| >= 2^53, is
   formatted alone with ``%``; a pass with a ``%d`` of 17 digits or more,
   too long for its words, is formatted whole with ``%``.
+
+Each thread keeps one pass's scratch, the word array and the buffer the
+NULs are dropped from, and reuses it from pass to pass: about 2 MB for
+the 31 words a row of ``mc_records.csv`` takes.  So a pass allocates only
+its column temporaries and the bytes it returns.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +63,9 @@ _K_LO, _K_HI = -64, 80
 _TIE = 0.5 - 1e-6
 #: %.17g of nan (of either sign), inf and -inf, as little-endian words
 _NAN, _INF, _NEG_INF = (int.from_bytes(w, "little") for w in (b"nan", b"inf", b"-inf"))
+#: this thread's scratch of ``_pass``: its word array, grown to the
+#: largest pass, and its compaction buffer
+_scratch = threading.local()
 
 
 class OutputWriteError(RuntimeError):
@@ -70,8 +79,9 @@ def rows(fmt: str, *columns) -> bytes:
     %d of a float column prints int(value).
 
     The bytes equal ``%`` for every value.  Past _SMALL values the
-    vectorised formatter takes about 0.2 us a field on one core, a quarter
-    to a third of what ``%`` takes.
+    vectorised formatter takes about 0.1 us a field on one core, a quarter
+    of what ``%`` takes (the rows of a 200k-trial closed run, pass by
+    pass, on a 2-CPU Xeon with Python 3.11 and numpy 2.4).
     """
     return b"".join(row_chunks(fmt, *columns))
 
@@ -179,10 +189,12 @@ def _residual(k: int, hi: float) -> float:
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """The lookup tables, built on first use; one row per index, so that a
-    single take gathers what a value needs.  The small ones are built in
-    Python: the pages of numpy code that only this function ran would stay
-    resident, and count in the peak RSS of every command that writes a table.
+    """The lookup tables, built on first use.  pow10 has one row per index,
+    so that a single take gathers what a value needs; by_x, area and lead
+    have one row per word, so that a take along axis 1 gathers contiguous
+    word rows.  The small ones are built in Python: the pages of numpy
+    code that only this function ran would stay resident, and count in
+    the peak RSS of every command that writes a table.
 
     Words hold bytes little-endian: byte i of a field is bits 8i..8i+7.
     """
@@ -236,8 +248,9 @@ def _tables() -> SimpleNamespace:
         ascii4=sum((d + 0x30) * 256 ** i for i, d in enumerate(digits))
         .ravel().view(np.uint64),
         place=place.ravel(),
-        by_x=np.array(by_x, dtype=np.uint64),
-        area=np.stack([words(ma), words(ms), words(pt)], axis=2).reshape(-1, 9),
+        by_x=np.array(by_x, dtype=np.uint64).T.copy(),
+        area=np.stack([words(ma), words(ms), words(pt)], axis=2).reshape(-1, 9)
+        .T.copy(),
         # %d: byte 0 holds the sign, bytes 1..16 the digits; row nd - 1
         # keeps the last nd of them
         lead=words(low[1] | low[17] ^ low[17 - nd] for nd in range(1, 17)).T.copy(),
@@ -266,9 +279,15 @@ def _g_words(t, x, out, lit):
     bits = x.view(np.uint64)
     e2 = (bits >> 52 & 0x7FF).view(np.int64) - 1023
     ok = (e2 - _E2_MIN).view(np.uint64) < _E2_SPAN
-    a = np.where(ok, np.abs(x), 1.0)
+    # with every value in the certified range (as in a closed run's
+    # records), there is no zero, subnormal, nan, inf or fallback to mask
+    masked = not ok.all()
+    a = np.abs(x)
     # the decimal exponent: floor(e2*log10(2)), then the exact test a >= 10^(e+1)
-    e = np.where(ok, (e2 * 78913) >> 18, 0)
+    e = (e2 * 78913) >> 18
+    if masked:
+        a = np.where(ok, a, 1.0)
+        e = np.where(ok, e, 0)
     e += a >= t.thr.take(e + (1 - _K_LO))
     # a*10^(16-e) as p + r, exact to 2^-104: Dekker's product with the
     # double-double (hi, lo); p >= 10^16 > 2^53 is an integer
@@ -280,7 +299,9 @@ def _g_words(t, x, out, lit):
     r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
     q = np.rint(r)
     tie = np.abs(r - q) >= _TIE
-    d = (p.astype(np.int64) + q.astype(np.int64)) * ok
+    d = p.astype(np.int64) + q.astype(np.int64)
+    if masked:
+        d *= ok
     top = np.flatnonzero(d == 10 ** 17)
     d[top] = 10 ** 16
     e[top] += 1
@@ -293,8 +314,8 @@ def _g_words(t, x, out, lit):
         last[few] = np.maximum.reduce(
             [t.place.take(g[few]) + k for g, k in zip(groups, (1, 5, 9, 13))]
             + [np.zeros(few.size, np.int64)])
-    q17, head, tail = t.by_x.take(e - _K_LO, axis=0).T
-    area = t.area.take(q17.view(np.int64) + last, axis=0).T
+    q17, head, tail = t.by_x.take(e - _K_LO, axis=1)
+    area = t.area.take(q17.view(np.int64) + last, axis=1)
     s0 = w0 << 8
     s1 = w1 << 8 | w0 >> 56
     s2 = w2 << 8 | w1 >> 56
@@ -303,6 +324,8 @@ def _g_words(t, x, out, lit):
         ma, ms, pt = area[3 * j:3 * j + 3]
         np.bitwise_or(w & ma | s & ms, pt, out=out[j + 1])
     out[3] |= tail | lit << 56
+    if not masked:
+        return np.flatnonzero(tie)
     special = e2 == 1024     # nan and inf: fixed words
     if special.any():
         i = np.flatnonzero(special)
@@ -365,7 +388,10 @@ def _pass(t, fmt, layout, cols) -> bytes:
         size = _FIELDS[conv][0] if conv else -(-len(data) // 8)
         spans.append((n_words, size))
         n_words += size
-    W = np.empty((n_words, n), dtype=np.uint64)
+    W = getattr(_scratch, "words", None)
+    if W is None or W.size < n_words * n:
+        W = _scratch.words = np.empty(n_words * n, dtype=np.uint64)
+    W = W[:n_words * n].reshape(n_words, n)
     col = iter(cols)
     for (conv, data), (w, size) in zip(layout, spans):
         if conv is None:
@@ -380,11 +406,21 @@ def _pass(t, fmt, layout, cols) -> bytes:
             if len(text) > 8 * size:
                 return _percent(fmt, cols)
             W[w:w + size, i] = np.frombuffer(text.ljust(8 * size, b"\0"), "<u8")
-    return _compact(W[W.any(axis=1)])     # less the words NUL in every row
+    return _compact(W)
 
 
 def _compact(W) -> bytearray:
-    """The row-major bytes of the word columns W, NULs dropped."""
-    buf = bytearray(W.size * 8)
-    np.frombuffer(buf, "<u8").reshape(W.shape[::-1])[...] = W.T
+    """The row-major bytes of the word columns W, less the words NUL in
+    every row, with the NULs dropped.  They are laid out in this thread's
+    scratch buffer, which the returned bytes do not share."""
+    keep = np.flatnonzero(W.any(axis=1)).tolist()
+    size = 8 * len(keep) * W.shape[1]
+    buf = _scratch.__dict__.setdefault("buf", bytearray())
+    if len(buf) < size:
+        buf += bytes(size - len(buf))
+    del buf[size:]
+    out = np.frombuffer(buf, "<u8").reshape(W.shape[1], len(keep))
+    for j, w in enumerate(keep):
+        out[:, j] = W[w]
+    del out     # a buffer with an export cannot be resized
     return buf.translate(None, b"\0")

@@ -285,6 +285,23 @@ def test_streamed_run_memory_does_not_grow_with_the_trial_count(
     assert peaks[1] - peaks[0] < 2 ** 20
 
 
+def test_a_warm_pass_of_records_allocates_little_beyond_its_bytes(reference_box):
+    # the word array and the compaction buffer of a pass are this thread's
+    # scratch, reused from pass to pass: once warm, a 4,096-row pass
+    # allocates its temporaries and its own bytes
+    trials = mcharness._solve(small_cfg(reference_box), 0, mcharness._CSV_ROWS)
+    cols = [getattr(trials, c) for c in COLUMNS]
+    next(mcharness._row_chunks(0, "closed", *cols))
+    tracemalloc.start()
+    try:
+        chunk = next(mcharness._row_chunks(0, "closed", *cols))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunk.count(b"\n") == mcharness._CSV_ROWS == tables._PASS
+    assert peak <= 4 * len(chunk)
+
+
 @pytest.mark.parametrize("engine", ["closed"])
 def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, engine):
     outputs = []

@@ -4,6 +4,8 @@ value ``%d`` cannot take, and an exact double-double table of 10^k; and
 ``tables.write``'s commit by rename."""
 
 import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +153,58 @@ def test_literals_and_pass_boundaries():
     same_as_percent("%.17g%.17g%d", *x[:50].T)
     same_as_percent("%%%d%.17gé%%%.17g%%", *x[:50].T)
     assert tables.rows("%.17g\n", np.array([])) == b""
+
+
+def test_a_pass_in_the_certified_range_skips_the_masks_with_the_same_bytes():
+    # a pass wholly inside [2^-200, 2^200) takes the unmasked path; with a
+    # zero, a nan and an out-of-range value appended, the masked one
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(4000) * 10.0 ** rng.integers(-50, 50, 4000)
+    assert ((2.0 ** -200 <= np.abs(x)) & (np.abs(x) < 2.0 ** 200)).all()
+    masked = np.concatenate([x, [0.0, np.nan, 1e300]])
+    t = tables._tables()
+    words = [np.zeros((4, len(v)), np.uint64) for v in (x, masked)]
+    left = [tables._g_words(t, v, w, ord("\n")).tolist()
+            for v, w in zip((x, masked), words)]
+    assert np.array_equal(words[1][:, :len(x)], words[0])
+    assert left[1] == left[0] + [len(x) + 2]     # 1e300, and the same ties
+    fast, slow = tables.rows("%.17g\n", x), tables.rows("%.17g\n", masked)
+    assert slow.startswith(fast)
+    assert fast == rows_reference("%.17g\n", x)
+    assert slow == rows_reference("%.17g\n", masked)
+
+
+def test_threads_formatting_at_once_each_get_their_own_bytes():
+    # each thread formats its passes in scratch of its own: more threads
+    # than cores, switched often, on tables of different shapes
+    rng = np.random.default_rng(5)
+    work = [(RECORDS, np.arange(9000), *rng.standard_normal((6, 9000)),
+             rng.random(9000) < 0.5),
+            ("%.17g;%d\n", rng.standard_normal(20_000) * 1e9,
+             rng.integers(-10 ** 12, 10 ** 12, 20_000)),
+            ("%d\n", rng.integers(-10 ** 15, 10 ** 15, 12_000)),
+            ("<%.17g>%.17g\n", *rng.standard_normal((2, 5000)) * 1e-30)]
+    want = [rows_reference(*w) for w in work]
+    got = [[] for _ in work]
+    start = threading.Barrier(len(work))
+
+    def format_(i):
+        start.wait()
+        for _ in range(4):
+            got[i].append(tables.rows(*work[i]))
+
+    threads = [threading.Thread(target=format_, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 4 for w in want]
 
 
 def test_records_of_a_closed_run(mc_run_200k):
