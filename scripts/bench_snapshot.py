@@ -2,15 +2,17 @@
 """Write BENCH_<n>.json: one timed benchmark run of every workload.
 
     python3 scripts/bench_snapshot.py 23                  # writes BENCH_23.json
-    python3 scripts/bench_snapshot.py 23 --seed 5 --seconds 8
 
-Runs ``perfbench/run.py --workload <w> --trace 0`` once per workload, each
-in a subprocess, and keeps what it prints: the ``info {...}`` line of
-machine info, each metric's table line (median, sample count and range)
-and the last line, one JSON object with correct, attempted and failed.
-The snapshot adds the commit, whether the work tree differed from it,
-whether bytecode was cached (``PYTHONDONTWRITEBYTECODE``) and the net line
-count of ``src/bioctl``.  Exit code 0 only when every output check passed.
+Runs ``perfbench/run.py --workload <w> --trace 0`` once per workload of
+``perfbench/workloads.py``, each in a subprocess with run.py's default
+seed and run length, so that every snapshot is comparable with the last.
+It keeps what run.py prints: the ``info {...}`` line of machine info (the
+commit and the net ``src/`` line count among it), each metric's table
+line (median, sample count and range) and the last line, one JSON object
+with correct, attempted and failed.  The snapshot adds whether the work
+tree differed from the commit and whether bytecode was cached
+(``PYTHONDONTWRITEBYTECODE``).  Exit code 0 only when every output check
+passed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("mc-closed", "robust-box", "mc-full", "pipeline")
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+COMMAND = ("perfbench/run.py", "--workload", "<w>", "--trace", "0")
 
 #: a metric's table line: name, median, unit and, past one sample, the
 #: sample count and range
@@ -58,29 +64,16 @@ def parse_run(stdout: str) -> dict:
             "metrics": metrics}
 
 
-def src_lines() -> int:
-    """Net lines of the package, counted as CI counts them."""
-    return sum(len(p.read_text().splitlines())
-               for p in (ROOT / "src" / "bioctl").glob("*.py"))
-
-
-def _git(*args):
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def snapshot(runs: dict, seed: int, seconds: float) -> dict:
+def snapshot(runs: dict) -> dict:
     """The BENCH document of runs, a mapping of each workload to its
     ``parse_run`` result."""
-    status = _git("status", "--porcelain", "--", "src", "scripts", "perfbench")
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src", "scripts",
+                           "perfbench"], cwd=ROOT, capture_output=True, text=True)
     return {
-        "commit": _git("rev-parse", "HEAD"),
-        "work_tree_clean": None if status is None else status == "",
+        "work_tree_clean": proc.stdout == "" if proc.returncode == 0 else None,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "command": f"perfbench/run.py --workload <w> --seed {seed} "
-                   f"--seconds {seconds:g} --trace 0",
+        "command": " ".join(COMMAND),
         "machine": next(iter(runs.values()))["info"],
-        "src_lines": src_lines(),
         "workloads": {w: {k: v for k, v in run.items() if k != "info"}
                       for w, run in runs.items()},
     }
@@ -89,20 +82,17 @@ def snapshot(runs: dict, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the number in BENCH_<n>.json")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     runs = {}
     for w in WORKLOADS:
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", w,
-             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+            [sys.executable, *(w if a == "<w>" else a for a in COMMAND)],
             cwd=ROOT, capture_output=True, text=True)
         sys.stdout.write(proc.stdout)
         sys.stderr.write(proc.stderr)
         runs[w] = parse_run(proc.stdout)
     path = ROOT / f"BENCH_{args.n}.json"
-    path.write_text(json.dumps(snapshot(runs, args.seed, args.seconds), indent=1) + "\n")
+    path.write_text(json.dumps(snapshot(runs), indent=1) + "\n")
     print(f"wrote {path}")
     return 0 if all(run["correct"] for run in runs.values()) else 1
 

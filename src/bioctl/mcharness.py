@@ -387,12 +387,11 @@ def _envelope_chunks(report: EnvelopeReport):
 
 def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
     """One job of ``stream_mc``: trials [start, stop) drawn and solved, then
-    (their CSV rows, their envelope violations, their bin partial, their
-    failed count)."""
+    (their CSV row chunks, their envelope violations, their bin partial,
+    their failed count)."""
     trials = _solve(cfg, start, stop)
-    chunks = list(_row_chunks(start, trials.engine,
-                              *(getattr(trials, c) for c in _COLUMNS)))
-    return (chunks[0] if len(chunks) == 1 else b"".join(chunks),
+    return (list(_row_chunks(start, trials.engine,
+                             *(getattr(trials, c) for c in _COLUMNS))),
             _violations(trials, cfg.box, cfg.mu),
             _bin_partial(trials, n_bins, cfg.t_upper),
             int(trials.failed.sum()))
@@ -430,7 +429,8 @@ def stream_mc(cfg: McConfig, records_path, envelope_path, n_bins: int = 50):
 
     def records():
         yield _RECORDS_HEADER
-        yield from map(fold, forkpool.map_jobs(job, len(starts), workers))
+        for rows in map(fold, forkpool.map_jobs(job, len(starts), workers)):
+            yield from rows
 
     def envelope():
         # written after the records, whose jobs fold the bins

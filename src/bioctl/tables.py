@@ -279,15 +279,9 @@ def _g_words(t, x, out, lit):
     bits = x.view(np.uint64)
     e2 = (bits >> 52 & 0x7FF).view(np.int64) - 1023
     ok = (e2 - _E2_MIN).view(np.uint64) < _E2_SPAN
-    # with every value in the certified range (as in a closed run's
-    # records), there is no zero, subnormal, nan, inf or fallback to mask
-    masked = not ok.all()
-    a = np.abs(x)
+    a = np.where(ok, np.abs(x), 1.0)
     # the decimal exponent: floor(e2*log10(2)), then the exact test a >= 10^(e+1)
-    e = (e2 * 78913) >> 18
-    if masked:
-        a = np.where(ok, a, 1.0)
-        e = np.where(ok, e, 0)
+    e = np.where(ok, (e2 * 78913) >> 18, 0)
     e += a >= t.thr.take(e + (1 - _K_LO))
     # a*10^(16-e) as p + r, exact to 2^-104: Dekker's product with the
     # double-double (hi, lo); p >= 10^16 > 2^53 is an integer
@@ -299,9 +293,7 @@ def _g_words(t, x, out, lit):
     r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
     q = np.rint(r)
     tie = np.abs(r - q) >= _TIE
-    d = p.astype(np.int64) + q.astype(np.int64)
-    if masked:
-        d *= ok
+    d = (p.astype(np.int64) + q.astype(np.int64)) * ok
     top = np.flatnonzero(d == 10 ** 17)
     d[top] = 10 ** 16
     e[top] += 1
@@ -324,8 +316,6 @@ def _g_words(t, x, out, lit):
         ma, ms, pt = area[3 * j:3 * j + 3]
         np.bitwise_or(w & ma | s & ms, pt, out=out[j + 1])
     out[3] |= tail | lit << 56
-    if not masked:
-        return np.flatnonzero(tie)
     special = e2 == 1024     # nan and inf: fixed words
     if special.any():
         i = np.flatnonzero(special)

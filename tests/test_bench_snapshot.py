@@ -61,14 +61,13 @@ def test_a_run_missing_a_line_is_refused(drop):
 
 def test_the_snapshot_schema():
     runs = {w: bench_snapshot.parse_run(CANNED) for w in bench_snapshot.WORKLOADS}
-    doc = json.loads(json.dumps(bench_snapshot.snapshot(runs, seed=100, seconds=4)))
-    assert set(doc) == {"commit", "work_tree_clean", "pythondontwritebytecode",
-                        "command", "machine", "src_lines", "workloads"}
+    doc = json.loads(json.dumps(bench_snapshot.snapshot(runs)))
+    assert set(doc) == {"work_tree_clean", "pythondontwritebytecode", "command",
+                        "machine", "workloads"}
     assert doc["machine"] == INFO
     assert isinstance(doc["pythondontwritebytecode"], bool)
-    assert doc["src_lines"] == bench_snapshot.src_lines() > 0
-    assert "--seed 100 --seconds 4 --trace 0" in doc["command"]
-    assert list(doc["workloads"]) == list(bench_snapshot.WORKLOADS)
+    assert doc["command"] == "perfbench/run.py --workload <w> --trace 0"
+    assert list(doc["workloads"]) == ["mc-closed", "robust-box", "mc-full", "pipeline"]
     for run in doc["workloads"].values():
         assert set(run) == {"correct", "attempted", "failed", "metrics"}
         assert set(run["metrics"]) == set(METRICS)

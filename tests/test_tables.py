@@ -155,23 +155,23 @@ def test_literals_and_pass_boundaries():
     assert tables.rows("%.17g\n", np.array([])) == b""
 
 
-def test_a_pass_in_the_certified_range_skips_the_masks_with_the_same_bytes():
-    # a pass wholly inside [2^-200, 2^200) takes the unmasked path; with a
-    # zero, a nan and an out-of-range value appended, the masked one
+def test_special_values_leave_the_other_rows_of_a_pass_alone():
+    # a pass wholly inside [2^-200, 2^200), and the same pass with a zero,
+    # a nan and an out-of-range value appended: equal words on the shared rows
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4000) * 10.0 ** rng.integers(-50, 50, 4000)
     assert ((2.0 ** -200 <= np.abs(x)) & (np.abs(x) < 2.0 ** 200)).all()
-    masked = np.concatenate([x, [0.0, np.nan, 1e300]])
+    special = np.concatenate([x, [0.0, np.nan, 1e300]])
     t = tables._tables()
-    words = [np.zeros((4, len(v)), np.uint64) for v in (x, masked)]
+    words = [np.zeros((4, len(v)), np.uint64) for v in (x, special)]
     left = [tables._g_words(t, v, w, ord("\n")).tolist()
-            for v, w in zip((x, masked), words)]
+            for v, w in zip((x, special), words)]
     assert np.array_equal(words[1][:, :len(x)], words[0])
     assert left[1] == left[0] + [len(x) + 2]     # 1e300, and the same ties
-    fast, slow = tables.rows("%.17g\n", x), tables.rows("%.17g\n", masked)
-    assert slow.startswith(fast)
-    assert fast == rows_reference("%.17g\n", x)
-    assert slow == rows_reference("%.17g\n", masked)
+    plain, with_special = tables.rows("%.17g\n", x), tables.rows("%.17g\n", special)
+    assert with_special.startswith(plain)
+    assert plain == rows_reference("%.17g\n", x)
+    assert with_special == rows_reference("%.17g\n", special)
 
 
 def test_threads_formatting_at_once_each_get_their_own_bytes():
