@@ -347,7 +347,7 @@ def cmd_damage(args) -> tuple[int, dict]:
                "pi_full": pi_full,
                "pi_z": pi_z,
                "crossing_t": t_cross,
-               "bound_ok": pi_full <= pi_z + 1e-6}
+               "bound_ok": pi_full <= pi_z * (1 + 1e-6)}
 
 
 def cmd_optimize(args) -> tuple[int, dict]:

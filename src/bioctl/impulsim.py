@@ -15,12 +15,13 @@ Release instants and error control alone bound the step: the step that
 would pass nT, or end short of it by under a millionth of the step, lands
 on it exactly, the jump is applied there, and the step size proposed
 before that adjustment carries on, so no step is longer than T.  Every
-accepted step has a quartic dense-output polynomial.  Threshold crossings
-are found on it: the step ends and the quartic's interior critical points
-cut the step into monotone pieces, and a piece whose ends lie on either
-side of eil is bisected down to the float resolution of t, so a dip below
-eil that starts and ends inside one step is found too.  ``simulate`` reads
-its samples off the same polynomials.
+accepted step has a quartic dense-output polynomial in s = (t' - t)/h.
+Threshold crossings are found on it with ``kernels``' root routines: the
+step ends and the quartic's interior critical points (``real_roots``) cut
+[0, 1] into monotone pieces, and a piece whose ends lie on either side of
+eil is bisected (``_bisect``) to adjacent floats in s, so a dip below eil
+that starts and ends inside one step is found too.  ``simulate`` reads its
+samples off the same polynomials.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from . import tables
-from .kernels import DomainError, InputOverflowError, KernelSet, real_roots
+from .kernels import (DomainError, InputOverflowError, KernelSet, _bisect,
+                      _derivative, real_roots)
 from .orbit import PestFreeOrbit, ReleaseProgram, next_release
 
 __all__ = [
@@ -290,22 +292,6 @@ def _poly(u, q, s):
     return u + s * (q[0] + s * (q[1] + s * (q[2] + s * q[3])))
 
 
-def _bisect_crossing(t, h, x, q, eil, lo, hi, above):
-    """Where the step's x polynomial crosses eil between s = lo and s = hi,
-    to the float resolution of t (t + lo*h == t + hi*h) or to adjacent
-    floats in s; ``above`` says on which side of eil it is at lo, and it is
-    on the other side at hi."""
-    while t + lo * h != t + hi * h:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if (_poly(x, q, mid) > eil) == above:
-            lo = mid
-        else:
-            hi = mid
-    return t + 0.5 * (lo + hi) * h
-
-
 def _crossings(t, h, x, xn, ks, eil):
     """Crossings of eil by the step's x polynomial, in time order, as
     (t, "down" | "up") pairs; ks are the step's stage derivatives of x."""
@@ -320,14 +306,15 @@ def _crossings(t, h, x, xn, ks, eil):
     q = _dense(h, ks)
     if same_side and abs(x - eil) > sum(map(abs, q)):
         return []
-    # the quartic is monotone between its critical points
-    ss = [0.0, *real_roots((4.0 * q[3], 3.0 * q[2], 2.0 * q[1], q[0]), 0.0, 1.0),
-          1.0]
+    # the quartic in s minus eil is monotone between its critical points,
+    # and each piece that changes sign holds one root, bisected in s
+    c = (q[3], q[2], q[1], q[0], x - eil)
+    ss = [0.0, *real_roots(_derivative(c), 0.0, 1.0), 1.0]
     xs = [x, *(_poly(x, q, s) for s in ss[1:-1]), xn]
     out = []
     for lo, hi, x_lo, x_hi in zip(ss, ss[1:], xs, xs[1:]):
         if (x_lo > eil) != (x_hi > eil):
-            out.append((_bisect_crossing(t, h, x, q, eil, lo, hi, x_lo > eil),
+            out.append((t + _bisect(c, lo, hi, x_lo <= eil) * h,
                         "down" if x_lo > eil else "up"))
     return out
 

@@ -281,12 +281,16 @@ def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
 # optimal periods
 
 
+# the most subdivisions of T1 that optimal_periods lists
+_N_MAX = 10
+
+
 @dataclass(frozen=True)
 class OptimalPeriods:
     """Periods T1/n achieving the worst-case floor t1 = z0/(mu - sigma).
 
     Subdivisions up to n0 are at or above the decay ceiling and invalid;
-    ``periods`` lists T1/n for n = n0+1 .. n_max.
+    ``periods`` lists T1/n for n = n0+1 .. _N_MAX.
     """
 
     t1: float
@@ -295,8 +299,7 @@ class OptimalPeriods:
     decay_ceiling: float
 
 
-def optimal_periods(z0: float, mu: float, sigma: float, m: float,
-                    n_max: int = 10) -> OptimalPeriods:
+def optimal_periods(z0: float, mu: float, sigma: float, m: float) -> OptimalPeriods:
     if z0 <= 0:
         raise DomainError("z0 must be positive")
     if mu <= sigma:
@@ -314,7 +317,7 @@ def optimal_periods(z0: float, mu: float, sigma: float, m: float,
             n0 -= 1
         while t1 / (n0 + 1) >= ceiling:
             n0 += 1
-    periods = tuple(t1 / n for n in range(n0 + 1, n_max + 1))
+    periods = tuple(t1 / n for n in range(n0 + 1, _N_MAX + 1))
     return OptimalPeriods(t1, n0, periods, ceiling)
 
 

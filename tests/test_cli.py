@@ -443,14 +443,35 @@ def test_damage_matches_direct_calls(tmp_path):
     assert float(kv["pi_full"]) <= float(kv["pi_z"]) + 1e-6
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0 ** -20])
+def test_bound_ok_does_not_depend_on_the_time_unit(tmp_path, capsys, monkeypatch, a):
+    # a full-model damage time 0.1% past the bound breaks it in any time
+    # unit: an absolute allowance of 1e-6 would forgive it once the times
+    # are about a millionth
+    def planted(k, program, x0, eil, t0, cfg, bound):
+        return bound * 1.001, t0 + bound * 1.001
+
+    monkeypatch.setattr(impulsim, "damage_time_full", planted)
+    cfg = write_config(tmp_path, {"kernels.growth.r": 1.0 / a,
+                                  "kernels.response.lam": 1.0 / a,
+                                  "kernels.m": 1.0 / a, "program.mu": 2.0 / a})
+    code = cli.main(["damage", "--config", cfg, "--x0", "5.0",
+                     "--period", repr(0.15 * a), "--t0", repr(0.05 * a)])
+    kv = parse_kv(capsys.readouterr().out)
+    assert code == 0
+    assert float(kv["pi_full"]) == float(kv["pi_z"]) * 1.001
+    assert kv["bound_ok"] == "false"
+
+
 @pytest.mark.parametrize("command, flags", [
     ("damage", ("--x0", "5.0", "--period", "0.15")),
     ("simulate", ("--x0", "5.0", "--period", "0.15")),
 ])
 def test_crossing_is_found_to_float_resolution(tmp_path, command, flags):
-    # the bisection runs until both ends of its bracket round to the same t
-    # (or to adjacent floats in s), so it terminates, and the step's quartic
-    # lies on either side of eil within 2 ulp of each crossing it returns
+    # the bisection runs in s on the step's unit interval until the ends of
+    # its bracket are adjacent floats, at most about 1,100 halvings (one a
+    # binade) for a root near s = 0, so it terminates, and the step's
+    # quartic lies on either side of eil within 2 ulp of each crossing
     cfg = write_config(tmp_path, sim={"t_end": 20.0})
     if command == "simulate":
         flags += ("--out", str(tmp_path))

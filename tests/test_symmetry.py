@@ -10,13 +10,15 @@ unit-dependent heuristic anywhere on the way breaks it, which no
 example-based test can see.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import parse_kv, write_config
 
-from bioctl import impulsim, planner
+from bioctl import cli, impulsim, planner
 from bioctl.impulsim import SimConfig
 from bioctl.kernels import (
     Allee,
@@ -217,3 +219,77 @@ def test_simulate_scales_exactly_in_time(seed, a, x0, y0):
     # the post-release levels too: the jump mu*T is the same number
     assert scaled.impulses == [(a * t, y_pre, y_post) for t, y_pre, y_post in traj.impulses]
     assert scaled.events == [(a * t, label) for t, label in traj.events]
+
+
+# --------------------------------------------------------------------------
+# the CSV artifacts
+
+
+_TIMES = ("T", "t0", "Pi", "T1", "deviation")
+# the robust-box benchmark's box: 10 of its 200 rows lie above T_L
+_ROBUST_BOX = {"box.z0": [1.0, 3.6], "box.sigma": [0.8, 1.0], "box.m": [0.9, 1.1]}
+
+
+def _run(tmp_path, capsys, name, overrides, *argv):
+    """``cli.main`` on the reference scenario with ``overrides``, in a
+    directory of its own: its key=value stdout and the rows of its CSV."""
+    out = tmp_path / name
+    out.mkdir()
+    cli.main([*argv, "--config", write_config(out, overrides), "--out", str(out)])
+    kv = parse_kv(capsys.readouterr().out)
+    with open(kv.get("records_csv") or kv["bound_csv"], newline="") as fh:
+        return kv, list(csv.DictReader(fh))
+
+
+def _column(rows, key, a=1.0):
+    return [a * float(row[key]) for row in rows]
+
+
+def _mc_checks(base, scaled, a):
+    """The run's counts are equal, and every time column is a times."""
+    (kv, rows), (kv_a, rows_a) = base, scaled
+    assert (kv_a["violations"], kv_a["failed"]) == (kv["violations"], kv["failed"])
+    assert kv["failed"] == "0"
+    for key in _TIMES:
+        assert _column(rows_a, key) == _column(rows, key, a), key
+
+
+def test_closed_mc_records_scale_exactly(tmp_path, capsys):
+    argv = ("montecarlo", "--trials", "20000")
+    base = _run(tmp_path, capsys, "base", {}, *argv)
+    in_size = _run(tmp_path, capsys, "size", {
+        "box.z0": [4.0, 20.0], "box.sigma": [4.0, 4.0], "program.mu": 8.0}, *argv)
+    in_time = _run(tmp_path, capsys, "time", {
+        "box.sigma": [0.5, 0.5], "box.m": [0.5, 0.5], "program.mu": 1.0}, *argv)
+    for key in _TIMES:
+        assert [r[key] for r in in_size[1]] == [r[key] for r in base[1]], key
+    assert _column(in_size[1], "z0") == _column(base[1], "z0", 4.0)
+    assert in_size[0]["violations"] == base[0]["violations"]
+    _mc_checks(base, in_time, 2.0)
+    assert [r["z0"] for r in in_time[1]] == [r["z0"] for r in base[1]]
+
+
+def test_full_mc_records_scale_exactly_in_time(tmp_path, capsys):
+    # guards the crossing's bisection, which runs in the unit interval of
+    # each step and so holds no time unit
+    argv = ("montecarlo", "--engine", "full", "--trials", "300")
+    base = _run(tmp_path, capsys, "base", {}, *argv)
+    in_time = _run(tmp_path, capsys, "time", {
+        "kernels.growth.r": 0.5, "kernels.response.lam": 0.5, "kernels.m": 0.5,
+        "box.sigma": [0.5, 0.5], "box.m": [0.5, 0.5], "program.mu": 1.0}, *argv)
+    _mc_checks(base, in_time, 2.0)
+
+
+def test_robust_bound_scales_exactly(tmp_path, capsys):
+    _, rows = _run(tmp_path, capsys, "base", _ROBUST_BOX, "robustness")
+    _, in_size = _run(tmp_path, capsys, "size", {
+        "box.z0": [4.0, 14.4], "box.sigma": [3.2, 4.0], "box.m": [0.9, 1.1],
+        "program.mu": 8.0}, "robustness")
+    _, in_time = _run(tmp_path, capsys, "time", {
+        "box.z0": [1.0, 3.6], "box.sigma": [0.4, 0.5], "box.m": [0.45, 0.55],
+        "program.mu": 1.0}, "robustness")
+    assert [r["T_L_flag"] for r in rows].count("0") == 10
+    assert in_size == rows
+    for key in ("T", "bound"):
+        assert _column(in_time, key) == _column(rows, key, 2.0), key
+    assert [r["T_L_flag"] for r in in_time] == [r["T_L_flag"] for r in rows]
