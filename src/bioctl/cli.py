@@ -80,12 +80,11 @@ def _is_finite_number(v) -> bool:
             and -sys.float_info.max <= v <= sys.float_info.max)
 
 
-def _num(d: dict, key: str, where: str, required: bool = True,
-         default=None) -> Optional[float]:
+def _num(d: dict, key: str, where: str, required: bool = True) -> Optional[float]:
     if key not in d:
         if required:
             raise ConfigError(f"{where}: missing key {key!r}")
-        return default
+        return None
     v = d[key]
     if not _is_finite_number(v):
         raise ConfigError(f"{where}: {key} must be a finite number")
@@ -99,7 +98,8 @@ def _int(d: dict, key: str, default: int, where: str) -> int:
     return v
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> Optional[dict]:
+def _section(cfg: dict, name: str, allowed, required: bool = True) -> Optional[dict]:
+    """The object cfg[name], whose keys are all in allowed."""
     if name not in cfg:
         if required:
             raise ConfigError(f"config: missing section {name!r}")
@@ -107,6 +107,7 @@ def _section(cfg: dict, name: str, required: bool = True) -> Optional[dict]:
     v = cfg[name]
     if not isinstance(v, dict):
         raise ConfigError(f"config: {name} must be an object")
+    _check_keys(v, allowed, name)
     return v
 
 
@@ -154,8 +155,7 @@ def _build_variant(d, table: dict, where: str):
 
 
 def build_kernels(cfg: dict) -> KernelSet:
-    d = _section(cfg, "kernels")
-    _check_keys(d, {"growth", "response", "numerical", "m"}, "kernels")
+    d = _section(cfg, "kernels", {"growth", "response", "numerical", "m"})
     for key in ("growth", "response", "numerical"):
         if key not in d:
             raise ConfigError(f"kernels: missing key {key!r}")
@@ -172,17 +172,14 @@ def build_kernels(cfg: dict) -> KernelSet:
 
 
 def _build_program(cfg: dict, period_override=None) -> ReleaseProgram:
-    d = _section(cfg, "program")
-    _check_keys(d, {"mu", "T"}, "program")
+    d = _section(cfg, "program", {"mu", "T"})
     mu = _num(d, "mu", "program")
     T = period_override if period_override is not None else _num(d, "T", "program")
     return ReleaseProgram(mu=mu, T=float(T))
 
 
 def _mu_only(cfg: dict) -> float:
-    d = _section(cfg, "program")
-    _check_keys(d, {"mu", "T"}, "program")
-    return _num(d, "mu", "program")
+    return _num(_section(cfg, "program", {"mu", "T"}), "mu", "program")
 
 
 def _build_eil(cfg: dict, required: bool = True) -> Optional[float]:
@@ -193,8 +190,7 @@ def _build_eil(cfg: dict, required: bool = True) -> Optional[float]:
 
 
 def _build_box(cfg: dict) -> planner.UncertaintyBox:
-    d = _section(cfg, "box")
-    _check_keys(d, {"z0", "sigma", "m"}, "box")
+    d = _section(cfg, "box", {"z0", "sigma", "m"})
 
     def pair(key):
         if key not in d:
@@ -209,18 +205,12 @@ def _build_box(cfg: dict) -> planner.UncertaintyBox:
 
 
 def _build_sim(cfg: dict) -> impulsim.SimConfig:
-    d = _section(cfg, "sim", required=False)
-    if d is None:
-        return impulsim.SimConfig()
-    allowed = ("rtol", "atol", "t_end")
-    _check_keys(d, allowed, "sim")
-    kwargs = {k: _num(d, k, "sim") for k in allowed if k in d}
-    return impulsim.SimConfig(**kwargs)
+    d = _section(cfg, "sim", {"rtol", "atol", "t_end"}, required=False) or {}
+    return impulsim.SimConfig(**{k: _num(d, k, "sim") for k in d})
 
 
 def _mc_settings(cfg: dict, args):
-    d = _section(cfg, "mc", required=False) or {}
-    _check_keys(d, {"trials", "seed", "engine", "bins"}, "mc")
+    d = _section(cfg, "mc", {"trials", "seed", "engine", "bins"}, required=False) or {}
     trials = args.trials if args.trials is not None else _int(d, "trials", 200_000, "mc")
     seed = args.seed if args.seed is not None else _int(d, "seed", 0, "mc")
     engine = args.engine if args.engine is not None else d.get("engine", "closed")
@@ -568,6 +558,7 @@ def cmd_plot(args) -> tuple[int, dict]:
     cfg = load_config(args.config)
     mu = _mu_only(cfg)
     box = _build_box(cfg)
+    t_upper = mcharness.scatter_t_upper(box, mu)
     out = _out_dir(args)
     workers = forkpool.thread_count()
     rec_path = os.path.join(out, "mc_records.csv")
@@ -600,7 +591,6 @@ def cmd_plot(args) -> tuple[int, dict]:
             except ValueError as whole:
                 error = whole
         raise ConfigError(f"{rec_path}: {error}") from None
-    t_upper, _ = planner.t_limits(box, mu)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, mu)
     svg = render_scatter_svg(

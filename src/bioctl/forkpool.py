@@ -15,12 +15,11 @@ with the job count.  A job's exception is pickled back and raised here at
 the job's place in the order.  A worker that dies, or a fork or pipe that
 fails, raises ``PoolBroken``.
 
-Workers leave only through ``os._exit``: they never flush this process's
-stdio buffers or run its ``atexit`` handlers.  They leave at the end of
-the task pipe, so none outlives this process, and busy ones are killed
-when their work is no longer wanted.  Every worker is waited for before
+A worker never flushes this process's stdio buffers or runs its
+``atexit`` handlers: it leaves through ``os._exit`` or is killed.  When
 ``map_jobs`` returns or raises, whether the jobs ran out, one raised, the
-generator was closed early or the process was interrupted.
+generator was closed early or the process was interrupted, every worker
+is killed and reaped, so none outlives it.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ class _Workers:
 
     def __init__(self):
         self.pids, self.inbox, self.tasks = [], [], None
-        self.busy = 0     # jobs sent and not yet answered
 
     def start(self, job, n: int) -> None:
         try:
@@ -128,7 +126,6 @@ class _Workers:
                 for fd, _ in poller.poll():
                     index, answer = _receive(fd)
                     ready[index] = answer
-                    self.busy -= 1
             if i + window < n_jobs:
                 self._send(range(i + window, i + window + 1))
             ok, value = ready.pop(i)
@@ -138,18 +135,15 @@ class _Workers:
 
     def _send(self, indices: range) -> None:
         os.write(self.tasks, b"".join(map(_INDEX.pack, indices)))
-        self.busy += len(indices)
 
     def close(self) -> None:
-        """End the task pipe and wait for every worker.  Idle workers leave
-        at its end; busy ones (an early close, an error) are killed, since
-        their work is not wanted."""
+        """End the task pipe, then kill and reap every worker: whatever
+        work is left (an early close, an error) is not wanted."""
         if self.tasks is not None:
             os.close(self.tasks)
             self.tasks = None
-        if self.busy:
-            for pid in self.pids:
-                os.kill(pid, signal.SIGKILL)
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
         while self.pids:
             os.waitpid(self.pids[-1], 0)
             self.pids.pop()

@@ -49,6 +49,7 @@ __all__ = [
     "MAX_TRIALS",
     "McConfig",
     "Trials",
+    "scatter_t_upper",
     "EnvelopeReport",
     "stream_uniforms",
     "run_mc",
@@ -83,6 +84,8 @@ _COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
 
 #: absolute slack of ``verify_envelope`` for rounding in Pi - T1
 _ENVELOPE_SLACK = 1e-9
+#: the least uniform ``stream_uniforms`` returns
+_LEAST_UNIFORM = 2.0 ** -54
 
 
 def _mix64(v: np.ndarray) -> np.ndarray:
@@ -110,13 +113,28 @@ def stream_uniforms(seed: int, counters) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
+def scatter_t_upper(box: planner.UncertaintyBox, mu: float) -> float:
+    """T_L of ``planner.t_limits``: the scatter draws its periods from
+    (0, T_L).  Raises ``DomainError`` unless T_L is positive and finite,
+    and ``InputOverflowError`` unless the damage times of every draw fit
+    a float (``planner._check_fall_fits`` over the periods [2^-54*T_L,
+    T_L], 2^-54 being the least uniform of ``stream_uniforms``).
+    """
+    t_upper, _ = planner.t_limits(box, mu)
+    if not 0.0 < t_upper < math.inf:
+        raise DomainError(
+            "envelope ceiling must be positive and finite; widen the z0 box")
+    planner._check_fall_fits(box, mu, _LEAST_UNIFORM * t_upper, t_upper)
+    return t_upper
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Harness configuration.  The scatter's period range is (0, T_L) with
     T_L computed from the box, never user-set, and kept as ``t_upper``;
     sigma and m are pinned to single values (the parameter rectangle
     collapses for the scatter).  Construction checks everything that must
-    stop a run before its first trial."""
+    stop a run before its first trial (see ``scatter_t_upper``)."""
 
     box: planner.UncertaintyBox
     mu: float
@@ -139,14 +157,9 @@ class McConfig:
             raise DomainError("the full engine needs kernels and eil")
         if not self.box.singleton_params:
             raise DomainError("the harness pins sigma and m to single values")
-        t_upper, _ = planner.t_limits(self.box, self.mu)
-        if not 0.0 < t_upper < math.inf:
-            raise DomainError(
-                "envelope ceiling must be positive and finite; widen the z0 box")
-        object.__setattr__(self, "t_upper", t_upper)
         # comparison-model Pi and T1 are both about t1 = z0/(mu - sigma), so
         # Pi - T1 carries rounding noise of about ulp(t1)
-        if self.engine == "closed" and not math.ulp(
+        if self.engine == "closed" and self.mu > self.box.sigma_lo and not math.ulp(
                 self.box.z0_hi / (self.mu - self.box.sigma_lo)) <= _ENVELOPE_SLACK:
             raise InputOverflowError(
                 f"z0={self.box.z0_hi:g} is too large for the closed "
@@ -157,6 +170,7 @@ class McConfig:
             # overflows a float stops the run before any trial is integrated
             planner.x_from_z_local(self.box.z0_hi, self.eil, self.kernels.m,
                                    self.kernels.response.slope0())
+        object.__setattr__(self, "t_upper", scatter_t_upper(self.box, self.mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +198,10 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
     """Trials [start, stop) of a run: their draws from the counter stream
     and their damage times from the engine."""
     sigma, m = cfg.box.sigma_lo, cfg.box.m_lo
-    three = np.uint64(3) * np.arange(start, stop, dtype=np.uint64)
-    Ts = stream_uniforms(cfg.seed, three) * cfg.t_upper
-    t0s = stream_uniforms(cfg.seed, three + np.uint64(1)) * Ts
-    z0s = cfg.box.z0_lo + stream_uniforms(cfg.seed, three + np.uint64(2)) \
-        * (cfg.box.z0_hi - cfg.box.z0_lo)
+    u = stream_uniforms(cfg.seed, np.arange(3 * start, 3 * stop, dtype=np.uint64))
+    Ts = u[0::3] * cfg.t_upper
+    t0s = u[1::3] * Ts
+    z0s = cfg.box.z0_lo + u[2::3] * (cfg.box.z0_hi - cfg.box.z0_lo)
     t1s = z0s / (cfg.mu - sigma)
     failed = np.zeros(len(Ts), dtype=bool)
     if cfg.engine == "closed":
@@ -344,7 +357,7 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     the bin midpoint; it approaches 1 from below as trials accumulate.
     The bins are columns, as in ``bin_envelope``.
     """
-    t_upper, _ = planner.t_limits(box, mu)
+    t_upper = scatter_t_upper(box, mu)
     return _envelope_report(_violations(trials, box, mu), t_upper,
                             bin_envelope(trials, n_bins, t_upper), box, mu)
 
@@ -355,12 +368,12 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
 _RECORDS_HEADER = b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n"
 
 
-def _row_chunks(start, engine, T, t0, z0, Pi, T1, deviation, failed):
+def _row_chunks(trials: Trials, start: int = 0):
     """CSV rows of the trials numbered from start, as ASCII byte chunks
     (see ``tables.row_chunks``)."""
-    return tables.row_chunks("%d" + ",%.17g" * 6 + f",{engine},%d\n",
-                             np.arange(start, start + len(T)), T, t0, z0, Pi, T1,
-                             deviation, failed)
+    return tables.row_chunks("%d" + ",%.17g" * 6 + f",{trials.engine},%d\n",
+                             np.arange(start, start + len(trials.T)),
+                             *(getattr(trials, c) for c in _COLUMNS))
 
 
 def write_records_csv(trials: Trials, path) -> None:
@@ -368,8 +381,7 @@ def write_records_csv(trials: Trials, path) -> None:
     ``stream_mc`` writes the same bytes.  The file is written whole or not
     at all (see ``tables.write``).
     """
-    tables.write({path: itertools.chain([_RECORDS_HEADER], _row_chunks(
-        0, trials.engine, *(getattr(trials, c) for c in _COLUMNS)))})
+    tables.write({path: itertools.chain([_RECORDS_HEADER], _row_chunks(trials))})
 
 
 def _envelope_chunks(report: EnvelopeReport):
@@ -390,8 +402,7 @@ def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
     (their CSV row chunks, their envelope violations, their bin partial,
     their failed count)."""
     trials = _solve(cfg, start, stop)
-    return (list(_row_chunks(start, trials.engine,
-                             *(getattr(trials, c) for c in _COLUMNS))),
+    return (list(_row_chunks(trials, start)),
             _violations(trials, cfg.box, cfg.mu),
             _bin_partial(trials, n_bins, cfg.t_upper),
             int(trials.failed.sum()))

@@ -105,11 +105,14 @@ def floquet_multipliers(growth_slope0: float, response_slope0: float, m: float,
     Returns (pest multiplier, predator multiplier).  The pest direction
     carries exp(T*(f'(0) - g'(0)*mu/m)) because the orbit integrates to
     mu*T/m over a period; the predator direction always contracts by
-    exp(-m*T).
+    exp(-m*T).  A pest multiplier past the largest float is inf.
     """
     if m <= 0:
         raise DomainError("m must be positive")
-    pest = math.exp(program.T * (growth_slope0 - response_slope0 * program.mu / m))
+    try:
+        pest = math.exp(program.T * (growth_slope0 - response_slope0 * program.mu / m))
+    except OverflowError:
+        pest = math.inf
     predator = math.exp(-m * program.T)
     return pest, predator
 

@@ -202,6 +202,32 @@ def _invert_fall(s, T, sigma, m, mu):
     return t
 
 
+def _check_fall_fits(box: UncertaintyBox, mu: float, t_least: float,
+                     t_most: float) -> None:
+    """Raise InputOverflowError unless ``_fall``, ``_invert_fall`` and the
+    period count of ``_damage_times`` and ``robust_envelope`` fit a float
+    at every period in [t_least, t_most] and every point of the box.
+
+    They form the orbit peak P = mu*T/(1 - e^{-m*T}) and its rate m*P,
+    both rising in T and in m, so largest at (t_most, m_hi); P divides by
+    zero where m*T rounds to 0, first at (t_least, m_lo).  They form s =
+    z0 + F(t0), at most z0_hi + (mu - sigma_lo)*t_most since F rises on
+    [0, T] to the drop F(T) = (mu - sigma)*T, and s over the drop, whose
+    least is (mu - sigma_hi)*t_least.  So all of them fit iff P and m_hi*P
+    at t_most do and that largest s over that least drop does.
+    """
+    drop = (mu - box.sigma_hi) * t_least
+    if box.m_lo * t_least > 0.0 and drop > 0.0:
+        peak = mu * t_most / -math.expm1(-box.m_hi * t_most)
+        s = box.z0_hi + (mu - box.sigma_lo) * t_most
+        if max(1.0, box.m_hi) * peak < math.inf and s / drop < math.inf:
+            return
+    raise InputOverflowError(
+        f"mu={mu:g} and the box overflow a float at the periods "
+        f"[{t_least:g}, {t_most:g}]: the orbit peak, its rate, or z0 over "
+        "the least drop of z in a period does not fit one")
+
+
 def _damage_times(T, t0, z0, sigma, m, mu):
     """Damage times of invasions of size z0 > 0 at phases t0 in [0, T),
     elementwise, below the decay ceiling.
@@ -419,6 +445,8 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     /(1 - e^{-m T}) - sigma*t rises in m at every phase in (0, T) (the q
     argument of ``envelope_bound_curve``), so t0* = F^{-1}(s) falls in m and
     D rises in m for every z0 and sigma: the box maximum lies at m = m_hi.
+    A box whose fall of z overflows a float raises InputOverflowError (see
+    ``_check_fall_fits``).
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     if np.any(Ts <= 0):
@@ -427,6 +455,7 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     if np.any(Ts >= t_hat_min):
         raise PeriodTooLargeError(
             "period at or above the box-wide decrease ceiling")
+    _check_fall_fits(box, mu, float(Ts.min()), float(Ts.max()))
     out = envelope_bound_curve(Ts, box, mu)
     above = Ts >= t_big
     if np.any(above):

@@ -290,11 +290,10 @@ def test_a_warm_pass_of_records_allocates_little_beyond_its_bytes(reference_box)
     # scratch, reused from pass to pass: once warm, a 4,096-row pass
     # allocates its temporaries and its own bytes
     trials = mcharness._solve(small_cfg(reference_box), 0, mcharness._CSV_ROWS)
-    cols = [getattr(trials, c) for c in COLUMNS]
-    next(mcharness._row_chunks(0, "closed", *cols))
+    next(mcharness._row_chunks(trials))
     tracemalloc.start()
     try:
-        chunk = next(mcharness._row_chunks(0, "closed", *cols))
+        chunk = next(mcharness._row_chunks(trials))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
