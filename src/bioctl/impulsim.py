@@ -35,7 +35,7 @@ import numpy as np
 
 from . import tables
 from .kernels import (DomainError, InputOverflowError, KernelSet, _bisect,
-                      _derivative, real_roots)
+                      _derivative, _positive, real_roots)
 from .orbit import PestFreeOrbit, ReleaseProgram, next_release
 
 __all__ = [
@@ -135,10 +135,9 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.rtol <= 1e-3:
             raise DomainError(f"rtol must be in (0, 1e-3], got {self.rtol}")
-        if self.atol <= 0:
-            raise DomainError(f"atol must be positive, got {self.atol}")
-        if self.t_end is not None and self.t_end <= 0:
-            raise DomainError("t_end must be positive when given")
+        _positive("absolute tolerance", "atol", self.atol)
+        if self.t_end is not None:
+            _positive("horizon", "t_end", self.t_end)
 
 
 @dataclass
@@ -321,7 +320,7 @@ def _crossings(t, h, x, xn, ks, eil):
 
 def _check_start(k: KernelSet, x0, y0):
     """(x0, y0) as floats, refused unless nonnegative with finite rates."""
-    if x0 < 0 or y0 < 0:
+    if not (x0 >= 0 and y0 >= 0):
         raise DomainError("initial state must be nonnegative")
     x0, y0 = float(x0), float(y0)
     gx = k.response.rate(x0)

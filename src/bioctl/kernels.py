@@ -72,6 +72,12 @@ class UnboundedRatioError(RuntimeError):
     has positive degree and a positive leading coefficient."""
 
 
+def _positive(what: str, name: str, value) -> None:
+    """The positivity rule of every model parameter: nan is refused too."""
+    if not value > 0:
+        raise DomainError(f"{what} must be positive, got {name}={value}")
+
+
 # --------------------------------------------------------------------------
 # growth laws
 
@@ -83,8 +89,7 @@ class Linear:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError(f"growth rate must be positive, got r={self.r}")
+        _positive("growth rate", "r", self.r)
 
     def rate(self, x):
         return self.r * x
@@ -101,10 +106,8 @@ class Logistic:
     K: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError(f"growth rate must be positive, got r={self.r}")
-        if self.K <= 0:
-            raise DomainError(f"carrying capacity must be positive, got K={self.K}")
+        _positive("growth rate", "r", self.r)
+        _positive("carrying capacity", "K", self.K)
 
     def rate(self, x):
         return self.r * x * (1.0 - x / self.K)
@@ -123,8 +126,7 @@ class Allee:
     K: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError(f"growth rate must be positive, got r={self.r}")
+        _positive("growth rate", "r", self.r)
         if not 0.0 < self.A < self.K:
             raise DomainError(
                 f"need 0 < A < K, got A={self.A}, K={self.K}")
@@ -147,8 +149,7 @@ class HollingI:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError(f"attack rate must be positive, got lam={self.lam}")
+        _positive("attack rate", "lam", self.lam)
 
     def rate(self, x):
         return self.lam * x
@@ -165,9 +166,8 @@ class HollingII:
     a: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError(f"attack rate must be positive, got lam={self.lam}")
-        if self.a < 0:
+        _positive("attack rate", "lam", self.lam)
+        if not self.a >= 0:
             raise DomainError(f"handling coefficient must be nonnegative, got a={self.a}")
 
     def rate(self, x):
@@ -187,12 +187,10 @@ class HollingIV:
     b: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError(f"attack rate must be positive, got lam={self.lam}")
-        if self.a < 0:
+        _positive("attack rate", "lam", self.lam)
+        if not self.a >= 0:
             raise DomainError(f"handling coefficient must be nonnegative, got a={self.a}")
-        if self.b <= 0:
-            raise DomainError(f"interference coefficient must be positive, got b={self.b}")
+        _positive("interference coefficient", "b", self.b)
 
     def rate(self, x):
         return self.lam * x / (1.0 + self.a * x + self.b * x * x)
@@ -218,8 +216,7 @@ class Proportional:
     response: FunctionalResponse
 
     def __post_init__(self):
-        if self.e <= 0:
-            raise DomainError(f"conversion efficiency must be positive, got e={self.e}")
+        _positive("conversion efficiency", "e", self.e)
 
     def rate(self, x):
         return self.e * self.response.rate(x)
@@ -238,8 +235,7 @@ class KernelSet:
     m: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError(f"mortality must be positive, got m={self.m}")
+        _positive("mortality", "m", self.m)
         if self.numerical.response != self.response:
             raise DomainError("numerical response must wrap the same functional response")
 

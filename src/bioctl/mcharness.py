@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import forkpool, impulsim, planner, tables
-from .kernels import DomainError, InputOverflowError, KernelSet
+from .kernels import DomainError, InputOverflowError, KernelSet, _positive
 from .orbit import ReleaseProgram
 
 __all__ = [
@@ -115,15 +115,19 @@ def stream_uniforms(seed: int, counters) -> np.ndarray:
 
 def scatter_t_upper(box: planner.UncertaintyBox, mu: float) -> float:
     """T_L of ``planner.t_limits``: the scatter draws its periods from
-    (0, T_L).  Raises ``DomainError`` unless T_L is positive and finite,
-    and ``InputOverflowError`` unless the damage times of every draw fit
-    a float (``planner._check_fall_fits`` over the periods [2^-54*T_L,
-    T_L], 2^-54 being the least uniform of ``stream_uniforms``).
+    (0, T_L).  Raises ``DomainError`` unless the box pins sigma and m to
+    single values and T_L is positive and finite, and
+    ``InputOverflowError`` unless the damage times of every draw fit a
+    float (``planner._check_fall_fits`` over the periods [2^-54*T_L, T_L],
+    2^-54 being the least uniform of ``stream_uniforms``).
     """
+    if not box.singleton_params:
+        raise DomainError("the harness pins sigma and m to single values")
     t_upper, _ = planner.t_limits(box, mu)
     if not 0.0 < t_upper < math.inf:
         raise DomainError(
-            "envelope ceiling must be positive and finite; widen the z0 box")
+            f"envelope ceiling T_L={t_upper:g} is not positive and finite; "
+            "widen the z0 box")
     planner._check_fall_fits(box, mu, _LEAST_UNIFORM * t_upper, t_upper)
     return t_upper
 
@@ -155,8 +159,6 @@ class McConfig:
             raise DomainError(f"unknown engine {self.engine!r}")
         if self.engine == "full" and (self.kernels is None or self.eil is None):
             raise DomainError("the full engine needs kernels and eil")
-        if not self.box.singleton_params:
-            raise DomainError("the harness pins sigma and m to single values")
         # comparison-model Pi and T1 are both about t1 = z0/(mu - sigma), so
         # Pi - T1 carries rounding noise of about ulp(t1)
         if self.engine == "closed" and self.mu > self.box.sigma_lo and not math.ulp(
@@ -308,10 +310,8 @@ class _Bins:
 
 
 def _check_bins(n_bins: int, t_upper: float) -> None:
-    if n_bins < 1:
-        raise DomainError("n_bins must be positive")
-    if t_upper <= 0:
-        raise DomainError("t_upper must be positive")
+    _positive("bin count", "n_bins", n_bins)
+    _positive("period range", "t_upper", t_upper)
 
 
 def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> tuple:

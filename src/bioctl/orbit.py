@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kernels import DomainError, InputOverflowError, KernelReport
+from .kernels import DomainError, InputOverflowError, KernelReport, _positive
 
 __all__ = [
     "ReleaseProgram",
@@ -36,10 +36,8 @@ class ReleaseProgram:
     T: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise DomainError(f"budget rate must be positive, got mu={self.mu}")
-        if self.T <= 0:
-            raise DomainError(f"release period must be positive, got T={self.T}")
+        _positive("budget rate", "mu", self.mu)
+        _positive("release period", "T", self.T)
 
     @property
     def per_release(self) -> float:
@@ -51,7 +49,8 @@ class PestFreeOrbit:
     """The T-periodic predator profile when the pest is extinct.
 
     ``peak`` is the post-release level, ``floor`` the pre-release level one
-    period later; peak - floor = mu*T exactly.
+    period later; peak - floor = mu*T exactly.  An orbit whose peak does
+    not fit a float (m*T rounding to 0, say) raises InputOverflowError.
     """
 
     mu: float
@@ -59,8 +58,14 @@ class PestFreeOrbit:
     m: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.T <= 0 or self.m <= 0:
-            raise DomainError("orbit needs mu > 0, T > 0, m > 0")
+        _positive("budget rate", "mu", self.mu)
+        _positive("release period", "T", self.T)
+        _positive("mortality", "m", self.m)
+        q = -math.expm1(-self.m * self.T)
+        if not (q > 0.0 and self.mu * self.T / q < math.inf):
+            raise InputOverflowError(
+                f"mu={self.mu:g}, T={self.T:g} and m={self.m:g} overflow a "
+                "float: the orbit peak mu*T/(1 - e^(-m*T)) does not fit one")
 
     @property
     def peak(self) -> float:
@@ -74,7 +79,7 @@ class PestFreeOrbit:
         """Orbit value at t >= 0, its phase counted from the last release
         instant at or before t.  At a release instant the pre-release value
         is returned unless post=True asks for the level just after the jump."""
-        if t < 0:
+        if not t >= 0:
             raise DomainError("orbit is defined for t >= 0")
         phase = t - (next_release(t, self.T) - 1) * self.T
         if phase == 0.0:
@@ -107,8 +112,7 @@ def floquet_multipliers(growth_slope0: float, response_slope0: float, m: float,
     mu*T/m over a period; the predator direction always contracts by
     exp(-m*T).  A pest multiplier past the largest float is inf.
     """
-    if m <= 0:
-        raise DomainError("m must be positive")
+    _positive("mortality", "m", m)
     try:
         pest = math.exp(program.T * (growth_slope0 - response_slope0 * program.mu / m))
     except OverflowError:

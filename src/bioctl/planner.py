@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DomainError, HollingI, HollingII, InputOverflowError
+from .kernels import DomainError, HollingI, HollingII, InputOverflowError, _positive
 
 __all__ = [
     "PeriodTooLargeError",
@@ -80,11 +80,10 @@ class ZParams:
     T: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError(f"m must be positive, got {self.m}")
-        if self.T <= 0:
-            raise DomainError(f"T must be positive, got {self.T}")
-        if self.mu <= self.sigma:
+        _positive("mortality", "m", self.m)
+        _positive("release period", "T", self.T)
+        _positive("budget rate", "mu", self.mu)
+        if not self.mu > self.sigma:
             raise DomainError(
                 f"budget rate must exceed sigma, got mu={self.mu} <= sigma={self.sigma}")
 
@@ -101,8 +100,7 @@ class ZParams:
 def x_from_z_local(z: float, x_ref: float, m: float, response_slope0: float) -> float:
     """Pest density x_ref * exp(z * g'(0) / m) of the logarithmic local
     coordinate z = (m / g'(0)) * ln(x / x_ref)."""
-    if x_ref <= 0:
-        raise DomainError("reference density must be positive")
+    _positive("reference density", "x_ref", x_ref)
     try:
         x = x_ref * math.exp(z * response_slope0 / m)
     except OverflowError:
@@ -119,8 +117,8 @@ def z_from_x_global(x: float, x_ref: float, m: float, response) -> float:
 
     Closed forms for the three Holling responses a ``KernelSet`` can hold.
     """
-    if x <= 0 or x_ref <= 0:
-        raise DomainError("densities must be positive")
+    _positive("density", "x", x)
+    _positive("reference density", "x_ref", x_ref)
     if isinstance(response, HollingI):
         z = m / response.lam * math.log(x / x_ref)
     elif isinstance(response, HollingII):
@@ -149,10 +147,10 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
     decreasing and concave, so Newton steps from the right of the root stay
     right of it and fall monotonically to it, until a float fixed point.
     x = -2 ln(sigma/mu) is right of the root since x/(e^x - 1) <= e^{-x/2}.
-    For sigma <= 0 the pest declines under any period; returns inf.
+    For sigma <= 0 the pest declines under any period; returns inf.  For
+    sigma > 0 a ceiling x/m that overflows a float raises InputOverflowError.
     """
-    if not m > 0:
-        raise DomainError("m must be positive")
+    _positive("mortality", "m", m)
     if sigma <= 0:
         return math.inf
     if not sigma < mu < math.inf:
@@ -172,29 +170,39 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
         if x_next == x:
             break
         x = x_next
-    return x / m
+    ceiling = x / m
+    if ceiling == math.inf:
+        raise InputOverflowError(
+            f"m={m:g} is too small for mu={mu:g} and sigma={sigma:g}: the "
+            "decrease ceiling overflows a float")
+    return ceiling
 
 
 # --------------------------------------------------------------------------
 # damage times
 
 
-def _fall(t, T, sigma, m, mu):
+def _peak(T, m, mu):
+    """The orbit peak P = mu*T/(1 - e^{-m T}) at period T, elementwise."""
+    return mu * T / -np.expm1(-m * T)
+
+
+def _fall(t, peak, sigma, m):
     """Fall of z over the phases [0, t] of a period, F(t) = P*(1 - e^{-m t})
-    - sigma*t with P the pulse peak, and its rate F' = m*y_p - sigma."""
-    peak = mu * T / -np.expm1(-m * T)
+    - sigma*t with P the orbit peak, and its rate F' = m*y_p - sigma."""
     return peak * -np.expm1(-m * t) - sigma * t, m * peak * np.exp(-m * t) - sigma
 
 
-def _invert_fall(s, T, sigma, m, mu):
+def _invert_fall(s, T, sigma, m, peak):
     """Phase t in [0, T] where the fall reaches s in [0, (mu - sigma)*T],
-    elementwise.  Below the decay ceiling F is concave and increasing on
-    [0, T], so its tangents lie above it: Newton steps from t = 0 stay left
-    of the root and rise monotonically to it (clipped to [t, T] in floats).
+    elementwise, given the orbit peak of period T (``_peak``).  Below the
+    decay ceiling F is concave and increasing on [0, T], so its tangents
+    lie above it: Newton steps from t = 0 stay left of the root and rise
+    monotonically to it (clipped to [t, T] in floats).
     """
     t = np.zeros(np.broadcast(s, T, sigma, m).shape)
     for _ in range(100):
-        f, rate = _fall(t, T, sigma, m, mu)
+        f, rate = _fall(t, peak, sigma, m)
         t_next = np.clip(t + (s - f) / rate, t, T)
         if np.array_equal(t_next, t):
             break
@@ -240,16 +248,16 @@ def _damage_times(T, t0, z0, sigma, m, mu):
     before t0, so Pi is clamped at 0.
     """
     drop = (mu - sigma) * T
-    s = z0 + _fall(t0, T, sigma, m, mu)[0]
+    peak = _peak(T, m, mu)
+    s = z0 + _fall(t0, peak, sigma, m)[0]
     k = np.ceil(s / drop) - 1.0
-    return np.maximum(k * T + _invert_fall(s - k * drop, T, sigma, m, mu) - t0, 0.0)
+    return np.maximum(k * T + _invert_fall(s - k * drop, T, sigma, m, peak) - t0, 0.0)
 
 
 def damage_time(p: ZParams, z0: float, t0: float = 0.0) -> float:
     """Time for z to reach zero after an invasion of size z0 at t0 in [0, T):
     one element of ``_damage_times``."""
-    if z0 <= 0:
-        raise DomainError("z0 must be positive")
+    _positive("invasion size", "z0", z0)
     if not 0.0 <= t0 < p.T:
         raise DomainError("t0 must lie in [0, T)")
     if p.T >= max_decay_period(p.mu, p.sigma, p.m):
@@ -286,8 +294,7 @@ def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
     release (k+1)*T: the fall of z over the phases [0, t0] of a period
     equals (k+1)*net_drop - z0, which lies strictly inside (0, net_drop).
     """
-    if z0 <= 0:
-        raise DomainError("z0 must be positive")
+    _positive("invasion size", "z0", z0)
     if p.T >= max_decay_period(p.mu, p.sigma, p.m):
         raise PeriodTooLargeError(
             "period at or above max_decay_period: worst case undefined")
@@ -298,7 +305,8 @@ def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
         pi = k_near * p.T
         return WorstCaseReport("resonant", int(k_near), 0.0, pi, t1, pi - t1)
     k = math.ceil(rho) - 1
-    t0_star = float(_invert_fall((k + 1) * p.net_drop - z0, p.T, p.sigma, p.m, p.mu))
+    t0_star = float(_invert_fall((k + 1) * p.net_drop - z0, p.T, p.sigma, p.m,
+                                 _peak(p.T, p.m, p.mu)))
     pi = (k + 1) * p.T - t0_star
     return WorstCaseReport("interior", int(k), t0_star, pi, t1, pi - t1)
 
@@ -326,9 +334,9 @@ class OptimalPeriods:
 
 
 def optimal_periods(z0: float, mu: float, sigma: float, m: float) -> OptimalPeriods:
-    if z0 <= 0:
-        raise DomainError("z0 must be positive")
-    if mu <= sigma:
+    _positive("invasion size", "z0", z0)
+    _positive("budget rate", "mu", mu)
+    if not mu > sigma:
         raise DomainError("mu must exceed sigma")
     t1 = z0 / (mu - sigma)
     ceiling = max_decay_period(mu, sigma, m)
@@ -386,7 +394,7 @@ class UncertaintyBox:
     def __post_init__(self):
         if not 0.0 < self.z0_lo <= self.z0_hi:
             raise DomainError("need 0 < z0_lo <= z0_hi")
-        if self.sigma_lo > self.sigma_hi:
+        if not self.sigma_lo <= self.sigma_hi:
             raise DomainError("need sigma_lo <= sigma_hi")
         if not 0.0 < self.m_lo <= self.m_hi:
             raise DomainError("need 0 < m_lo <= m_hi")
@@ -407,7 +415,8 @@ def t_limits(box: UncertaintyBox, mu: float):
     decreases, so T_hat = x*(sigma/mu)/m falls in sigma and in m: least at
     (sigma_hi, m_hi).  The gap term is least at sigma_lo.
     """
-    if mu <= box.sigma_hi:
+    _positive("budget rate", "mu", mu)
+    if not mu > box.sigma_hi:
         raise DomainError("mu must exceed sigma over the whole box")
     t_hat_min = max_decay_period(mu, box.sigma_hi, box.m_hi)
     half_gap = 0.5 * (box.z0_hi - box.z0_lo)
@@ -449,8 +458,7 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     ``_check_fall_fits``).
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    if np.any(Ts <= 0):
-        raise DomainError("T must be positive")
+    _positive("release period", "T", float(Ts.min()))
     t_big, t_hat_min = t_limits(box, mu)
     if np.any(Ts >= t_hat_min):
         raise PeriodTooLargeError(
@@ -463,15 +471,16 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
                           1 if box.sigma_lo == box.sigma_hi else 33)
         m = box.m_hi
         Tg = Ts[above, None]
+        peak = _peak(Tg, m, mu)
         drop = (mu - sig) * Tg
         c_lo, c_hi = np.ceil(box.z0_lo / drop), np.ceil(box.z0_hi / drop)
         s = np.clip([drop * c_lo - box.z0_lo, drop * c_hi - box.z0_hi], 0.0, drop)
-        t_lo, t_hi = _invert_fall(s, Tg, sig, m, mu)
-        peak = envelope_argmax(Tg, m)
-        in_range = np.where(c_hi > c_lo, (peak <= t_lo) | (peak >= t_hi),
-                            (t_hi <= peak) & (peak <= t_lo))
+        t_lo, t_hi = _invert_fall(s, Tg, sig, m, peak)
+        t_star = envelope_argmax(Tg, m)
+        in_range = np.where(c_hi > c_lo, (t_star <= t_lo) | (t_star >= t_hi),
+                            (t_hi <= t_star) & (t_star <= t_lo))
         in_range |= box.z0_hi - box.z0_lo >= drop
-        g = [_fall(t, Tg, sig, m, mu)[0] / (mu - sig) - t for t in (peak, t_lo, t_hi)]
+        g = [_fall(t, peak, sig, m)[0] / (mu - sig) - t for t in (t_star, t_lo, t_hi)]
         worst = np.where(in_range, g[0], np.maximum(g[1], g[2])).max(axis=1)
         out[above] = np.minimum(np.maximum(worst, 0.0),
                                 [_corner_bound(t, box, mu) for t in Ts[above]])

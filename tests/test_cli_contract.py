@@ -11,7 +11,9 @@ finite numbers where the CSVs and the SVG report them.
 their slowest inputs keep the contract but take 9.6-28 s each (``damage
 --x0 1e12 --period 1e-6`` with e = 5e-324, 200 full-engine trials with
 r = 1e12, ``simulate`` with eil = 5e-324).  The 500 examples take about
-5 s; each ``@example`` is an escape this test found in earlier code.
+5 s; each ``@example`` is an escape this test found in earlier code.  The
+last test pins five escapes found by hand, ``damage`` and ``simulate``
+among them, with their exact message.
 """
 
 import contextlib
@@ -159,3 +161,41 @@ def test_bad_input_keeps_the_cli_contract(workdir, scenario, command):
         assert stdout == ""
     if code == 0:
         check_artifacts(out)
+
+
+@pytest.mark.parametrize("changes, command, code, message", [
+    # the decrease ceiling x/m overflows, although sigma_hi is positive
+    ([("box.m.0", 5e-324), ("box.m.1", 5e-324)], ("robustness",), 2,
+     "error: m=4.94066e-324 is too small for mu=2 and sigma=1: the decrease "
+     "ceiling overflows a float\n"),
+    # m*T rounds to 0: the orbit peak mu*T/(1 - e^(-m*T)) divides by zero
+    ([("kernels.m", 5e-324)], ("simulate", "--x0", "5"), 2,
+     "error: mu=2, T=0.5 and m=4.94066e-324 overflow a float: the orbit peak "
+     "mu*T/(1 - e^(-m*T)) does not fit one\n"),
+    ([("kernels.m", 5e-324)], ("damage", "--x0", "5", "--period", "0.15"), 2,
+     "error: m=4.94066e-324 is too small for mu=2 and sigma=9.88131e-324: the "
+     "decrease ceiling overflows a float\n"),
+    # plot refuses the boxes montecarlo refuses
+    ([("box.sigma.0", 0.5)], ("plot",), 1,
+     "error: the harness pins sigma and m to single values\n"),
+    # a negative budget above a negative sigma drew a scatter with false
+    # violations against a negative bound
+    ([("program.mu", -1.0), ("box.sigma.0", -2.0), ("box.sigma.1", -2.0)],
+     ("montecarlo", "--trials", "100"), 1,
+     "error: budget rate must be positive, got mu=-1.0\n"),
+], ids=["robustness-tiny-box-m", "simulate-tiny-m", "damage-tiny-m", "plot-sigma-box",
+        "montecarlo-negative-mu"])
+def test_refused_input_writes_one_error_line_and_no_artifact(
+        workdir, changes, command, code, message):
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(scenario_config("logistic", "holling2", changes)))
+    out = workdir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(workdir / "records", out)
+    before = sorted(os.listdir(out))
+    argv = [command[0], "--config", str(cfg), *command[1:]]
+    if command[0] != "damage":
+        argv += ["--out", str(out)]
+    with mock.patch.dict(os.environ, {"BIOCTL_THREADS": "1"}):
+        assert run_main(argv) == (code, "", message, [])
+    assert sorted(os.listdir(out)) == before

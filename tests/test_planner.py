@@ -192,7 +192,8 @@ def test_worked_worst_case():
     assert math.isclose(w.deviation, w.pi_max - w.t1, rel_tol=1e-12)
     # at the worst instant the deviation is F(t0*)/(mu - sigma) - t0*, with
     # F the fall of z over the phases [0, t0*]
-    fall, _ = planner._fall(w.t0_star, REF.T, REF.sigma, REF.m, REF.mu)
+    peak = planner._peak(REF.T, REF.m, REF.mu)
+    fall, _ = planner._fall(w.t0_star, peak, REF.sigma, REF.m)
     assert math.isclose(fall / (REF.mu - REF.sigma) - w.t0_star, w.deviation,
                         rel_tol=1e-9)
 
