@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Thin adapters only: every subcommand parses the JSON scenario config,
-calls the corresponding module and returns its exit code and its
-key=value pairs, which ``main`` prints only after the subcommand has
-returned, so a failed command prints nothing on stdout; file artifacts
-(CSV, SVG) land in --out through ``tables.write``.  Exit codes: 0
-success, 1 domain or verdict failure, 2 usage or config-shape failure.
+Thin adapters only: ``main`` loads the JSON scenario config and hands it
+to the subcommand, which calls the corresponding module and returns its
+exit code and its key=value pairs; ``main`` prints them only once the
+subcommand has returned, so a failed command prints nothing on stdout.
+Artifacts (CSV, SVG) land in --out through ``tables.write``.  Exit codes:
+0 success, 1 domain or verdict failure, 2 usage or config-shape failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import io
 import json
@@ -130,16 +131,8 @@ def load_config(path: str) -> dict:
     return raw
 
 
-_GROWTH = {
-    "linear": (Linear, ("r",)),
-    "logistic": (Logistic, ("r", "K")),
-    "allee": (Allee, ("r", "A", "K")),
-}
-_RESPONSE = {
-    "holling1": (HollingI, ("lam",)),
-    "holling2": (HollingII, ("lam", "a")),
-    "holling4": (HollingIV, ("lam", "a", "b")),
-}
+_GROWTH = {"linear": Linear, "logistic": Logistic, "allee": Allee}
+_RESPONSE = {"holling1": HollingI, "holling2": HollingII, "holling4": HollingIV}
 
 
 def _build_variant(d, table: dict, where: str):
@@ -149,7 +142,8 @@ def _build_variant(d, table: dict, where: str):
     if t not in table:
         raise ConfigError(
             f"{where}: type must be one of {', '.join(sorted(table))}; got {t!r}")
-    cls, fields = table[t]
+    cls = table[t]
+    fields = [f.name for f in dataclasses.fields(cls)]
     _check_keys(d, {"type", *fields}, where)
     return cls(**{f: _num(d, f, where) for f in fields})
 
@@ -249,8 +243,7 @@ def _out_dir(args) -> str:
 # subcommands
 
 
-def cmd_validate(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_validate(args, cfg: dict) -> tuple[int, dict]:
     report = validate_kernels(build_kernels(cfg))
     pairs = {"growth_slope0": report.growth_slope0,
              "response_slope0": report.response_slope0,
@@ -263,8 +256,7 @@ def cmd_validate(args) -> tuple[int, dict]:
     return (0 if report.all_ok else 1), pairs
 
 
-def cmd_stability(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_stability(args, cfg: dict) -> tuple[int, dict]:
     k = build_kernels(cfg)
     program = _build_program(cfg, args.period)
     report = validate_kernels(k)
@@ -283,8 +275,7 @@ def cmd_stability(args) -> tuple[int, dict]:
     return (1 if verdict.verdict is Verdict.UNSTABLE else 0), pairs
 
 
-def cmd_simulate(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg: dict) -> tuple[int, dict]:
     k = build_kernels(cfg)
     program = _build_program(cfg, args.period)
     eil = _build_eil(cfg, required=False)
@@ -304,8 +295,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
                "trajectory_csv": path}
 
 
-def cmd_damage(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_damage(args, cfg: dict) -> tuple[int, dict]:
     k = build_kernels(cfg)
     program = _build_program(cfg, args.period)
     eil = _build_eil(cfg)
@@ -340,8 +330,7 @@ def cmd_damage(args) -> tuple[int, dict]:
                "bound_ok": pi_full <= pi_z * (1 + 1e-6)}
 
 
-def cmd_optimize(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_optimize(args, cfg: dict) -> tuple[int, dict]:
     k = build_kernels(cfg)
     mu = _mu_only(cfg)
     box = _build_box(cfg)
@@ -353,7 +342,7 @@ def cmd_optimize(args) -> tuple[int, dict]:
     worst = [planner.worst_invasion(
         planner.ZParams(sigma=sigma, m=k.m, mu=mu, T=T), args.z0)
         for T in result.periods]
-    tables.write({path: [b"T,pi_max,deviation\n", tables.rows(
+    tables.write({path: [b"T,pi_max,deviation\n", *tables.row_chunks(
         "%.17g,%.17g,%.17g\n", result.periods, [w.pi_max for w in worst],
         [w.deviation for w in worst])]})
     return 0, {"t1": result.t1,
@@ -363,8 +352,7 @@ def cmd_optimize(args) -> tuple[int, dict]:
                "sweep_csv": path}
 
 
-def cmd_robustness(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_robustness(args, cfg: dict) -> tuple[int, dict]:
     mu = _mu_only(cfg)
     box = _build_box(cfg)
     t_lower, t_hat_min = planner.t_limits(box, mu)
@@ -373,19 +361,18 @@ def cmd_robustness(args) -> tuple[int, dict]:
             f"robustness: sigma_hi={box.sigma_hi:g} <= 0 gives no finite "
             "decrease ceiling, so there is no period range to tabulate")
     n = 200
-    Ts = [t_hat_min * i / (n + 1) for i in range(1, n + 1)]
+    Ts = t_hat_min * np.arange(1, n + 1) / (n + 1)
     bounds = planner.robust_envelope(Ts, box, mu)
     path = os.path.join(_out_dir(args), "robust_bound.csv")
-    tables.write({path: [b"T,bound,T_L_flag\n", tables.rows(
-        "%.17g,%.17g,%d\n", Ts, bounds, [T < t_lower for T in Ts])]})
+    tables.write({path: [b"T,bound,T_L_flag\n", *tables.row_chunks(
+        "%.17g,%.17g,%d\n", Ts, bounds, Ts < t_lower)]})
     return 0, {"t_lower": t_lower,
                "t_hat_min": t_hat_min,
                "points": n,
                "bound_csv": path}
 
 
-def cmd_montecarlo(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_montecarlo(args, cfg: dict) -> tuple[int, dict]:
     mu = _mu_only(cfg)
     box = _build_box(cfg)
     trials, seed, engine, bins = _mc_settings(cfg, args)
@@ -554,8 +541,7 @@ def _subsample(parts):
     return n, Ts, devs
 
 
-def cmd_plot(args) -> tuple[int, dict]:
-    cfg = load_config(args.config)
+def cmd_plot(args, cfg: dict) -> tuple[int, dict]:
     mu = _mu_only(cfg)
     box = _build_box(cfg)
     t_upper = mcharness.scatter_t_upper(box, mu)
@@ -591,7 +577,7 @@ def cmd_plot(args) -> tuple[int, dict]:
             except ValueError as whole:
                 error = whole
         raise ConfigError(f"{rec_path}: {error}") from None
-    curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
+    curve_x = t_upper * np.arange(1, 201) / 201
     curve_y = planner.envelope_bound_curve(curve_x, box, mu)
     svg = render_scatter_svg(
         Ts, devs, curve_x, curve_y,
@@ -692,7 +678,7 @@ def main(argv=None) -> int:
         _heap_frozen = True
     args = _build_parser().parse_args(argv)
     try:
-        code, pairs = args.fn(args)
+        code, pairs = args.fn(args, load_config(args.config))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ the rows and the partials; the parent writes the rows in trial order and
 folds the per-job counts, maxima and minima, which do not depend on
 order.  So the parent never holds the trial columns, and its memory does
 not grow with the trial count.  Processes, not threads: formatting alone
-costs about 0.1 us a field under the GIL (see ``tables.rows``).
+costs about 0.1 us a field under the GIL (see ``tables.row_chunks``).
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
         pis = planner._damage_times(Ts, t0s, z0s, sigma, m, cfg.mu)
     else:
         gp0 = cfg.kernels.response.slope0()
-        sim_cfg = cfg.sim or impulsim.SimConfig()
         pis = np.empty(len(Ts))
         x0s = np.array([planner.x_from_z_local(z0, cfg.eil, cfg.kernels.m, gp0)
                         for z0 in z0s.tolist()])
@@ -219,9 +218,9 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
             try:
                 pis[i], _ = impulsim.damage_time_full(
                     cfg.kernels, program, float(x0s[i]), cfg.eil,
-                    t0=float(t0s[i]), cfg=sim_cfg)
+                    t0=float(t0s[i]), cfg=cfg.sim)
             except (impulsim.HorizonExceededError, impulsim.IntegrationError,
-                    impulsim.StateConsistencyError, InputOverflowError):
+                    impulsim.StateConsistencyError, DomainError):
                 pis[i] = math.nan
                 failed[i] = True
     return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=pis - t1s,
@@ -242,8 +241,9 @@ def run_mc(cfg: McConfig) -> Trials:
 
     Trial i draws T uniform in (0, T_L), t0 uniform in (0, T) and z0
     uniform in the z0 box.  Full-engine trials that exceed the horizon,
-    fail to integrate, leave the state space or overflow a float (a
-    horizon of 2^53 release periods, say) are flagged failed with
+    fail to integrate, leave the state space, overflow a float (a horizon
+    of 2^53 release periods, say) or start at eil (a z0 so small that the
+    density eil*exp(z0*g'(0)/m) rounds to eil) are flagged failed with
     Pi = nan, never dropped.  The trials are solved job by job, as in
     ``stream_mc``.
     """

@@ -455,9 +455,13 @@ def robust_envelope(T, box: UncertaintyBox, mu: float):
     argument of ``envelope_bound_curve``), so t0* = F^{-1}(s) falls in m and
     D rises in m for every z0 and sigma: the box maximum lies at m = m_hi.
     A box whose fall of z overflows a float raises InputOverflowError (see
-    ``_check_fall_fits``).
+    ``_check_fall_fits``).  An empty array of periods gives an empty
+    array, once ``t_limits`` has accepted the box and mu.
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    if not Ts.size:
+        t_limits(box, mu)
+        return np.empty(0)
     _positive("release period", "T", float(Ts.min()))
     t_big, t_hat_min = t_limits(box, mu)
     if np.any(Ts >= t_hat_min):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .forkpool import PoolBroken
 
-__all__ = ["OutputWriteError", "row_chunks", "rows", "write"]
+__all__ = ["OutputWriteError", "row_chunks", "write"]
 
 #: rows per pass: the temporaries of a column stay in the CPU cache
 _PASS = 4096
@@ -72,36 +72,31 @@ class OutputWriteError(RuntimeError):
     """An output file could not be written; no partial file is left (exit 1)."""
 
 
-def rows(fmt: str, *columns) -> bytes:
+def row_chunks(fmt: str, *columns):
     """The lines fmt % row, one per row of the equal-length columns, as
-    ASCII bytes.  fmt holds literal text, ``%.17g``, ``%d`` and ``%%``; the
-    columns take their common numpy type, as one stacked block would, so a
-    %d of a float column prints int(value).
+    consecutive ASCII byte pieces of at most _PASS rows, each formatted
+    when it is taken, so that ``write`` never holds the whole table; a
+    table of at most _SMALL values is one piece.  fmt holds literal text,
+    ``%.17g``, ``%d`` and ``%%``; the columns take their common numpy type,
+    as one stacked block would, so a %d of a float column prints
+    int(value).
 
     The bytes equal ``%`` for every value.  Past _SMALL values the
     vectorised formatter takes about 0.1 us a field on one core, a quarter
     of what ``%`` takes (the rows of a 200k-trial closed run, pass by
     pass, on a 2-CPU Xeon with Python 3.11 and numpy 2.4).
     """
-    return b"".join(row_chunks(fmt, *columns))
-
-
-def row_chunks(fmt: str, *columns):
-    """``rows(fmt, *columns)`` as a generator of consecutive pieces of at
-    most _PASS rows, each formatted when it is taken, so that ``write``
-    never holds the whole table.  A table of at most _SMALL values is one
-    piece."""
     layout = _layout(fmt)
     convs = [conv for conv, _ in layout if conv is not None]
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(convs):
-        raise TypeError(f"rows: {len(convs)} conversions in {fmt!r}, "
+        raise TypeError(f"row_chunks: {len(convs)} conversions in {fmt!r}, "
                         f"{len(cols)} columns")
     if not cols or any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
-        raise ValueError("rows needs 1-D columns of one length")
+        raise ValueError("row_chunks needs 1-D columns of one length")
     kind = np.result_type(*cols)
     if kind.kind not in "biuf" or kind.itemsize > 8:
-        raise TypeError(f"rows formats real numbers, got {kind}")
+        raise TypeError(f"row_chunks formats real numbers, got {kind}")
     cols = [c.astype(kind, copy=False) for c in cols]
     if len(cols) * len(cols[0]) <= _SMALL:
         yield _percent(fmt, cols)
@@ -351,13 +346,13 @@ def _layout(fmt: str):
     bytes of the literal after it that fit its spare bytes, or (None, a
     literal) that takes whole NUL-padded words."""
     if "\0" in fmt:
-        raise ValueError("rows cannot write a NUL byte")
+        raise ValueError("row_chunks cannot write a NUL byte")
     first, *rest = fmt.replace("%%", "\0").split("%")
     layout = [(None, first.replace("\0", "%").encode())] if first else []
     for part in rest:
         conv = next((c for c in _FIELDS if part.startswith(c[1:])), None)
         if conv is None:
-            raise ValueError(f"rows formats only %.17g and %d, got {fmt!r}")
+            raise ValueError(f"row_chunks formats only %.17g and %d, got {fmt!r}")
         data = part[len(conv) - 1:].replace("\0", "%").encode()
         spare = _FIELDS[conv][1]
         layout.append((conv, data[:spare]))

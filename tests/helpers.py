@@ -394,7 +394,8 @@ def dense_reference(h, ks, P) -> tuple:
 
 
 def rows_reference(fmt: str, *columns) -> bytes:
-    """The former ``tables.rows``: one ``%`` over the whole stacked block."""
+    """The builder ``tables.row_chunks`` replaced: one ``%`` over the whole
+    stacked block."""
     block = np.column_stack(columns)
     return ((fmt * len(block)) % tuple(block.ravel().tolist())).encode()
 

@@ -260,6 +260,27 @@ def test_unparseable_config_is_a_config_error(tmp_path, capsys, text):
     assert captured.err.startswith(prefix)
 
 
+_OUT_COMMANDS = ("simulate", "optimize", "robustness", "montecarlo", "plot")
+
+
+@pytest.mark.parametrize("config", ["missing", "invalid JSON"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["stability"], ["simulate", "--x0", "5"], ["damage", "--x0", "5"],
+    ["optimize", "--z0", "3"], ["robustness"], ["montecarlo"], ["plot"],
+], ids=lambda argv: argv[0])
+def test_config_errors_come_first_for_every_subcommand(tmp_path, capsys, argv, config):
+    # plot, with no records under --out either, names the config
+    path = tmp_path / "scenario.json"
+    if config == "invalid JSON":
+        path.write_text(json.dumps(REFERENCE)[:-25])
+    out = ["--out", str(tmp_path / "out")] if argv[0] in _OUT_COMMANDS else []
+    assert cli.main([*argv, "--config", str(path), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {path}: ")
+    assert os.listdir(tmp_path) == ([] if config == "missing" else ["scenario.json"])
+
+
 def test_unknown_top_level_key_is_rejected(tmp_path):
     cfg = write_config(tmp_path, mystery=1)
     res = run_cli("validate", "--config", cfg)
@@ -848,6 +869,27 @@ def test_error_in_a_montecarlo_job_is_clean(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert not (out / "mc_records.csv").exists()
     helpers.assert_no_child_processes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_full_trial_whose_density_rounds_to_eil_fails_alone(tmp_path, capsys,
+                                                           monkeypatch, threads):
+    # eil*exp(z0*g'(0)/m) rounds to eil at z0 = 1e-17, so damage_time_full
+    # refuses every x0 of this box; 300 trials are two jobs of 256, so at 2
+    # workers they go through the pool
+    monkeypatch.setenv("BIOCTL_THREADS", threads)
+    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
+    cfg, out = write_config(tmp_path, {"box.z0": [1e-17, 2e-17]}), tmp_path / "out"
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--engine", "full", "--trials", "300"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert parse_kv(captured.out)["failed"] == "300"
+    with open(out / "mc_records.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 300
+    assert all(r["failed"] == "1" and r["Pi"] == "nan" for r in rows)
 
 
 _MC_FILES = ("mc_records.csv", "mc_envelope.csv")

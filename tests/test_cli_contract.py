@@ -19,6 +19,7 @@ among them, with their exact message.
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -48,14 +49,19 @@ COMMANDS = (("validate",), ("stability",), ("stability", "--period", "2000"),
 RECORD_FIELDS = ("T", "t0", "z0", "Pi", "T1", "deviation")
 
 
+def _parameters(cls) -> list:
+    """The config keys of a kernel class: its dataclass fields."""
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 @st.composite
 def scenarios(draw):
     """(growth, response, changes): changes is a list of one or two
     (dotted field, value) pairs."""
     growth = draw(st.sampled_from(sorted(cli._GROWTH)))
     response = draw(st.sampled_from(sorted(cli._RESPONSE)))
-    fields = ([f"kernels.growth.{p}" for p in cli._GROWTH[growth][1]]
-              + [f"kernels.response.{p}" for p in cli._RESPONSE[response][1]]
+    fields = ([f"kernels.growth.{p}" for p in _parameters(cli._GROWTH[growth])]
+              + [f"kernels.response.{p}" for p in _parameters(cli._RESPONSE[response])]
               + list(FIELDS))
     changes = draw(st.lists(st.tuples(st.sampled_from(fields), st.sampled_from(VALUES)),
                             min_size=1, max_size=2, unique_by=lambda c: c[0]))
@@ -67,7 +73,7 @@ def scenario_config(growth, response, changes) -> dict:
     for key, kind, table in (("growth", growth, cli._GROWTH),
                              ("response", response, cli._RESPONSE)):
         cfg["kernels"][key] = {"type": kind,
-                               **{p: PARAMETERS[p] for p in table[kind][1]}}
+                               **{p: PARAMETERS[p] for p in _parameters(table[kind])}}
     for dotted, value in changes:
         *parents, leaf = dotted.split(".")
         node = cfg

@@ -389,6 +389,16 @@ def test_robust_envelope_branches(reference_box):
         robust_envelope(-0.1, box, 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_robust_envelope_of_no_period_is_empty(reference_box):
+    got = robust_envelope([], reference_box, 2.0)
+    assert got.dtype == np.float64 and got.shape == (0,)
+    assert envelope_bound_curve([], reference_box, 2.0).shape == (0,)
+    # the box and mu are still checked
+    with pytest.raises(DomainError):
+        robust_envelope([], reference_box, 0.5)
+
+
 def test_envelope_bound_curve_monotone(reference_box):
     Ts = np.linspace(0.01, 1.2, 120)
     bounds = envelope_bound_curve(Ts, reference_box, 2.0)

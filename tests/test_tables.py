@@ -1,4 +1,4 @@
-"""bioctl.tables.rows against the whole-block ``%`` builder it replaced:
+"""bioctl.tables.row_chunks against the whole-block ``%`` builder it replaced:
 the same bytes for every float64 bit pattern, the same exception for a
 value ``%d`` cannot take, and an exact double-double table of 10^k; and
 ``tables.write``'s commit by rename."""
@@ -18,7 +18,7 @@ from bioctl import tables
 from helpers import rows_reference
 
 RECORDS = "%d" + ",%.17g" * 6 + ",closed,%d\n"
-#: the crossover of rows: tables of at most this many values use ``%``
+#: the crossover of row_chunks: tables of at most this many values use ``%``
 SMALL = tables._SMALL
 
 
@@ -31,15 +31,20 @@ def kernel_only():
         yield
 
 
+def _rows(fmt, *columns) -> bytes:
+    """The whole table, joined from its row_chunks."""
+    return b"".join(tables.row_chunks(fmt, *columns))
+
+
 def same_as_percent(fmt, *columns):
-    """rows and the reference give equal bytes, or raise the same type."""
+    """_rows and the reference give equal bytes, or raise the same type."""
     try:
         want = rows_reference(fmt, *columns)
     except (ValueError, OverflowError) as e:
         with pytest.raises(type(e)):
-            tables.rows(fmt, *columns)
+            _rows(fmt, *columns)
         return
-    got = tables.rows(fmt, *columns)
+    got = _rows(fmt, *columns)
     if got != want:
         for g, w in zip(got.split(b"\n"), want.split(b"\n")):
             assert g == w
@@ -100,7 +105,7 @@ def test_ties_round_half_even():
     ties = [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
             100000000000000.375, 0.5, 2.5,
             *(m * 2.0 ** -24 for m in range(3, 16, 2)), 2.0 ** -25, 3 * 2.0 ** -25]
-    assert tables.rows("%.17g\n", ties[:2]) == \
+    assert _rows("%.17g\n", ties[:2]) == \
         b"1000000000000000.2\n1000000000000000.8\n"
     same_as_percent("%.17g\n", with_neighbours(ties))
 
@@ -152,7 +157,7 @@ def test_literals_and_pass_boundaries():
     same_as_percent("<%.17g>, long literal text é %%, %d;%.17g\n", *x.T)
     same_as_percent("%.17g%.17g%d", *x[:50].T)
     same_as_percent("%%%d%.17gé%%%.17g%%", *x[:50].T)
-    assert tables.rows("%.17g\n", np.array([])) == b""
+    assert _rows("%.17g\n", np.array([])) == b""
 
 
 def test_special_values_leave_the_other_rows_of_a_pass_alone():
@@ -168,7 +173,7 @@ def test_special_values_leave_the_other_rows_of_a_pass_alone():
             for v, w in zip((x, special), words)]
     assert np.array_equal(words[1][:, :len(x)], words[0])
     assert left[1] == left[0] + [len(x) + 2]     # 1e300, and the same ties
-    plain, with_special = tables.rows("%.17g\n", x), tables.rows("%.17g\n", special)
+    plain, with_special = _rows("%.17g\n", x), _rows("%.17g\n", special)
     assert with_special.startswith(plain)
     assert plain == rows_reference("%.17g\n", x)
     assert with_special == rows_reference("%.17g\n", special)
@@ -191,7 +196,7 @@ def test_threads_formatting_at_once_each_get_their_own_bytes():
     def format_(i):
         start.wait()
         for _ in range(4):
-            got[i].append(tables.rows(*work[i]))
+            got[i].append(_rows(*work[i]))
 
     threads = [threading.Thread(target=format_, args=(i,)) for i in range(len(work))]
     interval = sys.getswitchinterval()
@@ -216,11 +221,11 @@ def test_records_of_a_closed_run(mc_run_200k):
 
 def test_unsupported_formats_are_refused():
     with pytest.raises(ValueError):
-        tables.rows("%.3f\n", [1.0])
+        _rows("%.3f\n", [1.0])
     with pytest.raises(ValueError):
-        tables.rows("%d\0\n", [1.0])
+        _rows("%d\0\n", [1.0])
     with pytest.raises(TypeError):
-        tables.rows("%d,%d\n", [1.0])
+        _rows("%d,%d\n", [1.0])
 
 
 def test_the_table_of_powers_of_ten_is_exact():
@@ -254,7 +259,7 @@ def test_small_tables_use_percent_and_larger_ones_the_kernel(monkeypatch, extra_
     passes = []
     kernel_pass = tables._pass
     monkeypatch.setattr(tables, "_pass", lambda *a: passes.append(1) or kernel_pass(*a))
-    assert tables.rows(fmt, *cols) == rows_reference(fmt, *cols)
+    assert _rows(fmt, *cols) == rows_reference(fmt, *cols)
     assert bool(passes) == (path == "kernel")
 
 
