@@ -22,7 +22,8 @@ def step(name, argv):
     print(f"\n== {name} " + "=" * max(0, 60 - len(name)))
     rc = bioctl(argv)
     if rc != 0:
-        sys.exit(f"step {name!r} exited with code {rc}")
+        print(f"step {name!r} exited with code {rc}", file=sys.stderr)
+        sys.exit(rc)
 
 
 def run(config: str, out: str, trials: int, seed: int) -> None:

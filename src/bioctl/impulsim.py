@@ -16,11 +16,14 @@ would pass nT, or end short of it by under a millionth of the step, lands
 on it exactly, the jump is applied there, and the step size proposed
 before that adjustment carries on, so no step is longer than T.  Every
 accepted step has a quartic dense-output polynomial in s = (t' - t)/h.
-Threshold crossings are found on it with ``kernels``' root routines: the
-step ends and the quartic's interior critical points (``real_roots``) cut
-[0, 1] into monotone pieces, and a piece whose ends lie on either side of
-eil is bisected (``_bisect``) to adjacent floats in s, so a dip below eil
-that starts and ends inside one step is found too.  ``simulate`` reads its
+Threshold crossings are found on it with ``kernels``' root routines.  A
+step that ends on the side of eil it starts on, further from eil than the
+sum of the quartic's coefficient magnitudes (the most it strays from the
+step's start), is skipped.  On any other step the step ends and the
+quartic's interior critical points (``real_roots``) cut [0, 1] into
+monotone pieces, and a piece whose ends lie on either side of eil is
+bisected (``_bisect``) to adjacent floats in s, so a dip below eil that
+starts and ends inside one step is found too.  ``simulate`` reads its
 samples off the same polynomials.
 """
 
@@ -90,9 +93,6 @@ _P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
        -1453857185 / 822651844),
       (0.0, 40617522 / 29380423, -110615467 / 29380423,
        69997945 / 29380423))
-# The columns of _P after the first sum to 0, so for 0 <= s <= 1:
-# |u(t + s*h) - u| <= h * (|K_1| + _P_NORM * max_i |K_i - K_1|)
-_P_NORM = sum(abs(p) for row in _P for p in row)
 # the columns after the first without the second stage, whose row is 0
 _P_COL1, _P_COL2, _P_COL3 = (tuple(row[j] for row in _P[:1] + _P[2:])
                               for j in (1, 2, 3))
@@ -291,19 +291,14 @@ def _poly(u, q, s):
     return u + s * (q[0] + s * (q[1] + s * (q[2] + s * q[3])))
 
 
-def _crossings(t, h, x, xn, ks, eil):
+def _crossings(t, h, x, xn, q, eil):
     """Crossings of eil by the step's x polynomial, in time order, as
-    (t, "down" | "up") pairs; ks are the step's stage derivatives of x."""
-    # cheap bounds on how far the polynomial strays from x rule out most
-    # steps that end on the side they start on
-    same_side = (x > eil) == (xn > eil)
-    k1, k2, k3, k4, k5, k6, k7 = ks
-    if same_side and abs(x - eil) > h * (abs(k1) + _P_NORM * max(
-            abs(k2 - k1), abs(k3 - k1), abs(k4 - k1), abs(k5 - k1),
-            abs(k6 - k1), abs(k7 - k1))):
-        return []
-    q = _dense(h, ks)
-    if same_side and abs(x - eil) > sum(map(abs, q)):
+    (t, "down" | "up") pairs; q = ``_dense(h, kx)`` is its quartic.  On
+    [0, 1] it strays from x by at most sum|q_j|, so a step that ends on the
+    side of eil it starts on, further than that from eil, is skipped.  The
+    columns j >= 1 of _P sum to 0, so sum|q_j| <= h*(|k_1| + (N - 1)*max_i
+    |k_i - k_1|), N = sum|_P[i][j]|: it skips every step that bound skips."""
+    if (x > eil) == (xn > eil) and abs(x - eil) > sum(map(abs, q)):
         return []
     # the quartic in s minus eil is monotone between its critical points,
     # and each piece that changes sign holds one root, bisected in s
@@ -389,7 +384,7 @@ def simulate(k: KernelSet, program: ReleaseProgram, x0, y0, t0=0.0,
             k, program, x0, y0, t0, t_end, cfg):
         qx, qy = _dense(h, kx), _dense(h, ky)
         if eil is not None:
-            events += _crossings(t, h, x, xn, kx, eil)
+            events += _crossings(t, h, x, xn, qx, eil)
         while j < len(ts) and ts[j] < t_new:
             s = (ts[j] - t) / h
             xs[j], ys[j] = _poly(x, qx, s), _poly(y, qy, s)
@@ -424,7 +419,7 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
         _check_releases(t0, t0 + bound, program.T, DAMAGE_RELEASES)
     # every step starts above eil, so the first crossing is the way down
     for t, h, _, x, _, kx, _, xn, _, _ in _steps(k, program, x0, y0, t0, t_end, cfg):
-        for t_cross, _ in _crossings(t, h, x, xn, kx, eil):
+        for t_cross, _ in _crossings(t, h, x, xn, _dense(h, kx), eil):
             return t_cross - t0, t_cross
     raise HorizonExceededError(
         f"no crossing of eil={eil:g} before t={t_end:g}; "

@@ -507,7 +507,7 @@ def test_crossing_is_found_to_float_resolution(tmp_path, command, flags):
     for t, h, _, x, _, kx, _, xn, _, _ in impulsim._steps(
             reference_kernelset(), program, 5.0, y0, 0.0, 20.0, SimConfig()):
         q = impulsim._dense(h, kx)
-        for tc, label in impulsim._crossings(t, h, x, xn, kx, 0.1):
+        for tc, label in impulsim._crossings(t, h, x, xn, q, 0.1):
             u = 2.0 * math.ulp(tc)
             before, after = (impulsim._poly(x, q, (tc + d - t) / h) for d in (-u, u))
             if label == "down":
@@ -539,6 +539,31 @@ def test_damage_checks_its_inputs_before_printing(tmp_path, capsys, flags, messa
     assert code == 1
     assert out == ""
     assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--x0", "5", "--z0", "1"), "argument --z0: not allowed with argument --x0"),
+    ((), "one of the arguments --x0 --z0 is required"),
+], ids=["both", "neither"])
+def test_damage_takes_exactly_one_of_x0_and_z0(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["damage", "--config", write_config(tmp_path),
+                  "--period", "0.15", *flags])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_reference_script_exits_with_the_failing_steps_code(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "run_reference_experiment.py")
+    res = subprocess.run(
+        [sys.executable, script, "--config", str(tmp_path / "missing.json"),
+         "--out", str(tmp_path)], capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error: ")
+    assert res.stderr.endswith("step 'validate' exited with code 2\n")
 
 
 def test_stiff_simulation_ends_with_an_error(tmp_path):
@@ -877,12 +902,13 @@ def test_full_trial_whose_density_rounds_to_eil_fails_alone(tmp_path, capsys,
                                                            monkeypatch, threads):
     # eil*exp(z0*g'(0)/m) rounds to eil at z0 = 1e-17, so damage_time_full
     # refuses every x0 of this box; 300 trials are two jobs of 256, so at 2
-    # workers they go through the pool
+    # workers they go through the pool.  A run in which every trial failed
+    # checked nothing: it exits 1, with its lines and both CSVs
     monkeypatch.setenv("BIOCTL_THREADS", threads)
     monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
     cfg, out = write_config(tmp_path, {"box.z0": [1e-17, 2e-17]}), tmp_path / "out"
     assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
-                     "--engine", "full", "--trials", "300"]) == 0
+                     "--engine", "full", "--trials", "300"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     assert parse_kv(captured.out)["failed"] == "300"
@@ -890,6 +916,7 @@ def test_full_trial_whose_density_rounds_to_eil_fails_alone(tmp_path, capsys,
         rows = list(csv.DictReader(fh))
     assert len(rows) == 300
     assert all(r["failed"] == "1" and r["Pi"] == "nan" for r in rows)
+    assert (out / "mc_envelope.csv").is_file()
 
 
 _MC_FILES = ("mc_records.csv", "mc_envelope.csv")

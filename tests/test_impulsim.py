@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bioctl import impulsim, planner
 from bioctl.impulsim import (
@@ -247,6 +249,9 @@ def test_dense_output_reproduces_the_step():
     # at s = 1 the quartic gives u + h * sum_i b_i K_i, the 5th-order result
     assert np.allclose(P.sum(axis=1), np.append(impulsim._B, 0.0),
                        rtol=0.0, atol=1e-15)
+    # the columns after the first sum to 0, which bounds the quartic's
+    # coefficients by the stages' spread about the first stage
+    assert np.allclose(P[:, 1:].sum(axis=0), 0.0, rtol=0.0, atol=1e-14)
     # its derivative at s = 0 is the first stage, and at s = 1 the FSAL stage
     assert np.allclose(P[:, 0], np.eye(7)[0], rtol=0.0, atol=0.0)
     assert np.allclose(P @ np.arange(1, 5), np.eye(7)[6], rtol=0.0, atol=1e-14)
@@ -283,26 +288,27 @@ def test_dense_is_bit_identical_to_the_generic_form():
         assert got == [v.hex() for v in _generic_dense(h, ks)], (h, ks)
 
 
-def _crossing_cases(k):
-    """(t, h, x, xn, kx, eil) of 3,000 reference steps, each with eil
-    strictly inside the step's range, where it straddles it, and just past
-    either end, which tests the screens on a near miss."""
+def _crossing_cases(k, dense=impulsim._dense):
+    """(t, h, x, xn, q, eil) of 3,000 reference steps, q the step's x
+    quartic from ``dense``, each with eil strictly inside the step's range,
+    where it straddles it, and just past either end, which tests the screen
+    on a near miss."""
     steps = itertools.islice(impulsim._steps(
         k, ReleaseProgram(2.0, 0.5), 5.0, 1.0, 0.0, 50.0, SimConfig()), 3000)
     cases = []
     for t, h, _, x, _, kx, _, xn, _, _ in steps:
-        lo, hi = min(x, xn), max(x, xn)
+        lo, hi, q = min(x, xn), max(x, xn), dense(h, kx)
         for eil in (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo),
                     lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)):
-            cases.append((t, h, x, xn, kx, eil))
+            cases.append((t, h, x, xn, q, eil))
     return cases
 
 
-def test_crossings_match_the_generic_dense_form(reference_kernels, monkeypatch):
+def test_crossings_match_the_generic_dense_form(reference_kernels):
     cases = _crossing_cases(reference_kernels)
     got = [impulsim._crossings(*case) for case in cases]
-    monkeypatch.setattr(impulsim, "_dense", _generic_dense)
-    assert [impulsim._crossings(*case) for case in cases] == got
+    assert [impulsim._crossings(*case) for case in _crossing_cases(
+        reference_kernels, _generic_dense)] == got
     straddling = [out for (_, _, x, xn, _, eil), out in zip(cases, got)
                   if (x > eil) != (xn > eil)]
     assert len(straddling) > 1000 and all(straddling)
@@ -316,6 +322,20 @@ def test_crossings_match_companion_matrix_cut_points(reference_kernels, monkeypa
     monkeypatch.setattr(impulsim, "real_roots", lambda c, lo, hi: sorted(
         float(s) for s in np.roots(c).real if lo < s < hi))
     assert [impulsim._crossings(*case) for case in cases] == got
+
+
+@given(x=st.floats(0.0, 1e6), q=st.tuples(*[st.floats(-1e6, 1e6)] * 4),
+       gap=st.floats(0.0, 1e6), below=st.booleans())
+def test_screened_step_stays_on_its_side_of_eil(x, q, gap, below):
+    # the screen skips a step that ends on x's side of eil, further than
+    # sum|q_j| from it; the quartic then keeps to that side on all of [0, 1]
+    bound = sum(map(abs, q))
+    eil = x - (bound + gap) if below else x + (bound + gap)
+    xn = impulsim._poly(x, q, 1.0)
+    assume((x > eil) == (xn > eil) and abs(x - eil) > bound)
+    assert all((impulsim._poly(x, q, s) > eil) == (x > eil)
+               for s in np.linspace(0.0, 1.0, 4097).tolist())
+    assert impulsim._crossings(0.0, 1.0, x, xn, q, eil) == []
 
 
 # --------------------------------------------------------------------------
