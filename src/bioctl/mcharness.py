@@ -21,11 +21,12 @@ same reason.
 
 A run is cut into jobs of consecutive trials.  ``stream_mc`` hands each
 job to a worker of ``forkpool``, a forked copy of this process that
-draws, solves, checks, bins and formats its trials and sends back only
-the rows and the partials; the parent writes the rows in trial order and
-folds the per-job counts, maxima and minima, which do not depend on
-order.  So the parent never holds the trial columns, and its memory does
-not grow with the trial count.  Processes, not threads: formatting alone
+draws, solves and formats its trials and sends back only the rows and
+its partial of the run's one ``_Tally`` (bin counts and deviation
+extremes, violations, failed trials); the parent writes the rows in
+trial order and folds the partials, which do not depend on order.  So
+the parent never holds the trial columns, and its memory does not grow
+with the trial count.  Processes, not threads: formatting alone
 costs about 0.1 us a field under the GIL (see ``tables.row_chunks``).
 """
 
@@ -287,46 +288,6 @@ def _bin_partial(trials: Trials, n_bins: int, t_upper: float):
     return bins, count, hi, lo
 
 
-class _Bins:
-    """Per-bin trial count and deviation extremes, folded from partials of
-    ``_bin_partial``.  Sum, max and min do not depend on the fold order."""
-
-    def __init__(self, n_bins: int):
-        self.count = np.zeros(n_bins, dtype=np.int64)
-        self.hi, self.lo = np.full(n_bins, -np.inf), np.full(n_bins, np.inf)
-
-    def fold(self, part) -> None:
-        bins, count, hi, lo = part
-        self.count[bins] += count
-        self.hi[bins] = np.maximum(self.hi[bins], hi)
-        self.lo[bins] = np.minimum(self.lo[bins], lo)
-
-    def columns(self, t_upper: float) -> tuple:
-        """(bin_mid, max_dev, min_dev, count), with nan extremes in empty bins."""
-        empty = self.count == 0
-        edges = np.linspace(0.0, t_upper, len(self.count) + 1)
-        return (0.5 * (edges[:-1] + edges[1:]), np.where(empty, np.nan, self.hi),
-                np.where(empty, np.nan, self.lo), self.count)
-
-
-def _check_bins(n_bins: int, t_upper: float) -> None:
-    _positive("bin count", "n_bins", n_bins)
-    _positive("period range", "t_upper", t_upper)
-
-
-def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> tuple:
-    """Deviation extremes per equal-width period bin over (0, t_upper), as
-    the columns (bin_mid, max_dev, min_dev, count); entry j is bin j.
-
-    Empty bins (and bins whose only trials failed) report count 0 with nan
-    extremes.
-    """
-    _check_bins(n_bins, t_upper)
-    acc = _Bins(n_bins)
-    acc.fold(_bin_partial(trials, n_bins, t_upper))
-    return acc.columns(t_upper)
-
-
 def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
     """Comparison-model trials above the bound at their own T; the full
     engine is exempt."""
@@ -336,14 +297,60 @@ def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
     return int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
 
 
-def _envelope_report(violations: int, t_upper: float, columns: tuple,
-                     box: planner.UncertaintyBox, mu: float) -> EnvelopeReport:
-    bin_mid, max_dev, min_dev, count = columns
-    bound = planner.envelope_bound_curve(bin_mid, box, mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((count > 0) & (bound > 0), max_dev / bound, np.nan)
-    return EnvelopeReport(violations, t_upper, bin_mid, max_dev, min_dev, bound,
-                          count, ratio)
+class _Tally:
+    """The envelope check of a run, folded from one partial per job: per
+    period bin the trial count and deviation extremes, over n_bins
+    equal-width bins of (0, t_upper), and the run's violations and failed
+    trials.  Sums, maxima and minima do not depend on the fold order."""
+
+    def __init__(self, n_bins: int, t_upper: float):
+        _positive("bin count", "n_bins", n_bins)
+        _positive("period range", "t_upper", t_upper)
+        self.t_upper = t_upper
+        self.count = np.zeros(n_bins, dtype=np.int64)
+        self.hi, self.lo = np.full(n_bins, -np.inf), np.full(n_bins, np.inf)
+        self.violations = self.failed = 0
+
+    def partial(self, trials: Trials, box: planner.UncertaintyBox, mu: float):
+        """(bin partial, violations, failed count) of the trials, small
+        enough to send back from a worker (see ``_bin_partial``)."""
+        return (_bin_partial(trials, len(self.count), self.t_upper),
+                _violations(trials, box, mu), int(trials.failed.sum()))
+
+    def fold(self, part) -> None:
+        (bins, count, hi, lo), violations, failed = part
+        self.count[bins] += count
+        self.hi[bins] = np.maximum(self.hi[bins], hi)
+        self.lo[bins] = np.minimum(self.lo[bins], lo)
+        self.violations += violations
+        self.failed += failed
+
+    def columns(self) -> tuple:
+        """(bin_mid, max_dev, min_dev, count), with nan extremes in empty bins."""
+        empty = self.count == 0
+        edges = np.linspace(0.0, self.t_upper, len(self.count) + 1)
+        return (0.5 * (edges[:-1] + edges[1:]), np.where(empty, np.nan, self.hi),
+                np.where(empty, np.nan, self.lo), self.count)
+
+    def report(self, box: planner.UncertaintyBox, mu: float) -> EnvelopeReport:
+        bin_mid, max_dev, min_dev, count = self.columns()
+        bound = planner.envelope_bound_curve(bin_mid, box, mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where((count > 0) & (bound > 0), max_dev / bound, np.nan)
+        return EnvelopeReport(self.violations, self.t_upper, bin_mid, max_dev,
+                              min_dev, bound, count, ratio)
+
+
+def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> tuple:
+    """Deviation extremes per equal-width period bin over (0, t_upper), as
+    the columns (bin_mid, max_dev, min_dev, count); entry j is bin j.
+
+    Empty bins (and bins whose only trials failed) report count 0 with nan
+    extremes.
+    """
+    tally = _Tally(n_bins, t_upper)
+    tally.fold((_bin_partial(trials, n_bins, t_upper), 0, 0))
+    return tally.columns()
 
 
 def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
@@ -357,9 +364,9 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     the bin midpoint; it approaches 1 from below as trials accumulate.
     The bins are columns, as in ``bin_envelope``.
     """
-    t_upper = scatter_t_upper(box, mu)
-    return _envelope_report(_violations(trials, box, mu), t_upper,
-                            bin_envelope(trials, n_bins, t_upper), box, mu)
+    tally = _Tally(n_bins, scatter_t_upper(box, mu))
+    tally.fold(tally.partial(trials, box, mu))
+    return tally.report(box, mu)
 
 
 # --------------------------------------------------------------------------
@@ -397,58 +404,40 @@ def _envelope_chunks(report: EnvelopeReport):
 # streamed run
 
 
-def _run_chunk(cfg: McConfig, n_bins: int, start: int, stop: int):
-    """One job of ``stream_mc``: trials [start, stop) drawn and solved, then
-    (their CSV row chunks, their envelope violations, their bin partial,
-    their failed count)."""
-    trials = _solve(cfg, start, stop)
-    return (list(_row_chunks(trials, start)),
-            _violations(trials, cfg.box, cfg.mu),
-            _bin_partial(trials, n_bins, cfg.t_upper),
-            int(trials.failed.sum()))
-
-
 def stream_mc(cfg: McConfig, records_path, envelope_path, n_bins: int = 50):
     """``run_mc``, ``verify_envelope`` and ``write_records_csv`` in one pass
     that never holds the trial columns: returns (the envelope report, the
     failed trial count), writes the same bytes to records_path and the
     report's bins to envelope_path.
 
-    Each job draws, solves, checks, bins and formats its own trials in a
-    worker process (see ``forkpool``); the rows are written in trial
-    order and the per-job partials folded, so neither the bytes nor the
-    report depend on the worker count.  The two files are one commit: a
-    run that fails leaves both as they were (see ``tables.write``).
+    Each job draws, solves, formats and tallies its own trials in a worker
+    process (see ``forkpool``) and sends back its rows and its partial of
+    the one ``_Tally``; the rows are written in trial order and the
+    partials folded, so neither the bytes nor the report depend on the
+    worker count.  The two files are one commit: a run that fails leaves
+    both as they were (see ``tables.write``).
     """
-    _check_bins(n_bins, cfg.t_upper)
+    tally = _Tally(n_bins, cfg.t_upper)
     starts = _job_starts(cfg)
     workers = forkpool.thread_count()
-    acc, violations, failed = _Bins(n_bins), 0, 0
     report = None
-
-    def fold(result):
-        nonlocal violations, failed
-        rows, job_violations, part, job_failed = result
-        violations += job_violations
-        failed += job_failed
-        acc.fold(part)
-        return rows
 
     def job(k):
         s = starts[k]
-        return _run_chunk(cfg, n_bins, s, min(s + starts.step, cfg.n_trials))
+        trials = _solve(cfg, s, min(s + starts.step, cfg.n_trials))
+        return list(_row_chunks(trials, s)), tally.partial(trials, cfg.box, cfg.mu)
 
     def records():
         yield _RECORDS_HEADER
-        for rows in map(fold, forkpool.map_jobs(job, len(starts), workers)):
+        for rows, part in forkpool.map_jobs(job, len(starts), workers):
+            tally.fold(part)
             yield from rows
 
     def envelope():
-        # written after the records, whose jobs fold the bins
+        # written after the records, whose jobs fold the tally
         nonlocal report
-        report = _envelope_report(violations, cfg.t_upper,
-                                  acc.columns(cfg.t_upper), cfg.box, cfg.mu)
+        report = tally.report(cfg.box, cfg.mu)
         yield from _envelope_chunks(report)
 
     tables.write({records_path: records(), envelope_path: envelope()})
-    return report, failed
+    return report, tally.failed

@@ -147,14 +147,17 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
     decreasing and concave, so Newton steps from the right of the root stay
     right of it and fall monotonically to it, until a float fixed point.
     x = -2 ln(sigma/mu) is right of the root since x/(e^x - 1) <= e^{-x/2}.
+    The budget rule lives here alone: mu positive, finite and above sigma.
     For sigma <= 0 the pest declines under any period; returns inf.  For
     sigma > 0 a ceiling x/m that overflows a float raises InputOverflowError.
     """
     _positive("mortality", "m", m)
+    _positive("budget rate", "mu", mu)
+    if not sigma < mu < math.inf:
+        raise DomainError(
+            f"budget rate must exceed sigma and be finite, got mu={mu} and sigma={sigma}")
     if sigma <= 0:
         return math.inf
-    if not sigma < mu < math.inf:
-        raise DomainError("mu must exceed sigma and be finite")
     # ln(sigma/mu) to full precision: sigma - mu is exact near the ratio 1;
     # far from it the quotient, which rates scaled alike leave unchanged,
     # unless it is subnormal or zero, where the logs are taken apart
@@ -230,10 +233,12 @@ def _check_fall_fits(box: UncertaintyBox, mu: float, t_least: float,
         s = box.z0_hi + (mu - box.sigma_lo) * t_most
         if max(1.0, box.m_hi) * peak < math.inf and s / drop < math.inf:
             return
+    periods = (f"T={t_most:g}" if t_least == t_most
+               else f"the periods [{t_least:g}, {t_most:g}]")
     raise InputOverflowError(
-        f"mu={mu:g} and the box overflow a float at the periods "
-        f"[{t_least:g}, {t_most:g}]: the orbit peak, its rate, or z0 over "
-        "the least drop of z in a period does not fit one")
+        f"mu={mu:g} and z0 up to {box.z0_hi:g} overflow a float at {periods}: "
+        "the orbit peak, its rate, or z0 over the least drop of z in a period "
+        "does not fit one")
 
 
 def _damage_times(T, t0, z0, sigma, m, mu):
@@ -256,13 +261,15 @@ def _damage_times(T, t0, z0, sigma, m, mu):
 
 def damage_time(p: ZParams, z0: float, t0: float = 0.0) -> float:
     """Time for z to reach zero after an invasion of size z0 at t0 in [0, T):
-    one element of ``_damage_times``."""
+    one element of ``_damage_times``.  An invasion whose fall of z overflows
+    a float raises InputOverflowError (see ``_check_fall_fits``)."""
     _positive("invasion size", "z0", z0)
     if not 0.0 <= t0 < p.T:
         raise DomainError("t0 must lie in [0, T)")
     if p.T >= max_decay_period(p.mu, p.sigma, p.m):
         raise PeriodTooLargeError(
             "period at or above max_decay_period: z need not decrease")
+    _check_fall_fits(UncertaintyBox(z0, z0, p.sigma, p.sigma, p.m, p.m), p.mu, p.T, p.T)
     return float(_damage_times(p.T, t0, z0, p.sigma, p.m, p.mu))
 
 
@@ -293,11 +300,13 @@ def worst_invasion(p: ZParams, z0: float) -> WorstCaseReport:
     In the interior case the worst instant puts z's zero exactly at the
     release (k+1)*T: the fall of z over the phases [0, t0] of a period
     equals (k+1)*net_drop - z0, which lies strictly inside (0, net_drop).
+    An invasion whose fall of z overflows a float raises InputOverflowError.
     """
     _positive("invasion size", "z0", z0)
     if p.T >= max_decay_period(p.mu, p.sigma, p.m):
         raise PeriodTooLargeError(
             "period at or above max_decay_period: worst case undefined")
+    _check_fall_fits(UncertaintyBox(z0, z0, p.sigma, p.sigma, p.m, p.m), p.mu, p.T, p.T)
     t1 = z0 / (p.mu - p.sigma)
     rho = z0 / p.net_drop
     k_near = round(rho)
@@ -335,11 +344,8 @@ class OptimalPeriods:
 
 def optimal_periods(z0: float, mu: float, sigma: float, m: float) -> OptimalPeriods:
     _positive("invasion size", "z0", z0)
-    _positive("budget rate", "mu", mu)
-    if not mu > sigma:
-        raise DomainError("mu must exceed sigma")
-    t1 = z0 / (mu - sigma)
     ceiling = max_decay_period(mu, sigma, m)
+    t1 = z0 / (mu - sigma)
     if t1 == math.inf or t1 / ceiling == math.inf:
         raise InputOverflowError(
             f"z0={z0:g} is too large: t1/decay_ceiling overflows a float")
@@ -415,9 +421,6 @@ def t_limits(box: UncertaintyBox, mu: float):
     decreases, so T_hat = x*(sigma/mu)/m falls in sigma and in m: least at
     (sigma_hi, m_hi).  The gap term is least at sigma_lo.
     """
-    _positive("budget rate", "mu", mu)
-    if not mu > box.sigma_hi:
-        raise DomainError("mu must exceed sigma over the whole box")
     t_hat_min = max_decay_period(mu, box.sigma_hi, box.m_hi)
     half_gap = 0.5 * (box.z0_hi - box.z0_lo)
     return min(t_hat_min, half_gap / (mu - box.sigma_lo)), t_hat_min

@@ -12,7 +12,7 @@ their slowest inputs keep the contract but take 9.6-28 s each (``damage
 --x0 1e12 --period 1e-6`` with e = 5e-324, 200 full-engine trials with
 r = 1e12, ``simulate`` with eil = 5e-324).  The 500 examples take about
 5 s; each ``@example`` is an escape this test found in earlier code.  The
-last test pins five escapes found by hand, ``damage`` and ``simulate``
+last test pins seven escapes found by hand, ``damage`` and ``simulate``
 among them, with their exact message.
 """
 
@@ -181,6 +181,15 @@ def test_bad_input_keeps_the_cli_contract(workdir, scenario, command):
     ([("kernels.m", 5e-324)], ("damage", "--x0", "5", "--period", "0.15"), 2,
      "error: m=4.94066e-324 is too small for mu=2 and sigma=9.88131e-324: the "
      "decrease ceiling overflows a float\n"),
+    # z0 over the least drop of z in a period overflows in the comparison
+    # model, for a huge invasion or a period of one subnormal
+    ([], ("damage", "--x0", "1.2e307", "--period", "0.15"), 2,
+     "error: mu=2 and z0 up to 6e+306 overflow a float at T=0.15: the orbit "
+     "peak, its rate, or z0 over the least drop of z in a period does not fit one\n"),
+    ([], ("damage", "--x0", "5", "--period", "5e-324"), 2,
+     "error: mu=2 and z0 up to 6.36202 overflow a float at T=4.94066e-324: the "
+     "orbit peak, its rate, or z0 over the least drop of z in a period does not "
+     "fit one\n"),
     # plot refuses the boxes montecarlo refuses
     ([("box.sigma.0", 0.5)], ("plot",), 1,
      "error: the harness pins sigma and m to single values\n"),
@@ -189,7 +198,8 @@ def test_bad_input_keeps_the_cli_contract(workdir, scenario, command):
     ([("program.mu", -1.0), ("box.sigma.0", -2.0), ("box.sigma.1", -2.0)],
      ("montecarlo", "--trials", "100"), 1,
      "error: budget rate must be positive, got mu=-1.0\n"),
-], ids=["robustness-tiny-box-m", "simulate-tiny-m", "damage-tiny-m", "plot-sigma-box",
+], ids=["robustness-tiny-box-m", "simulate-tiny-m", "damage-tiny-m",
+        "damage-huge-invasion", "damage-subnormal-period", "plot-sigma-box",
         "montecarlo-negative-mu"])
 def test_refused_input_writes_one_error_line_and_no_artifact(
         workdir, changes, command, code, message):

@@ -320,6 +320,46 @@ def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, eng
                                   equal_nan=True)
 
 
+@pytest.mark.parametrize("engine", ["closed", "full"])
+def test_fold_order_never_changes_the_report(reference_box, monkeypatch, engine):
+    # the workers return their partials in any order the pool likes
+    if engine == "closed":
+        cfg = small_cfg(reference_box, n_trials=20_000)
+    else:
+        real, calls = impulsim.damage_time_full, []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 20:
+                raise impulsim.IntegrationError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(impulsim, "damage_time_full", flaky)
+        monkeypatch.setattr(mcharness, "_FULL_ROWS", 8)
+        cfg = small_cfg(reference_box, n_trials=40, engine="full",
+                        kernels=collapsing_kernels(), eil=0.1)
+    starts = mcharness._job_starts(cfg)
+    assert len(starts) == 5
+    order = list(np.random.default_rng(7).permutation(len(starts)))
+    assert order != sorted(order)
+    tally = mcharness._Tally(50, cfg.t_upper)
+    parts = [tally.partial(mcharness._solve(cfg, s, min(s + starts.step, cfg.n_trials)),
+                           cfg.box, cfg.mu) for s in starts]
+    reports = []
+    for sequence in (range(len(parts)), order):
+        tally = mcharness._Tally(50, cfg.t_upper)
+        for k in sequence:
+            tally.fold(parts[k])
+        reports.append((tally.report(cfg.box, cfg.mu), tally.failed))
+    (report, failed), (shuffled, shuffled_failed) = reports
+    assert failed == shuffled_failed == (1 if engine == "full" else 0)
+    assert (shuffled.violations, shuffled.t_upper) == (report.violations, report.t_upper)
+    assert report.count.sum() == cfg.n_trials - failed
+    for name in BIN_COLUMNS:
+        assert np.array_equal(getattr(shuffled, name), getattr(report, name),
+                              equal_nan=True)
+
+
 def test_repeat_run_is_identical(reference_box):
     a = run_mc(small_cfg(reference_box, n_trials=500))
     b = run_mc(small_cfg(reference_box, n_trials=500))

@@ -88,8 +88,10 @@ def test_decay_ceiling_edge_cases():
     assert max_decay_period(2.0, -3.0, 1.0) == math.inf
     with pytest.raises(DomainError):
         max_decay_period(1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        max_decay_period(math.inf, 1.0, 1.0)
+    # the budget rule comes before the sigma <= 0 shortcut
+    for mu, sigma in ((math.inf, 1.0), (math.inf, -1.0), (math.nan, 0.0), (-5.0, -10.0)):
+        with pytest.raises(DomainError):
+            max_decay_period(mu, sigma, 1.0)
     with pytest.raises(DomainError):
         max_decay_period(2.0, 1.0, 0.0)
 
@@ -289,6 +291,10 @@ def test_huge_invasions_overflow_into_input_errors():
     assert x_from_z_local(700.0, 0.1, 1.0, 1.0) < math.inf
     with pytest.raises(InputOverflowError, match="consumption-integral"):
         z_from_x_global(1e200, 0.1, 1.0, HollingIV(1.0, 0.5, 0.1))
+    # z0 over the least drop of z in a period, at one invasion
+    for routine in (damage_time, worst_invasion):
+        with pytest.raises(InputOverflowError, match="z0 up to inf overflow a float at T=0.8"):
+            routine(REF, math.inf)
 
 
 def test_optimal_periods_yield_floor_damage():

@@ -58,6 +58,7 @@ POSITIVE = [
     ("x", lambda v: planner.z_from_x_global(v, 0.1, 1.0, RESPONSE)),
     ("x_ref", lambda v: planner.z_from_x_global(5.0, v, 1.0, RESPONSE)),
     ("m", lambda v: planner.max_decay_period(2.0, 1.0, v)),
+    ("mu", lambda v: planner.max_decay_period(v, -2.0, 1.0)),
     ("z0", lambda v: planner.damage_time(Z, v)),
     ("z0", lambda v: planner.worst_invasion(Z, v)),
     ("z0", lambda v: planner.optimal_periods(v, 2.0, 1.0, 1.0)),
