@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import io
 import json
 import math
 import os
 import sys
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -385,7 +383,9 @@ def cmd_montecarlo(args, cfg: dict) -> tuple[int, dict]:
     out = _out_dir(args)
     rec_path = os.path.join(out, "mc_records.csv")
     env_path = os.path.join(out, "mc_envelope.csv")
-    report, failed = mcharness.stream_mc(mc_cfg, rec_path, env_path, n_bins=bins)
+    report, failed = mcharness.stream_mc(mc_cfg, rec_path, env_path,
+                                         os.path.join(out, "mc_sample.csv"),
+                                         n_bins=bins)
     # a run in which every trial failed checked nothing, so it does not pass
     code = 1 if report.violations > 0 or failed == trials else 0
     return code, {"trials": trials,
@@ -404,19 +404,14 @@ def cmd_montecarlo(args, cfg: dict) -> tuple[int, dict]:
 _SVG_W = 800
 _SVG_H = 500
 _SVG_PAD = 60
-_SVG_MAX_POINTS = 4000
 _SVG_CIRCLE = ('<circle cx="%.2f" cy="%.2f" r="1.5" '
                'fill="#4878a8" fill-opacity="0.35"/>')
-_PLOT_COLUMNS = ("T", "deviation", "failed")
-#: bytes of mc_records.csv a read-back job of plot parses (about 7.8k rows,
-#: whose answer is about 125 kB); a smaller file is one job in this process
-_READ_RANGE = 1 << 20
 
 
 def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
                        x_label: str, y_label: str) -> str:
     """The scatter of every point (xs, ys) under the curve; ``cmd_plot``
-    hands it at most _SVG_MAX_POINTS points (see ``_subsample``)."""
+    hands it the sample ``montecarlo`` kept (see ``mcharness._Tally``)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     all_x, all_y = np.concatenate([xs, curve_x]), np.concatenate([ys, curve_y])
@@ -483,99 +478,12 @@ def render_scatter_svg(xs, ys, curve_x, curve_y, title: str,
     return "\n".join(parts) + "\n"
 
 
-def _parse_points(lines, usecols):
-    """T and deviation of the non-failed rows among the records file lines
-    (an iterable of bytes lines): one np.loadtxt, with usecols naming the
-    T, deviation and failed columns."""
-    with warnings.catch_warnings():
-        # a header-only file is an empty scatter, not a warning
-        warnings.simplefilter("ignore", UserWarning)
-        Ts, devs, failed = np.loadtxt(lines, delimiter=",", ndmin=2, usecols=usecols,
-                                      encoding="utf-8").T
-    ok = failed == 0
-    return Ts[ok], devs[ok]
-
-
-def _read_points(path, start: int, stop: int, usecols):
-    """_parse_points of bytes [start, stop) of a records file, which begin
-    at a line start."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = io.BytesIO(fh.read(stop - start))
-    return _parse_points(data, usecols)
-
-
-def _line_ranges(fh, start: int, size: int) -> list:
-    """Bytes [start, size) of the open binary file fh cut into ranges of
-    about _READ_RANGE bytes that begin at line starts; the cuts are found
-    by seeking, never by reading the whole file."""
-    cuts = [start]
-    while cuts[-1] + _READ_RANGE < size:
-        fh.seek(cuts[-1] + _READ_RANGE - 1)
-        fh.readline()
-        if fh.tell() >= size:
-            break
-        cuts.append(fh.tell())
-    return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _subsample(parts):
-    """(n, Ts, devs): the count n of the points in the (T, deviation) array
-    pairs of parts, and every g-th point, with g the least power of two
-    that keeps at most _SVG_MAX_POINTS, folded as the parts come, in
-    order.  It keeps the points whose index is a multiple of g, and doubles
-    g (dropping every other kept point) whenever more than _SVG_MAX_POINTS
-    would be kept, so what it holds does not grow with n.  Kept points are
-    copies: a view would pin a whole part."""
-    n, g = 0, 1
-    Ts = devs = np.empty(0)
-    for T, dev in parts:
-        first = -n % g
-        Ts = np.concatenate([Ts, T[first::g]])
-        devs = np.concatenate([devs, dev[first::g]])
-        n += len(T)
-        while len(Ts) > _SVG_MAX_POINTS:
-            g *= 2
-            Ts, devs = Ts[::2], devs[::2]
-    return n, Ts, devs
-
-
 def cmd_plot(args, cfg: dict) -> tuple[int, dict]:
     mu = _mu_only(cfg)
     box = _build_box(cfg)
     t_upper = mcharness.scatter_t_upper(box, mu)
     out = _out_dir(args)
-    workers = forkpool.thread_count()
-    rec_path = os.path.join(out, "mc_records.csv")
-    try:
-        fh = open(rec_path, "rb")
-    except FileNotFoundError:
-        raise ConfigError(f"{rec_path}: not found (run montecarlo with the "
-                          "same --out first)") from None
-    except OSError as e:
-        raise ConfigError(f"{rec_path}: {e.strerror or e}") from None
-    with fh:
-        header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split(",")
-        missing = [c for c in _PLOT_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"{rec_path}: no {', '.join(missing)} column")
-        usecols = [header.index(c) for c in _PLOT_COLUMNS]
-        size = os.fstat(fh.fileno()).st_size
-        ranges = _line_ranges(fh, fh.tell(), size)
-    try:
-        n_points, Ts, devs = _subsample(forkpool.map_jobs(
-            lambda k: _read_points(rec_path, *ranges[k], usecols), len(ranges), workers))
-    except ValueError as e:
-        error = e
-        # the whole file from the header on, streamed: the row and column of
-        # its message
-        with open(rec_path, "rb") as fh:
-            fh.seek(ranges[0][0])
-            try:
-                _parse_points(fh, usecols)
-            except ValueError as whole:
-                error = whole
-        raise ConfigError(f"{rec_path}: {error}") from None
+    n_points, Ts, devs = mcharness.read_sample(os.path.join(out, "mc_sample.csv"))
     curve_x = t_upper * np.arange(1, 201) / 201
     curve_y = planner.envelope_bound_curve(curve_x, box, mu)
     svg = render_scatter_svg(

@@ -23,10 +23,12 @@ A run is cut into jobs of consecutive trials.  ``stream_mc`` hands each
 job to a worker of ``forkpool``, a forked copy of this process that
 draws, solves and formats its trials and sends back only the rows and
 its partial of the run's one ``_Tally`` (bin counts and deviation
-extremes, violations, failed trials); the parent writes the rows in
-trial order and folds the partials, which do not depend on order.  So
-the parent never holds the trial columns, and its memory does not grow
-with the trial count.  Processes, not threads: formatting alone
+extremes, violations, failed trials, and the (T, deviation) pairs of its
+trials in the scatter sample ``plot`` draws); the parent writes the rows
+in trial order and folds the partials, whose sums and extremes do not
+depend on order, and whose samples it keeps in trial order.  So the
+parent never holds the trial columns, and its memory does not grow with
+the trial count.  Processes, not threads: formatting alone
 costs about 0.1 us a field under the GIL (see ``tables.row_chunks``).
 """
 
@@ -34,13 +36,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import forkpool, impulsim, planner, tables
-from .kernels import DomainError, InputOverflowError, KernelSet, _positive
+from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet, _positive
 from .orbit import ReleaseProgram
 
 __all__ = [
@@ -55,6 +58,7 @@ __all__ = [
     "stream_uniforms",
     "run_mc",
     "stream_mc",
+    "read_sample",
     "bin_envelope",
     "verify_envelope",
     "write_records_csv",
@@ -82,6 +86,9 @@ _CSV_ROWS = 4096
 _FULL_ROWS = 256
 #: the record columns, in CSV order
 _COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
+#: most trials in the scatter sample: it keeps every g-th trial, g the
+#: least power of two with ceil(n_trials/g) <= _SAMPLE_POINTS
+_SAMPLE_POINTS = 4000
 
 #: absolute slack of ``verify_envelope`` for rounding in Pi - T1
 _ENVELOPE_SLACK = 1e-9
@@ -297,33 +304,55 @@ def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
     return int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
 
 
-class _Tally:
-    """The envelope check of a run, folded from one partial per job: per
-    period bin the trial count and deviation extremes, over n_bins
-    equal-width bins of (0, t_upper), and the run's violations and failed
-    trials.  Sums, maxima and minima do not depend on the fold order."""
+def _sample_stride(n_trials: int) -> int:
+    """The least power of two g with ceil(n_trials/g) <= _SAMPLE_POINTS."""
+    g = 1
+    while -(-n_trials // g) > _SAMPLE_POINTS:
+        g *= 2
+    return g
 
-    def __init__(self, n_bins: int, t_upper: float):
+
+class _Tally:
+    """The envelope check of a run of n_trials, folded from one partial per
+    job: per period bin the trial count and deviation extremes, over n_bins
+    equal-width bins of (0, t_upper), the run's violations and failed
+    trials, and its scatter sample, the (T, deviation) pairs of the
+    non-failed trials whose index is a multiple of ``_sample_stride``.
+    Sums, maxima and minima do not depend on the fold order; the sample
+    is kept in fold order."""
+
+    def __init__(self, n_bins: int, t_upper: float, n_trials: int):
         _positive("bin count", "n_bins", n_bins)
         _positive("period range", "t_upper", t_upper)
         self.t_upper = t_upper
+        self.stride = _sample_stride(n_trials)
         self.count = np.zeros(n_bins, dtype=np.int64)
         self.hi, self.lo = np.full(n_bins, -np.inf), np.full(n_bins, np.inf)
         self.violations = self.failed = 0
+        # room for every trial the sample can keep, taken before the run
+        self.sample = np.empty((2, -(-n_trials // self.stride)))
+        self.sampled = 0
 
-    def partial(self, trials: Trials, box: planner.UncertaintyBox, mu: float):
-        """(bin partial, violations, failed count) of the trials, small
-        enough to send back from a worker (see ``_bin_partial``)."""
+    def partial(self, trials: Trials, start: int, box: planner.UncertaintyBox,
+                mu: float):
+        """(bin partial, violations, failed count, sample) of the trials
+        numbered from start, small enough to send back from a worker (see
+        ``_bin_partial``)."""
+        picked = slice(-start % self.stride, None, self.stride)
+        ok = ~trials.failed[picked]
         return (_bin_partial(trials, len(self.count), self.t_upper),
-                _violations(trials, box, mu), int(trials.failed.sum()))
+                _violations(trials, box, mu), int(trials.failed.sum()),
+                (trials.T[picked][ok], trials.deviation[picked][ok]))
 
     def fold(self, part) -> None:
-        (bins, count, hi, lo), violations, failed = part
+        (bins, count, hi, lo), violations, failed, (Ts, devs) = part
         self.count[bins] += count
         self.hi[bins] = np.maximum(self.hi[bins], hi)
         self.lo[bins] = np.minimum(self.lo[bins], lo)
         self.violations += violations
         self.failed += failed
+        self.sample[:, self.sampled:self.sampled + len(Ts)] = Ts, devs
+        self.sampled += len(Ts)
 
     def columns(self) -> tuple:
         """(bin_mid, max_dev, min_dev, count), with nan extremes in empty bins."""
@@ -348,8 +377,8 @@ def bin_envelope(trials: Trials, n_bins: int, t_upper: float) -> tuple:
     Empty bins (and bins whose only trials failed) report count 0 with nan
     extremes.
     """
-    tally = _Tally(n_bins, t_upper)
-    tally.fold((_bin_partial(trials, n_bins, t_upper), 0, 0))
+    tally = _Tally(n_bins, t_upper, len(trials.T))
+    tally.fold((_bin_partial(trials, n_bins, t_upper), 0, 0, ((), ())))
     return tally.columns()
 
 
@@ -364,8 +393,8 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     the bin midpoint; it approaches 1 from below as trials accumulate.
     The bins are columns, as in ``bin_envelope``.
     """
-    tally = _Tally(n_bins, scatter_t_upper(box, mu))
-    tally.fold(tally.partial(trials, box, mu))
+    tally = _Tally(n_bins, scatter_t_upper(box, mu), len(trials.T))
+    tally.fold(tally.partial(trials, 0, box, mu))
     return tally.report(box, mu)
 
 
@@ -400,24 +429,66 @@ def _envelope_chunks(report: EnvelopeReport):
                           report.count))
 
 
+#: the line after the sample's leading ``# points=<n>`` line
+_SAMPLE_HEADER = b"T,deviation\n"
+
+
+def _sample_chunks(tally: _Tally):
+    """The sample CSV of the tally, as ASCII byte chunks: a ``# points=<n>``
+    line with the count n of non-failed trials, the header, and the
+    sample's rows."""
+    yield b"# points=%d\n" % tally.count.sum() + _SAMPLE_HEADER
+    yield from tables.row_chunks("%.17g,%.17g\n", *tally.sample[:, :tally.sampled])
+
+
+def read_sample(path) -> tuple:
+    """(n, Ts, devs) of the sample file ``stream_mc`` wrote: the count n of
+    the run's non-failed trials and the sample's T and deviation columns.
+    A file that is missing or not such a sample raises ``ConfigError``."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: not found (rerun montecarlo with the same "
+                          "--out to write it)") from None
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from None
+    with fh:
+        points, header = fh.readline(), fh.readline()
+        if not (points.startswith(b"# points=") and points[9:-1].isdigit()
+                and header == _SAMPLE_HEADER):
+            raise ConfigError(f"{path}: not a montecarlo sample (its first lines "
+                              "must be '# points=<n>' and 'T,deviation')")
+        try:
+            with warnings.catch_warnings():
+                # a run whose trials all failed samples none
+                warnings.simplefilter("ignore", UserWarning)
+                Ts, devs = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(0, 1),
+                                      encoding="utf-8").T
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from None
+    return int(points[9:]), Ts, devs
+
+
 # --------------------------------------------------------------------------
 # streamed run
 
 
-def stream_mc(cfg: McConfig, records_path, envelope_path, n_bins: int = 50):
+def stream_mc(cfg: McConfig, records_path, envelope_path, sample_path,
+              n_bins: int = 50):
     """``run_mc``, ``verify_envelope`` and ``write_records_csv`` in one pass
     that never holds the trial columns: returns (the envelope report, the
-    failed trial count), writes the same bytes to records_path and the
-    report's bins to envelope_path.
+    failed trial count), writes the same bytes to records_path, the
+    report's bins to envelope_path and the scatter sample ``read_sample``
+    reads to sample_path.
 
     Each job draws, solves, formats and tallies its own trials in a worker
     process (see ``forkpool``) and sends back its rows and its partial of
-    the one ``_Tally``; the rows are written in trial order and the
-    partials folded, so neither the bytes nor the report depend on the
-    worker count.  The two files are one commit: a run that fails leaves
-    both as they were (see ``tables.write``).
+    the one ``_Tally``; the rows are written and the partials folded in
+    trial order, so neither the bytes nor the report depend on the worker
+    count.  The three files are one commit: a run that fails leaves them
+    all as they were (see ``tables.write``).
     """
-    tally = _Tally(n_bins, cfg.t_upper)
+    tally = _Tally(n_bins, cfg.t_upper, cfg.n_trials)
     starts = _job_starts(cfg)
     workers = forkpool.thread_count()
     report = None
@@ -425,7 +496,7 @@ def stream_mc(cfg: McConfig, records_path, envelope_path, n_bins: int = 50):
     def job(k):
         s = starts[k]
         trials = _solve(cfg, s, min(s + starts.step, cfg.n_trials))
-        return list(_row_chunks(trials, s)), tally.partial(trials, cfg.box, cfg.mu)
+        return list(_row_chunks(trials, s)), tally.partial(trials, s, cfg.box, cfg.mu)
 
     def records():
         yield _RECORDS_HEADER
@@ -439,5 +510,6 @@ def stream_mc(cfg: McConfig, records_path, envelope_path, n_bins: int = 50):
         report = tally.report(cfg.box, cfg.mu)
         yield from _envelope_chunks(report)
 
-    tables.write({records_path: records(), envelope_path: envelope()})
+    tables.write({records_path: records(), envelope_path: envelope(),
+                  sample_path: _sample_chunks(tally)})
     return report, tally.failed

@@ -82,10 +82,7 @@ class ZParams:
     def __post_init__(self):
         _positive("mortality", "m", self.m)
         _positive("release period", "T", self.T)
-        _positive("budget rate", "mu", self.mu)
-        if not self.mu > self.sigma:
-            raise DomainError(
-                f"budget rate must exceed sigma, got mu={self.mu} <= sigma={self.sigma}")
+        _check_budget(self.mu, self.sigma)
 
     @property
     def net_drop(self) -> float:
@@ -138,6 +135,15 @@ def z_from_x_global(x: float, x_ref: float, m: float, response) -> float:
 # the decrease ceiling
 
 
+def _check_budget(mu: float, sigma: float) -> None:
+    """The budget rule of the comparison model: mu positive, finite and
+    above sigma."""
+    _positive("budget rate", "mu", mu)
+    if not sigma < mu < math.inf:
+        raise DomainError(
+            f"budget rate must exceed sigma and be finite, got mu={mu} and sigma={sigma}")
+
+
 def max_decay_period(mu: float, sigma: float, m: float) -> float:
     """Largest period below which z(t) is strictly decreasing.
 
@@ -147,15 +153,12 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
     decreasing and concave, so Newton steps from the right of the root stay
     right of it and fall monotonically to it, until a float fixed point.
     x = -2 ln(sigma/mu) is right of the root since x/(e^x - 1) <= e^{-x/2}.
-    The budget rule lives here alone: mu positive, finite and above sigma.
-    For sigma <= 0 the pest declines under any period; returns inf.  For
-    sigma > 0 a ceiling x/m that overflows a float raises InputOverflowError.
+    mu must pass the budget rule (``_check_budget``).  For sigma <= 0 the
+    pest declines under any period; returns inf.  For sigma > 0 a ceiling
+    x/m that overflows a float raises InputOverflowError.
     """
     _positive("mortality", "m", m)
-    _positive("budget rate", "mu", mu)
-    if not sigma < mu < math.inf:
-        raise DomainError(
-            f"budget rate must exceed sigma and be finite, got mu={mu} and sigma={sigma}")
+    _check_budget(mu, sigma)
     if sigma <= 0:
         return math.inf
     # ln(sigma/mu) to full precision: sigma - mu is exact near the ratio 1;

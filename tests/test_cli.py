@@ -717,7 +717,8 @@ def test_montecarlo_outputs_are_reproducible(tmp_path):
         assert kv["violations"] == "0"
         assert kv["failed"] == "0"
         blobs.append(((out / "mc_records.csv").read_bytes(),
-                      (out / "mc_envelope.csv").read_bytes()))
+                      (out / "mc_envelope.csv").read_bytes(),
+                      (out / "mc_sample.csv").read_bytes()))
     assert all(b == blobs[0] for b in blobs[1:])
     with open(tmp_path / "a" / "mc_envelope.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -738,7 +739,7 @@ def test_bad_thread_count_is_a_config_error(tmp_path, threads):
 def test_bad_thread_count_keeps_the_previous_run(tmp_path, capsys, monkeypatch):
     cfg, out = write_config(tmp_path), tmp_path / "out"
     assert cli.main(list(mc_args(cfg, out))) == 0
-    names = ("mc_records.csv", "mc_envelope.csv")
+    names = ("mc_records.csv", "mc_envelope.csv", "mc_sample.csv")
     before = [(out / name).read_bytes() for name in names]
     capsys.readouterr()
     monkeypatch.setenv("BIOCTL_THREADS", "abc")
@@ -919,7 +920,7 @@ def test_full_trial_whose_density_rounds_to_eil_fails_alone(tmp_path, capsys,
     assert (out / "mc_envelope.csv").is_file()
 
 
-_MC_FILES = ("mc_records.csv", "mc_envelope.csv")
+_MC_FILES = ("mc_records.csv", "mc_envelope.csv", "mc_sample.csv")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1032,6 +1033,7 @@ def test_out_that_is_a_file_is_a_config_error(tmp_path, capsys, argv):
     (["optimize", "--z0", "2.0"], "period_sweep.csv"),
     (["simulate", "--x0", "1.0"], "trajectory.csv"),
     (["plot"], "envelope.svg"),
+    (["montecarlo", "--trials", "100"], "mc_sample.csv"),
 ])
 def test_unwritable_output_file_is_a_clean_error(tmp_path, argv, name):
     cfg = write_config(tmp_path)
@@ -1078,6 +1080,7 @@ class _DiskFull:
     (["montecarlo", "--trials", "800"], "mc_records.csv"),
     (["montecarlo", "--trials", "800"], "mc_envelope.csv"),
     (["plot"], "envelope.svg"),
+    (["montecarlo", "--trials", "800"], "mc_sample.csv"),
 ])
 def test_disk_full_leaves_no_partial_file_and_no_stdout(tmp_path, capsys, monkeypatch,
                                                         argv, name):
@@ -1209,13 +1212,13 @@ def test_trajectory_in_row_chunks_matches_the_csv_writer_reference(tmp_path):
     assert len(new.read_bytes().splitlines()) == 1 + ts.size + 104 + 2 + 2
 
 
-def test_unreadable_records_csv_is_a_config_error(tmp_path, capsys):
+def test_unreadable_sample_csv_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
-    (out / "mc_records.csv").mkdir(parents=True)
+    (out / "mc_sample.csv").mkdir(parents=True)
     code = cli.main(["plot", "--config", write_config(tmp_path), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == f"config error: {out / 'mc_records.csv'}: Is a directory\n"
+    assert captured.err == f"config error: {out / 'mc_sample.csv'}: Is a directory\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -1289,116 +1292,124 @@ def test_plot_renders_svg(tmp_path):
     assert svg.rstrip().endswith("</svg>")
 
 
-def _records_with_failures(cfg_path, out):
-    """A closed-engine records file in which every seventh trial failed."""
-    cfg = cli.load_config(cfg_path)
-    trials = mcharness.run_mc(mcharness.McConfig(
-        box=cli._build_box(cfg), mu=2.0, n_trials=5000, seed=3))
-    failed = np.arange(5000) % 7 == 0
-    trials = dataclasses.replace(
-        trials, failed=failed, Pi=np.where(failed, np.nan, trials.Pi),
-        deviation=np.where(failed, np.nan, trials.deviation))
-    out.mkdir()
-    mcharness.write_records_csv(trials, out / "mc_records.csv")
-    return failed
-
-
 def _stride(n):
-    """The least power of two g with ceil(n / g) <= cli._SVG_MAX_POINTS:
-    plot draws every g-th of n points."""
+    """The least power of two g with ceil(n / g) <= mcharness._SAMPLE_POINTS:
+    plot draws every g-th of n trials."""
     g = 1
-    while -(-n // g) > cli._SVG_MAX_POINTS:
+    while -(-n // g) > mcharness._SAMPLE_POINTS:
         g *= 2
     return g
 
 
 def _row_by_row_plot(cfg, records):
     """The points and the envelope.svg of the reader cmd_plot had before it
-    read the columns with numpy and subsampled them as it read."""
-    Ts, devs = [], []
+    read the columns with numpy, drawing every g-th trial of the records
+    that did not fail."""
     with open(records, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["failed"] == "0":
-                Ts.append(float(row["T"]))
-                devs.append(float(row["deviation"]))
+        rows = list(csv.DictReader(fh))
+    g = _stride(len(rows))
+    Ts = [float(row["T"]) for row in rows[::g] if row["failed"] == "0"]
+    devs = [float(row["deviation"]) for row in rows[::g] if row["failed"] == "0"]
     box = cli._build_box(cli.load_config(cfg))
     t_upper, _ = planner.t_limits(box, 2.0)
     curve_x = np.array([t_upper * (i + 1) / 201 for i in range(200)])
     curve_y = planner.envelope_bound_curve(curve_x, box, 2.0)
-    g = _stride(len(Ts))
-    return len(Ts), cli.render_scatter_svg(
-        Ts[::g], devs[::g], curve_x, curve_y,
+    return sum(row["failed"] == "0" for row in rows), cli.render_scatter_svg(
+        Ts, devs, curve_x, curve_y,
         title="Damage-time deviation vs release period",
         x_label="release period T", y_label="Pi - T1")
 
 
 @pytest.fixture(params=["1", "2"])
-def read_back(request, monkeypatch):
-    """plot at BIOCTL_THREADS 1 and 2, with read ranges small enough that
-    the records of ``_records_with_failures`` (about 650 kB) span four."""
+def workers(request, monkeypatch):
+    """montecarlo at BIOCTL_THREADS 1 and 2."""
     monkeypatch.setenv("BIOCTL_THREADS", request.param)
     monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_READ_RANGE", 200_000)
+
+
+def _plot_matches_row_by_row_reader(cfg, out, capsys):
+    points, expected = _row_by_row_plot(cfg, out / "mc_records.csv")
+    capsys.readouterr()
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"points={points}\nsvg={out / 'envelope.svg'}\n"
+    helpers.assert_same_text((out / "envelope.svg").read_text(), expected)
+    return points
 
 
 def test_plot_matches_row_by_row_reader(tmp_path, capsys):
-    # about 650 kB of records: one read job, in this process
+    # 20k trials, five jobs, every eighth trial drawn
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    failed = _records_with_failures(cfg, out)
-    points, expected = _row_by_row_plot(cfg, out / "mc_records.csv")
-    assert points == int((~failed).sum())
-    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
-    assert parse_kv(capsys.readouterr().out)["points"] == str(points)
-    helpers.assert_same_text((out / "envelope.svg").read_text(), expected)
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--trials", "20000"]) == 0
+    assert _plot_matches_row_by_row_reader(cfg, out, capsys) == 20000
 
 
-@pytest.mark.parametrize("ending", ["newline", "no final newline"])
-def test_plot_read_back_in_ranges_matches_row_by_row_reader(tmp_path, capsys,
-                                                            read_back, ending):
+@pytest.mark.parametrize("engine", ["closed", "full"])
+def test_plot_of_a_run_matches_row_by_row_reader(tmp_path, capsys, monkeypatch,
+                                                 workers, engine):
+    # 20k closed trials are five jobs, with every eighth trial drawn; 600
+    # full-engine trials are three, with every 16th drawn of at most 50
+    trials = {"closed": "20000", "full": "600"}[engine]
+    if engine == "full":
+        monkeypatch.setattr(mcharness, "_SAMPLE_POINTS", 50)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    failed = _records_with_failures(cfg, out)
-    records = out / "mc_records.csv"
-    if ending == "no final newline":
-        records.write_bytes(records.read_bytes().rstrip(b"\n"))
-    with open(records, "rb") as fh:
-        header = fh.readline()
-        assert len(cli._line_ranges(fh, len(header), records.stat().st_size)) >= 3
-    points, expected = _row_by_row_plot(cfg, records)
-    assert points == int((~failed).sum())
-    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
-    assert parse_kv(capsys.readouterr().out)["points"] == str(points)
-    helpers.assert_same_text((out / "envelope.svg").read_text(), expected)
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--engine", engine, "--trials", trials]) == 0
+    assert _plot_matches_row_by_row_reader(cfg, out, capsys) == int(trials)
     helpers.assert_no_child_processes()
+
+
+def _plant_failures(monkeypatch, cfg, n_trials, failing):
+    """Make damage_time_full fail on the full-engine trials whose index is
+    in failing, among the n_trials of the reference run of cfg."""
+    box = cli._build_box(cli.load_config(cfg))
+    t_upper = mcharness.scatter_t_upper(box, 2.0)
+    Ts = mcharness.stream_uniforms(0, np.arange(0, 3 * n_trials, 3)) * t_upper
+    doomed = {float(Ts[i]) for i in failing}
+    real = impulsim.damage_time_full
+
+    def flaky(kernels, program, *args, **kwargs):
+        if program.T in doomed:
+            raise impulsim.IntegrationError("planted")
+        return real(kernels, program, *args, **kwargs)
+
+    monkeypatch.setattr(impulsim, "damage_time_full", flaky)
 
 
 @pytest.mark.parametrize("max_points", [4000, 333, 50])
 def test_plot_streams_every_stride_th_point_across_range_cuts(
-        tmp_path, capsys, monkeypatch, read_back, max_points):
-    # the picks are folded range by range, a doubling of the stride falls
-    # inside a range, and failed rows shift the index at every cut
-    monkeypatch.setattr(cli, "_SVG_MAX_POINTS", max_points)
+        tmp_path, capsys, monkeypatch, workers, max_points):
+    # plot draws the trials whose index is a multiple of g, but for the
+    # failed ones; the picks come from three jobs of 256 trials, and every
+    # seventh trial fails, some of them picked
+    monkeypatch.setattr(mcharness, "_SAMPLE_POINTS", max_points)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    _records_with_failures(cfg, out)
-    Ts, devs = [], []
+    failing = range(0, 600, 7)
+    _plant_failures(monkeypatch, cfg, 600, failing)
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--engine", "full", "--trials", "600"]) == 0
+    assert parse_kv(capsys.readouterr().out)["failed"] == str(len(failing))
     with open(out / "mc_records.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["failed"] == "0":
-                Ts.append(float(row["T"]))
-                devs.append(float(row["deviation"]))
+        rows = list(csv.DictReader(fh))
+    g = _stride(600)
+    picked = [row for row in rows[::g] if int(row["trial"]) not in failing]
     drawn = []
     render = cli.render_scatter_svg
     monkeypatch.setattr(cli, "render_scatter_svg",
                         lambda xs, ys, *rest, **kw: drawn.append((xs, ys))
                         or render(xs, ys, *rest, **kw))
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
-    assert parse_kv(capsys.readouterr().out)["points"] == str(len(Ts))
+    assert parse_kv(capsys.readouterr().out)["points"] == str(600 - len(failing))
     (xs, ys), = drawn
-    g = _stride(len(Ts))
-    assert g > 1 and len(xs) <= max_points
-    assert xs.tolist() == Ts[::g] and ys.tolist() == devs[::g]
+    assert g == {4000: 1, 333: 2, 50: 16}[max_points]
+    assert xs.tolist() == [float(row["T"]) for row in picked]
+    assert ys.tolist() == [float(row["deviation"]) for row in picked]
+    assert all(row["failed"] == "0" for row in picked)
+    _, expected = _row_by_row_plot(cfg, out / "mc_records.csv")
+    helpers.assert_same_text((out / "envelope.svg").read_text(), expected)
     helpers.assert_no_child_processes()
 
 
@@ -1407,15 +1418,9 @@ def test_plot_streams_every_stride_th_point_across_range_cuts(
     *((4000 * 2 ** k + d, 2 ** k + (d > 0) * 2 ** k) for k in range(1, 21)
       for d in (-1, 0, 1))])
 def test_plot_stride_is_the_least_power_of_two_that_fits(n, stride):
-    assert _stride(n) == stride
-    assert -(-n // stride) <= cli._SVG_MAX_POINTS
-    assert stride == 1 or -(-n // (stride // 2)) > cli._SVG_MAX_POINTS
-    # _subsample keeps every stride-th of n points folded from parts of 2^20,
-    # zero-stride views, so that no n values are ever allocated
-    part = np.broadcast_to(0.0, (2 ** 20,))
-    parts = ((part[:n - s],) * 2 for s in range(0, n, len(part)))
-    count, Ts, _ = cli._subsample(parts)
-    assert count == n and len(Ts) == -(-n // stride)
+    assert _stride(n) == mcharness._sample_stride(n) == stride
+    assert -(-n // stride) <= mcharness._SAMPLE_POINTS
+    assert stride == 1 or -(-n // (stride // 2)) > mcharness._SAMPLE_POINTS
 
 
 def test_scatter_circles_match_per_point_formatting():
@@ -1441,7 +1446,7 @@ def test_scatter_circles_match_per_point_formatting():
 
 
 def test_plot_memory_does_not_grow_with_the_trial_count(tmp_path, capsys, monkeypatch):
-    # in this process, so tracemalloc sees every read-back job
+    # in this process, so tracemalloc sees all it allocates
     monkeypatch.setenv("BIOCTL_THREADS", "1")
     cfg = write_config(tmp_path)
     peaks = []
@@ -1459,124 +1464,94 @@ def test_plot_memory_does_not_grow_with_the_trial_count(tmp_path, capsys, monkey
     assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
 
-def test_plot_of_a_bad_number_in_a_later_range_exits_2(tmp_path, capsys, read_back):
+def test_plot_of_a_bad_number_in_a_later_range_exits_2(tmp_path, capsys, workers):
+    # the sample's rows come from five jobs; the bad field is in the fourth's
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    _records_with_failures(cfg, out)
-    records = out / "mc_records.csv"
-    lines = records.read_bytes().split(b"\n")
-    fields = lines[4001].split(b",")
-    fields[6] = b"1.5e"     # the deviation of trial 4000, in the third range
-    lines[4001] = b",".join(fields)
-    records.write_bytes(b"\n".join(lines))
-    # the message of one np.loadtxt of the whole file, row and column included
-    with open(records, newline="") as fh:
-        fh.readline()
-        with pytest.raises(ValueError) as whole:
-            np.loadtxt(fh, delimiter=",", ndmin=2, usecols=[1, 6, 8])
-    assert "at row 4000, column 7" in str(whole.value)
-    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"config error: {records}: {whole.value}\n"
-    assert captured.out == ""
-    assert not (out / "envelope.svg").exists()
-    helpers.assert_no_child_processes()
-
-
-def test_plot_of_a_bad_last_row_streams_the_whole_file(tmp_path, capsys, monkeypatch):
-    # the message's row comes from one parse of the whole file, streamed
-    # from the open file, not from a copy of its 2.7 MB
-    monkeypatch.setenv("BIOCTL_THREADS", "1")
-    monkeypatch.setattr(cli, "_READ_RANGE", 200_000)
-    cfg, out = write_config(tmp_path), tmp_path / "out"
     assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
                      "--trials", "20000"]) == 0
-    records = out / "mc_records.csv"
-    lines = records.read_bytes().split(b"\n")
-    lines[-2] = lines[-2].replace(b",closed,", b"e,closed,")
-    records.write_bytes(b"\n".join(lines))
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert "at row 19999, column 7" in err and err.startswith("config error: ")
-    assert peak < records.stat().st_size / 2, (peak, records.stat().st_size)
-
-
-def test_plot_with_a_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BIOCTL_THREADS", "2")
-    monkeypatch.setattr(forkpool, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_READ_RANGE", 200_000)
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    _records_with_failures(cfg, out)
-    # a forked worker finds this module's function under the patched name
-    monkeypatch.setattr(cli, "_read_points", _exit_in_worker)
-    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 1
+    sample = out / "mc_sample.csv"
+    lines = sample.read_bytes().split(b"\n")
+    T, _ = lines[2 + 12288 // 8].split(b",")
+    lines[2 + 12288 // 8] = T + b",1.5e"    # the deviation of trial 12288
+    sample.write_bytes(b"\n".join(lines))
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: a worker process died\n"
+    assert captured.err == (f"config error: {sample}: could not convert string "
+                            "'1.5e' to float64 at row 1536, column 2.\n")
     assert captured.out == ""
     assert not (out / "envelope.svg").exists()
-    helpers.assert_no_child_processes()
 
 
 def test_plot_of_header_only_records_has_no_points(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "mc_records.csv").write_text(
-        "trial,T,t0,z0,Pi,T1,deviation,engine,failed\n")
+    # every trial of this run fails (see
+    # test_full_trial_whose_density_rounds_to_eil_fails_alone), so its
+    # sample is its two header lines
+    cfg, out = write_config(tmp_path, {"box.z0": [1e-17, 2e-17]}), tmp_path / "out"
+    assert cli.main(["montecarlo", "--config", cfg, "--out", str(out),
+                     "--engine", "full", "--trials", "300"]) == 1
+    assert (out / "mc_sample.csv").read_text() == "# points=0\nT,deviation\n"
+    capsys.readouterr()
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
     assert parse_kv(capsys.readouterr().out)["points"] == "0"
     svg = (out / "envelope.svg").read_text()
     assert "<polyline" in svg and "<circle" not in svg
 
 
-@pytest.mark.parametrize("records, message", [
-    ("trial,T,t0,z0,Pi,T1,engine,failed\n0,0.5,0.1,2,3,2,closed,0\n",
-     "no deviation column"),
-    ("trial,t0,z0\n", "no T, deviation, failed column"),
-    ("trial,T,t0,z0,Pi,T1,deviation,engine,failed\n"
-     "0,0.5,0.1,2,3,2,1,closed,0\n1,abc,0.1,2,3,2,1,closed,0\n",
-     "could not convert string 'abc'"),
-    (b"trial,T\xff,t0,z0,Pi,T1,deviation,engine,failed\n0,0.5,0.1,2,3,2,1,closed,0\n",
-     "no T column"),
-    (b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n0,0.5\xff,0.1,2,3,2,1,closed,0\n",
-     "can't decode byte 0xff"),
-], ids=["no-deviation", "no-columns", "bad-number", "not-utf8-header", "not-utf8-row"])
-def test_plot_of_unreadable_records_exits_2(tmp_path, capsys, records, message):
+_NOT_A_SAMPLE = ("not a montecarlo sample (its first lines must be "
+                 "'# points=<n>' and 'T,deviation')")
+
+
+@pytest.mark.parametrize("sample, message", [
+    (b"# points=1\nT\n0.5\n", _NOT_A_SAMPLE),
+    (b"trial,T,t0,z0,Pi,T1,deviation,engine,failed\n0,0.5,0.1,2,3,2,1,closed,0\n",
+     _NOT_A_SAMPLE),
+    (b"# points=2\nT,deviation\n0.5,1\nabc,1\n",
+     "could not convert string 'abc' to float64 at row 1, column 1."),
+    (b"# points=1\nT\xff,deviation\n0.5,1\n", _NOT_A_SAMPLE),
+    (b"# points=1\nT,deviation\n0.5\xff,1\n",
+     "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"),
+    *((points + b"T,deviation\n0.5,1\n", _NOT_A_SAMPLE) for points in (
+        b"", b"# points=-1\n", b"# points=1.5\n", b"# points=\n", b"# points=1")),
+], ids=["no-deviation", "no-columns", "bad-number", "not-utf8-header", "not-utf8-row",
+        "no-points", "negative-points", "fractional-points", "empty-points",
+        "points-without-newline"])
+def test_plot_of_unreadable_records_exits_2(tmp_path, capsys, sample, message):
+    # the records plot reads are the sample montecarlo kept
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
-    (out / "mc_records.csv").write_bytes(
-        records if isinstance(records, bytes) else records.encode())
-    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err
-    assert "Traceback" not in err
-    assert not (out / "envelope.svg").exists()
-
-
-def test_plot_with_a_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # BIOCTL_THREADS sizes plot's read-back pool too
-    cfg, out = write_config(tmp_path), tmp_path / "out"
-    assert cli.main(list(mc_args(cfg, out))) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("BIOCTL_THREADS", "0")
+    (out / "mc_sample.csv").write_bytes(sample)
     assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("config error: BIOCTL_THREADS must be a positive "
-                            "integer, got '0'\n")
+    assert captured.err == f"config error: {out / 'mc_sample.csv'}: {message}\n"
     assert captured.out == ""
     assert not (out / "envelope.svg").exists()
 
 
-def test_plot_without_records_is_a_config_error(tmp_path):
-    res = run_cli("plot", "--config", write_config(tmp_path),
-                  "--out", str(tmp_path / "empty"))
-    assert res.returncode == 2
-    assert "config error" in res.stderr
+def test_plot_does_not_read_the_thread_count(tmp_path, capsys, monkeypatch):
+    # plot reads one small file in this process and starts no pool
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main(list(mc_args(cfg, out))) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BIOCTL_THREADS", "0")
+    assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 0
+    assert parse_kv(capsys.readouterr().out)["points"] == "800"
+
+
+def test_plot_without_records_is_a_config_error(tmp_path, capsys):
+    # an empty --out, and the --out of a run that kept no sample, as a run
+    # of an older version did
+    cfg = write_config(tmp_path)
+    old = tmp_path / "old"
+    assert cli.main(list(mc_args(cfg, old))) == 0
+    (old / "mc_sample.csv").unlink()
+    capsys.readouterr()
+    for out in (tmp_path / "empty", old):
+        assert cli.main(["plot", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: {out / 'mc_sample.csv'}: not found "
+                                "(rerun montecarlo with the same --out to write it)\n")
+        assert captured.out == ""
+        assert not (out / "envelope.svg").exists()

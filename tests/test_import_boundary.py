@@ -70,7 +70,6 @@ loaded = {}
 from bioctl import cli, forkpool
 loaded["import"] = pool_modules()
 forkpool._usable_cpus = lambda: 2
-cli._READ_RANGE = 1 << 20    # the 2.7 MB of records in three read jobs
 cfg, out = sys.argv[1], sys.argv[2]
 for argv in (["montecarlo", "--trials", "20000"], ["plot"]):
     assert cli.main([argv[0], "--config", cfg, "--out", out, *argv[1:]]) == 0

@@ -234,10 +234,11 @@ def test_determinism_across_thread_counts(reference_box, tmp_path, monkeypatch,
     for threads in ("1", "2"):
         monkeypatch.setenv("BIOCTL_THREADS", threads)
         path = tmp_path / f"records_{threads}.csv"
+        sample = tmp_path / f"sample_{threads}.csv"
         mcharness.stream_mc(small_cfg(reference_box, n_trials=40_000), path,
-                            tmp_path / "envelope.csv")
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+                            tmp_path / "envelope.csv", sample)
+        paths.append((path.read_bytes(), sample.read_bytes()))
+    assert paths[0] == paths[1]
     assert len(csv_pools) == 1   # at two workers
     helpers.assert_no_child_processes()
 
@@ -265,7 +266,8 @@ def test_csv_workers_fork_after_the_engine_threads_end(reference_box, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mcharness.stream_mc(small_cfg(reference_box, n_trials=20_000),
-                            tmp_path / "records.csv", tmp_path / "envelope.csv")
+                            tmp_path / "records.csv", tmp_path / "envelope.csv",
+                            tmp_path / "sample.csv")
     assert len(csv_pools) == 1
 
 
@@ -278,7 +280,8 @@ def test_streamed_run_memory_does_not_grow_with_the_trial_count(
         cfg = small_cfg(reference_box, n_trials=n_trials)
         tracemalloc.start()
         try:
-            mcharness.stream_mc(cfg, tmp_path / "records.csv", tmp_path / "envelope.csv")
+            mcharness.stream_mc(cfg, tmp_path / "records.csv", tmp_path / "envelope.csv",
+                                tmp_path / "sample.csv")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -303,15 +306,18 @@ def test_a_warm_pass_of_records_allocates_little_beyond_its_bytes(reference_box)
 
 @pytest.mark.parametrize("engine", ["closed"])
 def test_job_size_never_changes_a_byte(reference_box, tmp_path, monkeypatch, engine):
+    # a sample stride of 32, which no job size but 4096 is a multiple of
+    monkeypatch.setattr(mcharness, "_SAMPLE_POINTS", 100)
     outputs = []
     for rows in (4096, 1000, 333):
         monkeypatch.setattr(mcharness, "_CSV_ROWS", rows)
-        path = tmp_path / f"records_{rows}.csv"
+        path, sample = tmp_path / f"records_{rows}.csv", tmp_path / f"sample_{rows}.csv"
         report, failed = mcharness.stream_mc(
             small_cfg(reference_box, n_trials=3000, engine=engine), path,
-            tmp_path / "envelope.csv", n_bins=7)
-        outputs.append((path.read_bytes(), report, failed))
+            tmp_path / "envelope.csv", sample, n_bins=7)
+        outputs.append(((path.read_bytes(), sample.read_bytes()), report, failed))
     (data, report, failed), *others = outputs
+    assert data[1].count(b"\n") == 2 + 94
     for other_data, other, other_failed in others:
         assert (other_data, other_failed) == (data, failed)
         assert (other.violations, other.t_upper) == (report.violations, report.t_upper)
@@ -342,12 +348,12 @@ def test_fold_order_never_changes_the_report(reference_box, monkeypatch, engine)
     assert len(starts) == 5
     order = list(np.random.default_rng(7).permutation(len(starts)))
     assert order != sorted(order)
-    tally = mcharness._Tally(50, cfg.t_upper)
+    tally = mcharness._Tally(50, cfg.t_upper, cfg.n_trials)
     parts = [tally.partial(mcharness._solve(cfg, s, min(s + starts.step, cfg.n_trials)),
-                           cfg.box, cfg.mu) for s in starts]
+                           s, cfg.box, cfg.mu) for s in starts]
     reports = []
     for sequence in (range(len(parts)), order):
-        tally = mcharness._Tally(50, cfg.t_upper)
+        tally = mcharness._Tally(50, cfg.t_upper, cfg.n_trials)
         for k in sequence:
             tally.fold(parts[k])
         reports.append((tally.report(cfg.box, cfg.mu), tally.failed))
@@ -494,7 +500,7 @@ def test_formatter_matches_per_row_formatting(reference_box, tmp_path, monkeypat
     new, old = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
     with np.errstate(over="ignore"):    # max_dev / bound of the report, at 1e308
         mcharness.stream_mc(small_cfg(reference_box, n_trials=len(special)), new,
-                            tmp_path / "envelope.csv")
+                            tmp_path / "envelope.csv", tmp_path / "sample.csv")
     row_by_row_records_csv(trials, old)
     assert new.read_bytes() == old.read_bytes()
     assert len(csv_pools) == (workers == "2")

@@ -96,6 +96,16 @@ def test_decay_ceiling_edge_cases():
         max_decay_period(2.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("mu, sigma", [(math.inf, 1.0), (math.inf, -1.0), (math.nan, 0.0),
+                                       (-5.0, -10.0), (1.0, 1.0), (2.0, 3.0)])
+def test_zparams_refuses_the_budgets_the_decay_ceiling_refuses(mu, sigma):
+    with pytest.raises(DomainError) as ceiling:
+        max_decay_period(mu, sigma, 1.0)
+    with pytest.raises(DomainError) as params:
+        ZParams(sigma=sigma, m=1.0, mu=mu, T=0.5)
+    assert str(params.value) == str(ceiling.value)
+
+
 def test_decay_ceiling_matches_log_space_bisection():
     # sigma/mu from 1e-300 to 0.999, then on to 1 - 1e-8, where the root
     # x ~ 2(1 - sigma/mu) keeps fewer digits in floats on both sides
