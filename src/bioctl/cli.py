@@ -197,7 +197,7 @@ def _build_box(cfg: dict) -> planner.UncertaintyBox:
 
 
 def _build_sim(cfg: dict) -> impulsim.SimConfig:
-    d = _section(cfg, "sim", {"rtol", "atol", "t_end"}, required=False) or {}
+    d = _section(cfg, "sim", {"rtol", "t_end"}, required=False) or {}
     return impulsim.SimConfig(**{k: _num(d, k, "sim") for k in d})
 
 

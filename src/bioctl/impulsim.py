@@ -6,10 +6,14 @@ instant nT the predator pool jumps by mu*T.  One adaptive Dormand-Prince
 Wanner, *Solving ODEs I*, II.4-6) runs on Python floats through the whole
 horizon, with scipy's RK45 step control (RMS error norm over (x, y),
 safety 0.9, step factor clamped to [0.2, 10], exponent -1/5) except for
-the first step, which proposes one release period.  So no time constant
-is absolute: T and t0 times a power of two, with the rates divided by it,
-give every time times it, exactly.  Each stage evaluates g once and f
-once: the numerical response is h = e*g.
+the first step, which proposes one release period, and for the error
+weights, rtol*max(|u|, |u_new|) per component with no absolute tolerance.
+So no time or density constant is absolute: T and t0 times a power of
+two, with the rates divided by it, give every time times it, exactly; the
+pest or the predator densities times a power of two, with the kernel
+constants to match, give every density times it (above the subnormals)
+and every time as it is.  A component at exactly 0 stays there.  Each
+stage evaluates g once and f once: the numerical response is h = e*g.
 
 Release instants and error control alone bound the step: the step that
 would pass nT, or end short of it by under a millionth of the step, lands
@@ -119,7 +123,8 @@ class IntegrationError(RuntimeError):
 
 
 class StateConsistencyError(RuntimeError):
-    """The integrated state left the nonnegative quadrant beyond -atol."""
+    """A component of the integrated state fell below zero by more than
+    rtol times its value at the step's start."""
 
 
 class HorizonExceededError(RuntimeError):
@@ -129,13 +134,11 @@ class HorizonExceededError(RuntimeError):
 @dataclass(frozen=True)
 class SimConfig:
     rtol: float = 1e-8
-    atol: float = 1e-10
     t_end: Optional[float] = None      # horizon measured from t0; defaults to 200/m
 
     def __post_init__(self):
         if not 0.0 < self.rtol <= 1e-3:
             raise DomainError(f"rtol must be in (0, 1e-3], got {self.rtol}")
-        _positive("absolute tolerance", "atol", self.atol)
         if self.t_end is not None:
             _positive("horizon", "t_end", self.t_end)
 
@@ -156,6 +159,13 @@ class Trajectory:
     events: list = field(default_factory=list)
 
 
+def _per(d, scale):
+    """d in units of a component's scale rtol*max(|u|, |u_new|).  A scale of
+    0 (the component sits at exactly 0) weighs a d of 0 as 0 and any other
+    as inf, which rejects the step."""
+    return d / scale if scale else (0.0 if d == 0.0 else math.inf)
+
+
 def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
     """Accepted Dormand-Prince steps from state (x, y) at t up to t_end.
 
@@ -168,7 +178,7 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
         (a61, a62, a63, a64, a65) = _A[1:]
     b1, _, b3, b4, b5, b6 = _B
     e1, _, e3, e4, e5, e6, e7 = _E
-    rtol, atol = cfg.rtol, cfg.atol
+    rtol = cfg.rtol
     T, m, jump = program.T, k.m, program.per_release
     f, g, e = k.growth.rate, k.response.rate, k.numerical.e
 
@@ -216,12 +226,11 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
             xn = x + h * (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
             yn = y + h * (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
             k7x, k7y = rhs(xn, yn)
-            # the RMS norm of the error over (x, y)
-            err = math.hypot(
-                h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
-                / (atol + max(abs(x), abs(xn)) * rtol),
-                h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
-                / (atol + max(abs(y), abs(yn)) * rtol)) * _SQRT_HALF
+            # the RMS norm over (x, y) of the error relative to each component
+            ex = h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
+            ey = h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
+            sx, sy = max(abs(x), abs(xn)) * rtol, max(abs(y), abs(yn)) * rtol
+            err = math.hypot(_per(ex, sx), _per(ey, sy)) * _SQRT_HALF
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
                                                             _SAFETY * err ** -0.2)
@@ -237,17 +246,20 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
             rejected = True
         if not (math.isfinite(xn) and math.isfinite(yn)):
             raise IntegrationError(f"non-finite state at t={t_new:g}")
-        if xn < -atol or yn < -atol:
+        if xn < -rtol * abs(x) or yn < -rtol * abs(y):
             raise StateConsistencyError(
-                f"state fell below -atol={-atol:g} at t={t_new:g}")
+                f"state fell below -rtol times its value at the step's start, "
+                f"at t={t_new:g}")
         accepted += 1
         if accepted % _STIFF_EVERY == 0 or stiff_hits:
-            # h times a Lipschitz estimate |k7 - k6| / |u_new - u6| against
-            # 3.25, about where the stability region ends on the real axis;
+            # h times a Lipschitz estimate |k7 - k6| / |u_new - u6|, each
+            # component in units of its error scale, against 3.25, about
+            # where the stability region ends on the real axis;
             # 15 hits with no run of 6 misses between them mean stability,
             # not accuracy, holds the step size
-            den = math.hypot(xn - x6, yn - y6)
-            if den > 0.0 and h * math.hypot(k7x - k6x, k7y - k6y) > 3.25 * den:
+            den = math.hypot(_per(xn - x6, sx), _per(yn - y6, sy))
+            if den > 0.0 and h * math.hypot(_per(k7x - k6x, sx),
+                                            _per(k7y - k6y, sy)) > 3.25 * den:
                 stiff_hits, calm = stiff_hits + 1, 0
             else:
                 calm += 1

@@ -518,7 +518,7 @@ def test_crossing_is_found_to_float_resolution(tmp_path, command, flags):
     assert crossings[0] == (t_cross, "down")
 
 
-@pytest.mark.parametrize("key", ["max_step", "crossing_tol"])
+@pytest.mark.parametrize("key", ["max_step", "crossing_tol", "atol"])
 def test_removed_sim_keys_are_config_errors(tmp_path, capsys, key):
     cfg = write_config(tmp_path, sim={key: 0.01})
     code = cli.main(["damage", "--config", cfg, "--x0", "5.0", "--period", "0.15"])
@@ -567,13 +567,39 @@ def test_reference_script_exits_with_the_failing_steps_code(tmp_path):
 
 
 def test_stiff_simulation_ends_with_an_error(tmp_path):
-    # y0 = 1e200 makes the pest equation stiff (rate about lam*y0): the
-    # explicit stepper is held to steps near 3e-200 and never reached t_end
-    res = run_cli("simulate", "--config", write_config(tmp_path), "--x0", "1",
-                  "--y0", "1e200", "--out", str(tmp_path), timeout=60)
+    # growth r = 1e8 makes the pest equation stiff near its carrying
+    # capacity: the explicit stepper is held to steps near 3e-8, 1e10 of
+    # them to reach t_end
+    res = run_cli("simulate", "--config",
+                  write_config(tmp_path, {"kernels.growth.r": 1e8}), "--x0", "1",
+                  "--out", str(tmp_path), timeout=60)
     assert res.returncode == 1, res.stderr
     assert "error: the model is stiff at t=" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_huge_predator_pool_is_answered(tmp_path):
+    # y0 = 1e200 kills the pest at rate about lam*y0 = 1e200 while the
+    # predators decay at m = 1: x = exp(-1e200*t) crosses eil = 0.1 at
+    # ln(10)*1e-200, plus the handling time a*(x0 - eil) = 0.45 over lam*y0.
+    # Once x has underflowed to 0 the stepper steps on at the predators' pace
+    res = run_cli("simulate", "--config", write_config(tmp_path), "--x0", "1",
+                  "--y0", "1e200", "--out", str(tmp_path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    crossing = float(parse_kv(res.stdout)["first_crossing"])
+    assert math.isclose(crossing, (math.log(10.0) + 0.45) * 1e-200, rel_tol=1e-8)
+
+
+def test_eradication_tail_stays_nonnegative(tmp_path):
+    # mu = 200 drives the pest to extinction: x decays through the
+    # subnormals to 0, and error control relative to x never oversteps it
+    res = run_cli("simulate", "--config", write_config(tmp_path, {"program.mu": 200.0}),
+                  "--x0", "5", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    with open(parse_kv(res.stdout)["trajectory_csv"], newline="") as fh:
+        xs = [float(row["x"]) for row in csv.DictReader(fh)]
+    assert min(xs) == 0.0
+    assert xs[-1] == 0.0
 
 
 def test_damage_default_period_exceeds_ceiling(tmp_path):

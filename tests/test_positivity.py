@@ -65,7 +65,6 @@ POSITIVE = [
     ("mu", lambda v: planner.optimal_periods(1.0, v, -2.0, 1.0)),
     ("mu", lambda v: planner.t_limits(BELOW_ZERO, v)),
     ("T", lambda v: planner.robust_envelope([0.5, v], BOX, 2.0)),
-    ("atol", lambda v: SimConfig(atol=v)),
     ("t_end", lambda v: SimConfig(t_end=v)),
     ("n_bins", lambda v: mcharness.bin_envelope(NO_TRIALS, v, 1.0)),
     ("t_upper", lambda v: mcharness.bin_envelope(NO_TRIALS, 50, v)),

@@ -4,16 +4,22 @@ Time: T, t0 -> a*T, a*t0 with every rate constant (sigma, m, mu, and the
 kernels' r and lam) divided by a multiplies every time by a and leaves
 every density, every invasion size z0 and every predator level as it is.
 Size: z0, mu, sigma -> b*z0, b*mu, b*sigma leaves every time as it is.
-With a and b powers of two every scaled input and every scaled answer is
-exact, so each check is bit-equality: an absolute constant or a
-unit-dependent heuristic anywhere on the way breaks it, which no
-example-based test can see.
+The full model has two density symmetries as well.  Pest density x ->
+c*x: K, A, eil and x0 times c, Holling a over c and b over c^2, and the
+conversion efficiency e over c.  Predator density y -> d*y: lam over d, e
+and mu times d (in z it is the size symmetry, with z0 and sigma times d).
+Neither moves a time.  With a, b, c and d powers of two every scaled input
+and every scaled answer is exact, so each check is bit-equality: an
+absolute constant or a unit-dependent heuristic anywhere on the way breaks
+it, which no example-based test can see.
 """
 
 import csv
 import dataclasses
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import parse_kv, write_config
@@ -33,6 +39,7 @@ from bioctl.kernels import (
 from bioctl.orbit import ReleaseProgram
 
 POW2 = st.integers(-10, 10).map(lambda k: 2.0 ** k)
+DENSITY = st.sampled_from([2.0 ** -20, 2.0 ** -4, 2.0 ** 4, 2.0 ** 20])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
@@ -167,12 +174,34 @@ def _kernels(growth, response, m, a):
                      numerical=Proportional(1.0, response), m=m / a)
 
 
-def _scenario(seed):
+#: the nine (growth, response) index pairs
+PAIRS = list(itertools.product(range(3), range(3)))
+
+
+def _in_density(growth, response, m, c=1.0, d=1.0):
+    """The kernel set in pest units of 1/c and predator units of 1/d:
+    K and A times c, Holling a over c and b over c^2, lam over d, and the
+    conversion efficiency e = 1 times d/c."""
+    growth = dataclasses.replace(growth, **{
+        f.name: c * getattr(growth, f.name)
+        for f in dataclasses.fields(growth) if f.name in ("A", "K")})
+    scaled = {"lam": response.lam / d}
+    if hasattr(response, "a"):
+        scaled["a"] = response.a / c
+    if hasattr(response, "b"):
+        scaled["b"] = response.b / (c * c)
+    response = dataclasses.replace(response, **scaled)
+    return KernelSet(growth=growth, response=response,
+                     numerical=Proportional(d / c, response), m=m)
+
+
+def _scenario(seed, pair=None):
     """Random kernels and a release program whose budget clears the pest's
-    local growth: (growth, response, m, mu, T, t0)."""
+    local growth: (growth, response, m, mu, T, t0); ``pair`` picks the
+    growth and response types, which are drawn otherwise."""
     rng = np.random.default_rng(seed)
-    growth = _GROWTHS[rng.integers(3)](rng)
-    response = _RESPONSES[rng.integers(3)](rng)
+    growth = _GROWTHS[rng.integers(3) if pair is None else pair[0]](rng)
+    response = _RESPONSES[rng.integers(3) if pair is None else pair[1]](rng)
     m = rng.uniform(0.5, 1.5)
     T = rng.uniform(0.05, 1.0)
     mu = m * growth.r / response.lam * rng.uniform(2.0, 6.0)
@@ -219,6 +248,49 @@ def test_simulate_scales_exactly_in_time(seed, a, x0, y0):
     # the post-release levels too: the jump mu*T is the same number
     assert scaled.impulses == [(a * t, y_pre, y_post) for t, y_pre, y_post in traj.impulses]
     assert scaled.events == [(a * t, label) for t, label in traj.events]
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+@given(seed=SEEDS, c=DENSITY, d=DENSITY, x0=st.floats(0.2, 12.0))
+@settings(max_examples=8)
+def test_full_damage_time_is_exact_under_density_scalings(pair, seed, c, d, x0):
+    # the predators start on the release orbit, whose levels mu*d scales by d
+    growth, response, m, mu, T, t0 = _scenario(seed, pair)
+    want = _outcome(lambda: impulsim.damage_time_full(
+        _in_density(growth, response, m), ReleaseProgram(mu, T), x0, 0.1, t0=t0))
+    assert _outcome(lambda: impulsim.damage_time_full(
+        _in_density(growth, response, m, c=c), ReleaseProgram(mu, T), c * x0, c * 0.1,
+        t0=t0)) == want
+    assert _outcome(lambda: impulsim.damage_time_full(
+        _in_density(growth, response, m, d=d), ReleaseProgram(d * mu, T), x0, 0.1,
+        t0=t0)) == want
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+@given(seed=SEEDS, c=DENSITY, d=DENSITY, x0=st.floats(0.2, 12.0),
+       y0=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+@settings(max_examples=4)
+def test_simulate_is_exact_under_density_scalings(pair, seed, c, d, x0, y0):
+    growth, response, m, mu, T, t0 = _scenario(seed, pair)
+    cfg = SimConfig(t_end=3.0 * T)
+    traj = impulsim.simulate(_in_density(growth, response, m), ReleaseProgram(mu, T),
+                             x0, y0, t0=t0, cfg=cfg, eil=0.1)
+    in_pest = impulsim.simulate(_in_density(growth, response, m, c=c),
+                                ReleaseProgram(mu, T), c * x0, y0, t0=t0, cfg=cfg,
+                                eil=c * 0.1)
+    in_predator = impulsim.simulate(_in_density(growth, response, m, d=d),
+                                    ReleaseProgram(d * mu, T), x0, d * y0, t0=t0,
+                                    cfg=cfg, eil=0.1)
+    for scaled in (in_pest, in_predator):
+        assert np.array_equal(scaled.ts, traj.ts)
+        assert scaled.events == traj.events
+    assert np.array_equal(in_pest.xs, c * traj.xs)
+    assert np.array_equal(in_pest.ys, traj.ys)
+    assert in_pest.impulses == traj.impulses
+    assert np.array_equal(in_predator.xs, traj.xs)
+    assert np.array_equal(in_predator.ys, d * traj.ys)
+    assert in_predator.impulses == [(t, d * y_pre, d * y_post)
+                                    for t, y_pre, y_post in traj.impulses]
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +350,23 @@ def test_full_mc_records_scale_exactly_in_time(tmp_path, capsys):
         "kernels.growth.r": 0.5, "kernels.response.lam": 0.5, "kernels.m": 0.5,
         "box.sigma": [0.5, 0.5], "box.m": [0.5, 0.5], "program.mu": 1.0}, *argv)
     _mc_checks(base, in_time, 2.0)
+
+
+@pytest.mark.parametrize("d", [2.0 ** -20, 2.0 ** -4, 2.0 ** 4, 2.0 ** 20])
+def test_full_mc_records_are_exact_in_predator_density(tmp_path, capsys, d):
+    # lam over d, e and mu times d, and the box in z (z0 and sigma) times d:
+    # each trial starts at the same pest density x0 = eil*exp(z0*lam/m)
+    argv = ("montecarlo", "--engine", "full", "--trials", "300")
+    kv, rows = _run(tmp_path, capsys, "base", {}, *argv)
+    kv_d, rows_d = _run(tmp_path, capsys, "scaled", {
+        "kernels.response.lam": 1.0 / d, "kernels.numerical.e": d, "program.mu": 2.0 * d,
+        "box.z0": [d, 5.0 * d], "box.sigma": [d, d]}, *argv)
+    assert (kv_d["violations"], kv_d["failed"]) == (kv["violations"], kv["failed"]) \
+        == ("0", "0")
+    assert _column(rows_d, "z0") == _column(rows, "z0", d)
+    for row in rows + rows_d:
+        del row["z0"]
+    assert rows_d == rows
 
 
 def test_robust_bound_scales_exactly(tmp_path, capsys):
