@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import forkpool, impulsim, mcharness, planner, tables
+from . import impulsim, mcharness, planner, tables
 from .kernels import (
     Allee,
     ConfigError,
@@ -43,7 +43,6 @@ __all__ = ["ConfigError", "load_config", "build_kernels", "main"]
 
 _MODEL_ERRORS = (
     tables.OutputWriteError,
-    forkpool.PoolBroken,
     DomainError,
     planner.PeriodTooLargeError,
     impulsim.IntegrationError,

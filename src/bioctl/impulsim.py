@@ -117,9 +117,10 @@ DAMAGE_RELEASES, SIMULATE_RELEASES = 10 ** 7, 2 ** 14
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive integrator failed: a non-finite state, a step size
-    below 10 ulp of t, or a stiff stretch that would hold the explicit
-    stepper to tiny steps."""
+    """The adaptive integrator failed: a step size below 10 ulp of t (a
+    non-finite state makes every error estimate non-finite, so it ends
+    here), or a stiff stretch that would hold the explicit stepper to tiny
+    steps."""
 
 
 class StateConsistencyError(RuntimeError):
@@ -244,8 +245,6 @@ def _steps(k: KernelSet, program: ReleaseProgram, x, y, t, t_end, cfg):
             # shrinks the step, by the largest factor
             h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             rejected = True
-        if not (math.isfinite(xn) and math.isfinite(yn)):
-            raise IntegrationError(f"non-finite state at t={t_new:g}")
         if xn < -rtol * abs(x) or yn < -rtol * abs(y):
             raise StateConsistencyError(
                 f"state fell below -rtol times its value at the step's start, "
@@ -416,9 +415,10 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
     Predators start on the release orbit; starting at or above it keeps
     the predators above it forever, which is what makes the
     comparison-model damage time an upper bound (``simulate`` with its y0
-    starts them anywhere).  Given that bound, a run that would pass more
-    than DAMAGE_RELEASES releases before t0 + bound is refused before it
-    steps (InputOverflowError).  Returns (Pi, t_cross).
+    starts them anywhere).  A run that would pass more than
+    DAMAGE_RELEASES releases before t0 + bound, or before its horizon when
+    no bound is given, is refused before it steps (InputOverflowError).
+    Returns (Pi, t_cross).
     """
     if not x0 > eil > 0.0:
         raise DomainError("need x0 > eil > 0")
@@ -427,8 +427,8 @@ def damage_time_full(k: KernelSet, program: ReleaseProgram, x0, eil,
     x0, y0 = _check_start(k, x0, y0)
     t0 = float(t0)
     t_end = _t_end(k, program, t0, cfg)
-    if bound is not None:
-        _check_releases(t0, t0 + bound, program.T, DAMAGE_RELEASES)
+    _check_releases(t0, t_end if bound is None else t0 + bound, program.T,
+                    DAMAGE_RELEASES)
     # every step starts above eil, so the first crossing is the way down
     for t, h, _, x, _, kx, _, xn, _, _ in _steps(k, program, x0, y0, t0, t_end, cfg):
         for t_cross, _ in _crossings(t, h, x, xn, _dense(h, kx), eil):

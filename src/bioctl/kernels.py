@@ -280,6 +280,18 @@ _RESPONSE_FACTOR = {
     HollingIV: lambda g, scale: (g.b * scale * scale, g.a * scale, 1.0),
 }
 _RATIO_OVERFLOW = "the kernel parameters are too large: m*f/g overflows a float"
+#: Veltkamp's splitting factor 2^27 + 1 of a float64
+_SPLIT = 134217729.0
+
+
+def _split(a):
+    """Veltkamp's split of a into hi + lo, exactly, each half of at most 26
+    significant bits, so that a product of halves is exact (Dekker, "A
+    floating-point technique for extending the available precision",
+    Numer. Math. 18, 1971); elementwise, for a*(2^27 + 1) finite."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _horner(c, x: float) -> float:

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import forkpool, impulsim, planner, tables
-from .kernels import ConfigError, DomainError, InputOverflowError, KernelSet, _positive
+from .kernels import ConfigError, DomainError, KernelSet, _positive
 from .orbit import ReleaseProgram
 
 __all__ = [
@@ -90,8 +90,6 @@ _COLUMNS = ("T", "t0", "z0", "Pi", "T1", "deviation", "failed")
 #: least power of two with ceil(n_trials/g) <= _SAMPLE_POINTS
 _SAMPLE_POINTS = 4000
 
-#: absolute slack of ``verify_envelope`` for rounding in Pi - T1
-_ENVELOPE_SLACK = 1e-9
 #: the least uniform ``stream_uniforms`` returns
 _LEAST_UNIFORM = 2.0 ** -54
 
@@ -167,14 +165,6 @@ class McConfig:
             raise DomainError(f"unknown engine {self.engine!r}")
         if self.engine == "full" and (self.kernels is None or self.eil is None):
             raise DomainError("the full engine needs kernels and eil")
-        # comparison-model Pi and T1 are both about t1 = z0/(mu - sigma), so
-        # Pi - T1 carries rounding noise of about ulp(t1)
-        if self.engine == "closed" and self.mu > self.box.sigma_lo and not math.ulp(
-                self.box.z0_hi / (self.mu - self.box.sigma_lo)) <= _ENVELOPE_SLACK:
-            raise InputOverflowError(
-                f"z0={self.box.z0_hi:g} is too large for the closed "
-                "engine: one ulp of z0/(mu - sigma) exceeds the "
-                f"{_ENVELOPE_SLACK:g} slack of the envelope check")
         if self.engine == "full":
             # the invasion density rises with z0: a box whose largest one
             # overflows a float stops the run before any trial is integrated
@@ -187,7 +177,9 @@ class McConfig:
 class Trials:
     """Monte Carlo trials as columns: entry i of each array is trial i.
 
-    Failed trials have Pi and deviation nan.
+    Failed trials have Pi and deviation nan.  ``deviation_error`` bounds the
+    rounding error of each closed-engine deviation (``planner._damage_times``);
+    it is nan in the full engine, whose deviations have no such bound.
     """
 
     T: np.ndarray
@@ -198,6 +190,7 @@ class Trials:
     deviation: np.ndarray
     failed: np.ndarray
     engine: str
+    deviation_error: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +208,7 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
     t1s = z0s / (cfg.mu - sigma)
     failed = np.zeros(len(Ts), dtype=bool)
     if cfg.engine == "closed":
-        pis = planner._damage_times(Ts, t0s, z0s, sigma, m, cfg.mu)
+        pis, devs, errors = planner._damage_times(Ts, t0s, z0s, sigma, m, cfg.mu)
     else:
         gp0 = cfg.kernels.response.slope0()
         pis = np.empty(len(Ts))
@@ -231,8 +224,9 @@ def _solve(cfg: McConfig, start: int, stop: int) -> Trials:
                     impulsim.StateConsistencyError, DomainError):
                 pis[i] = math.nan
                 failed[i] = True
-    return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=pis - t1s,
-                  failed=failed, engine=cfg.engine)
+        devs, errors = pis - t1s, np.full(len(Ts), math.nan)
+    return Trials(T=Ts, t0=t0s, z0=z0s, Pi=pis, T1=t1s, deviation=devs,
+                  failed=failed, engine=cfg.engine, deviation_error=errors)
 
 
 def _job_starts(cfg: McConfig) -> range:
@@ -257,7 +251,8 @@ def run_mc(cfg: McConfig) -> Trials:
     """
     starts = _job_starts(cfg)
     parts = [_solve(cfg, s, min(s + starts.step, cfg.n_trials)) for s in starts]
-    cols = {c: np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS}
+    cols = {c: np.concatenate([getattr(p, c) for p in parts])
+            for c in (*_COLUMNS, "deviation_error")}
     return Trials(**cols, engine=cfg.engine)
 
 
@@ -296,12 +291,15 @@ def _bin_partial(trials: Trials, n_bins: int, t_upper: float):
 
 
 def _violations(trials: Trials, box: planner.UncertaintyBox, mu: float) -> int:
-    """Comparison-model trials above the bound at their own T; the full
-    engine is exempt."""
+    """Comparison-model trials whose deviation lies above the bound curve at
+    their own T by more than its proven error: the trial's
+    ``deviation_error`` plus the curve's own (``planner._bound_curve_error``).
+    The full engine is exempt."""
     if trials.engine == "full":
         return 0
     bounds = planner.envelope_bound_curve(trials.T, box, mu)
-    return int(np.sum(trials.deviation > bounds + _ENVELOPE_SLACK))
+    slack = planner._bound_curve_error(trials.T, box, mu) + trials.deviation_error
+    return int(np.sum(trials.deviation - bounds > slack))
 
 
 def _sample_stride(n_trials: int) -> int:
@@ -387,11 +385,12 @@ def verify_envelope(trials: Trials, box: planner.UncertaintyBox, mu: float,
     """Compare the scatter against the closed-form deviation bound.
 
     ``violations`` counts comparison-model trials above the bound at
-    their own T (must be zero: the bound is their exact maximum).  The
-    full engine is only locally approximated by the comparison model and
-    is exempt.  Per bin, ``coverage_ratio`` is max_dev over the bound at
-    the bin midpoint; it approaches 1 from below as trials accumulate.
-    The bins are columns, as in ``bin_envelope``.
+    their own T by more than its proven error (must be zero: the bound is
+    their exact maximum; see ``_violations``).  The full engine is only
+    locally approximated by the comparison model and is exempt.  Per bin,
+    ``coverage_ratio`` is max_dev over the bound at the bin midpoint; it
+    approaches 1 from below as trials accumulate.  The bins are columns,
+    as in ``bin_envelope``.
     """
     tally = _Tally(n_bins, scatter_t_upper(box, mu), len(trials.T))
     tally.fold(tally.partial(trials, 0, box, mu))

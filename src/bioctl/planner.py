@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DomainError, HollingI, HollingII, InputOverflowError, _positive
+from .kernels import (_SPLIT, DomainError, HollingI, HollingII, InputOverflowError,
+                      _positive, _split)
 
 __all__ = [
     "PeriodTooLargeError",
@@ -172,7 +173,13 @@ def max_decay_period(mu: float, sigma: float, m: float) -> float:
     for _ in range(100):
         q = -math.expm1(-x)
         h = math.log(x / q) - x - lr
-        x_next = min(x - h / (1.0 / x - 1.0 / q), x)
+        slope = 1.0 / x - 1.0 / q
+        # h' tends to -1/2 as x -> 0, but 1/x - 1/q cancels to 0 below
+        # about x = 1e-15 (sigma within a few ulps of mu), where the start
+        # -2 ln(sigma/mu) is already within O(x^2) of the root
+        if not slope < 0.0:
+            break
+        x_next = min(x - h / slope, x)
         if x_next == x:
             break
         x = x_next
@@ -204,37 +211,65 @@ def _invert_fall(s, T, sigma, m, peak):
     elementwise, given the orbit peak of period T (``_peak``).  Below the
     decay ceiling F is concave and increasing on [0, T], so its tangents
     lie above it: Newton steps from t = 0 stay left of the root and rise
-    monotonically to it (clipped to [t, T] in floats).
+    monotonically to it (clipped to [t, T] in floats).  Within rounding of
+    the ceiling F' can round to 0 near T: a step of 0/0 there stays at t.
     """
     t = np.zeros(np.broadcast(s, T, sigma, m).shape)
-    for _ in range(100):
-        f, rate = _fall(t, peak, sigma, m)
-        t_next = np.clip(t + (s - f) / rate, t, T)
-        if np.array_equal(t_next, t):
-            break
-        t = t_next
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            f, rate = _fall(t, peak, sigma, m)
+            # fmax and fmin clip as np.clip does, but drop a nan step
+            t_next = np.fmin(np.fmax(t + (s - f) / rate, t), T)
+            if np.array_equal(t_next, t):
+                break
+            t = t_next
     return t
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's
+    two-sum), elementwise."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's product
+    of the ``_split`` halves), elementwise, barring underflow."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _check_fall_fits(box: UncertaintyBox, mu: float, t_least: float,
                      t_most: float) -> None:
     """Raise InputOverflowError unless ``_fall``, ``_invert_fall`` and the
-    period count of ``_damage_times`` and ``robust_envelope`` fit a float
-    at every period in [t_least, t_most] and every point of the box.
+    period count and exact products of ``_damage_times`` and
+    ``robust_envelope`` fit a float at every period in [t_least, t_most]
+    and every point of the box.
 
-    They form the orbit peak P = mu*T/(1 - e^{-m*T}) and its rate m*P,
-    both rising in T and in m, so largest at (t_most, m_hi); P divides by
-    zero where m*T rounds to 0, first at (t_least, m_lo).  They form s =
+    They form m*T, the orbit peak P = mu*T/(1 - e^{-m*T}) and its rate
+    m*P, all rising in T and in m, so largest at (t_most, m_hi); P divides
+    by zero where m*T rounds to 0, first at (t_least, m_lo).  They form s =
     z0 + F(t0), at most z0_hi + (mu - sigma_lo)*t_most since F rises on
-    [0, T] to the drop F(T) = (mu - sigma)*T, and s over the drop, whose
-    least is (mu - sigma_hi)*t_least.  So all of them fit iff P and m_hi*P
-    at t_most do and that largest s over that least drop does.
+    [0, T] to the drop F(T) = (mu - sigma)*T, s over the drop, whose least
+    is (mu - sigma_hi)*t_least, and the damage time, about s over mu -
+    sigma, which also bounds T1 = z0/(mu - sigma).  The exact products
+    split mu - sigma, T, the drop (at most s) and a period count (at most
+    s over the drop), each times 2^27 + 1 (``_split``).  So all of them fit
+    iff P and m_hi*P at t_most do and 2^27 + 1 times the largest of m_hi*
+    t_most, mu - sigma_lo, t_most, s, s over the least drop and s over mu -
+    sigma_hi does.
     """
     drop = (mu - box.sigma_hi) * t_least
     if box.m_lo * t_least > 0.0 and drop > 0.0:
         peak = mu * t_most / -math.expm1(-box.m_hi * t_most)
         s = box.z0_hi + (mu - box.sigma_lo) * t_most
-        if max(1.0, box.m_hi) * peak < math.inf and s / drop < math.inf:
+        if max(1.0, box.m_hi) * peak < math.inf and _SPLIT * max(
+                box.m_hi * t_most, mu - box.sigma_lo, t_most, s, s / drop,
+                s / (mu - box.sigma_hi)) < math.inf:
             return
     periods = (f"T={t_most:g}" if t_least == t_most
                else f"the periods [{t_least:g}, {t_most:g}]")
@@ -245,27 +280,108 @@ def _check_fall_fits(box: UncertaintyBox, mu: float, t_least: float,
 
 
 def _damage_times(T, t0, z0, sigma, m, mu):
-    """Damage times of invasions of size z0 > 0 at phases t0 in [0, T),
-    elementwise, below the decay ceiling.
+    """(Pi, deviation, error) of invasions of size z0 > 0 at phases t0 in
+    [0, T), elementwise, below the decay ceiling: the damage time, its
+    deviation Pi - T1 from the floor T1 = z0/(mu - sigma), and a bound on
+    the deviation's rounding error.
 
-    Counting from the release at 0, z(j*T + phase) = S - j*net_drop -
-    F(phase) with S = z0 + F(t0).  So z reaches zero in the period k where
-    S - k*net_drop lies in (0, net_drop], at the phase where the fall meets
-    that remainder (``_invert_fall`` clips a remainder rounded just outside
-    the range).  For z0 below the rounding of F(t0) the root can land just
-    before t0, so Pi is clamped at 0.
+    Counting from the release at 0, z(j*T + phase) = s - j*drop -
+    F(phase) with s = z0 + F(t0) and drop = F(T) = (mu - sigma)*T.  So z
+    reaches zero in the period k where the remainder r = s - k*drop lies
+    in [0, drop], at the phase t_r where the fall meets r, and Pi = k*T +
+    t_r - t0, clamped at 0 (for z0 below the rounding of F(t0) the root can
+    land just before t0).  The k*T terms cancel from Pi - T1, which is
+    G(t0) - G(t_r) = (F(t0) - r)/(mu - sigma) + t_r - t0 with G(t) =
+    F(t)/(mu - sigma) - t: terms of the size of T, not of z0.  G(0) = G(T)
+    = 0, so the deviation is continuous where r wraps from 0 to drop and k
+    drops by one; a remainder within its error of 0 is taken at drop,
+    where F' is least, so that the bound below holds on either side.
+
+    Only r needs care.  s is an exact two-sum (s, s_lo), and the drop a
+    double-double (D, D_lo): the exact product of fl(mu - sigma) and T, its
+    low part plus T times the two-sum residual of mu - sigma.  A pass of
+    the reduction takes q = floor(s/D) and subtracts q*(D + D_lo) from (s,
+    s_lo) with exact products and sums, rounding only the sum of the low
+    parts.  Passes stop once every q is 0, or after one in which every |q|
+    <= 1: a quotient rounded across a multiple leaves a remainder just
+    outside [0, D] for one more pass, and past 2^53 a pass leaves up to
+    eps*s/D drops for the next, so no float s/D takes over 21 passes.
+
+    The error bound.  eps = 2^-52, each +, -, *, / rounds by at most eps/2,
+    numpy's exp, expm1 and log by at most eps (an assumption: the measured
+    worst is 0.74 ulp), no underflow, and ``_check_fall_fits`` excludes
+    overflow.  Terms are to first order in eps (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002), with Fb(t) = P*(1 - e^{-m t})
+    + |sigma|*t >= |F(t)|:
+
+    1. The peak carries 5 roundings of eps/2 (m*T with condition at most 1
+       in expm1, expm1, mu*T, the quotient), the product P*(1 - e^{-m t})
+       4 more, and the difference with sigma*t 2: |F^(t) - F(t)| <=
+       5*eps*Fb(t) for the computed F^.
+    2. s + s_lo = z0 + F^(t0) exactly.  D + D_lo is the drop within
+       2*eps^2*drop.  In a pass from (s, s_lo), the four low parts are at
+       most 3, 1, 2 and 4 times eps/2*|s|, and their rounded sum errs by
+       7.5*eps^2*|s|; q*(D + D_lo) errs by 4*eps^2*|s|.  |s| shrinks by eps
+       or to 2*drop a pass, and the last clip, the rounding of s + s_lo and
+       a wrap to the drop cost 3*eps*drop.  So r^ = r + e_0 + e_r with e_0 =
+       F^(t0) - F(t0) and |e_r| <= 16*eps^2*s + 3*eps*drop, over the exact
+       remainder r.
+    3. ``_invert_fall`` stops at t where t + (r^ - F^(t))/F^'(t) rounds
+       back to t, or after a step, at most t long, that can overshoot by
+       the error of F^ and of the rate.  The rate errs by (4.5 + m*t/2)*
+       eps*m*y_p(t), and m*y_p(t)*t <= Fb(t) and (m*t)^2*e^{-m t} <= 0.65*
+       (1 - e^{-m t}) put that step's error under 5*eps*Fb(t): |F(t_r^) -
+       r^| <= 10*eps*Fb(t_r^) + eps/2*t_r^*F'(t_r^).
+    4. So t_r^ - t_r = (e_0 + e_r + F(t_r^) - r^)/F'(t_r), while F^(t0) -
+       r^ = F(t0) - r - e_r: the error of F(t0) cancels from the first
+       term but enters the second over F'(t_r), which falls to 0 at the
+       decay ceiling.  The first term's difference (r^ is at most two
+       drops), the division by fl(mu - sigma), t_r^ - t0 and the final sum
+       round by 2*eps*(Fb(t0) + 2*drop)/(mu - sigma) + eps*T.
+
+    Adding up, and with generous rounding of the constants:
+
+        error = 10*eps*[(Fb(t0) + Fb(t_r) + drop + 2*eps*s)
+                        * (1/(mu - sigma) + 1/F'(t_r)) + T],
+
+    taken with the computed r^ for F(t_r); it is infinite where the
+    computed F'(t_r) is not positive.
     """
-    drop = (mu - sigma) * T
+    eps = sys.float_info.epsilon
+    d, d_lo = _two_sum(mu, -sigma)
+    drop, drop_lo = _two_product(d, T)
+    drop_lo = drop_lo + d_lo * T
     peak = _peak(T, m, mu)
-    s = z0 + _fall(t0, peak, sigma, m)[0]
-    k = np.ceil(s / drop) - 1.0
-    return np.maximum(k * T + _invert_fall(s - k * drop, T, sigma, m, peak) - t0, 0.0)
+    f0 = _fall(t0, peak, sigma, m)[0]
+    s, s_lo = _two_sum(z0, f0)
+    hi, lo, k = s, s_lo, 0.0
+    for _ in range(64):
+        q = np.floor(hi / drop)
+        if not q.any():
+            break
+        p, p_lo = _two_product(q, drop)
+        a, b = _two_sum(hi, -p)
+        hi, lo = _two_sum(a, b + (lo - p_lo - q * drop_lo))
+        k = k + q
+        if np.all(np.abs(q) <= 1.0):
+            break
+    r = np.clip(hi + lo, 0.0, drop)
+    widen = sigma + abs(sigma)     # Fb(t) = F(t) + widen*t
+    slack = f0 + widen * t0 + drop + 2.0 * eps * s
+    low = r < 10.0 * eps * slack
+    r = np.where(low, r + drop, r)
+    k = k - low
+    t = _invert_fall(r, T, sigma, m, peak)
+    with np.errstate(divide="ignore"):
+        inv_rate = 1.0 / np.maximum(m * peak * np.exp(-m * t) - sigma, 0.0)
+    error = 10.0 * eps * ((slack + r + widen * t) * (1.0 / d + inv_rate) + T)
+    return np.maximum(k * T + t - t0, 0.0), (f0 - r) / d + (t - t0), error
 
 
 def damage_time(p: ZParams, z0: float, t0: float = 0.0) -> float:
     """Time for z to reach zero after an invasion of size z0 at t0 in [0, T):
-    one element of ``_damage_times``.  An invasion whose fall of z overflows
-    a float raises InputOverflowError (see ``_check_fall_fits``)."""
+    the damage time of ``_damage_times``.  An invasion whose fall of z
+    overflows a float raises InputOverflowError (see ``_check_fall_fits``)."""
     _positive("invasion size", "z0", z0)
     if not 0.0 <= t0 < p.T:
         raise DomainError("t0 must lie in [0, T)")
@@ -273,7 +389,7 @@ def damage_time(p: ZParams, z0: float, t0: float = 0.0) -> float:
         raise PeriodTooLargeError(
             "period at or above max_decay_period: z need not decrease")
     _check_fall_fits(UncertaintyBox(z0, z0, p.sigma, p.sigma, p.m, p.m), p.mu, p.T, p.T)
-    return float(_damage_times(p.T, t0, z0, p.sigma, p.m, p.mu))
+    return float(_damage_times(p.T, t0, z0, p.sigma, p.m, p.mu)[0])
 
 
 # --------------------------------------------------------------------------
@@ -438,6 +554,24 @@ def envelope_bound_curve(Ts, box: UncertaintyBox, mu: float):
     d ln q/da = (g(theta*a) - g(a))/a > 0 for decreasing g(y) = y/(e^y - 1).
     """
     return mu / (mu - box.sigma_hi) * deviation_envelope(Ts, box.m_hi)
+
+
+def _bound_curve_error(Ts, box: UncertaintyBox, mu: float):
+    """A bound on the rounding error of ``envelope_bound_curve`` at the
+    periods Ts, 8*eps*mu*(u - 1)/((mu - sigma_hi)*m_hi) with u = x/(1 -
+    e^{-x}) >= 1 and x = m_hi*T, under the assumptions of ``_damage_times``.
+    The computed u is u*(1 + a) with |a| <= 2*eps (x, of condition at most 1
+    in u, expm1 and the quotient), which moves v = u - 1 - ln u by (u -
+    1)*a, as dv/du = 1 - 1/u.  u - 1 rounds by eps/2*(u - 1), ln u by
+    eps*ln u, their difference by eps/2*v and the factor mu/((mu -
+    sigma_hi)*m_hi) by 2*eps*v.  With ln u and v at most u - 1 that is
+    6*eps*(u - 1) to first order.  Relative to the curve, about x^2/8 at
+    small x, it grows like 1/x: u - 1 - ln u cancels there.
+    """
+    m = box.m_hi
+    u = m * Ts / -np.expm1(-m * Ts)
+    # (u - 1)/m last, about T/2 where m*T is tiny: no overflow at a tiny m
+    return 8.0 * sys.float_info.epsilon * mu / (mu - box.sigma_hi) * (u - 1.0) / m
 
 
 def robust_envelope(T, box: UncertaintyBox, mu: float):

@@ -42,6 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .forkpool import PoolBroken
+from .kernels import _split
 
 __all__ = ["OutputWriteError", "row_chunks", "write"]
 
@@ -197,9 +198,7 @@ def _tables() -> SimpleNamespace:
     for k in range(_K_LO, _K_HI + 1):
         hi = float(f"1e{k}")
         lo = _residual(k, hi)
-        c = hi * 134217729.0    # Veltkamp split, for Dekker's exact product
-        hh = c - (c - hi)
-        pow10.append((hi, hh, hi - hh, lo))
+        pow10.append((hi, *_split(hi), lo))    # split for Dekker's exact product
         thr.append(math.nextafter(hi, math.inf) if lo > 0 else hi)  # least >= 10^k
 
     # per decimal exponent X of a %.17g value: 17 times the point's place
@@ -282,9 +281,7 @@ def _g_words(t, x, out, lit):
     # double-double (hi, lo); p >= 10^16 > 2^53 is an integer
     hi, hh, hl, lo = t.pow10.take((16 - _K_LO) - e, axis=0).T
     p = a * hi
-    c = a * 134217729.0
-    ah = c - (c - a)
-    al = a - ah
+    ah, al = _split(a)
     r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
     q = np.rint(r)
     tie = np.abs(r - q) >= _TIE

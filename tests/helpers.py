@@ -142,6 +142,41 @@ def midpoint_z_value(sigma, m, mu, T, z0, t0, t, n_grid=1 << 16) -> float:
         k += 1
 
 
+def mp_fall(phi, T, sigma, m, mu):
+    """The fall int_0^phi (m*y_p - sigma) of z over the phases [0, phi] of a
+    period T, by Gauss-Legendre quadrature of the orbit y_p at mpmath's
+    working precision (mpf arguments)."""
+    peak = mu * T / -mpmath.expm1(-m * T)
+    return mpmath.quad(lambda s: m * peak * mpmath.exp(-m * s) - sigma, [0, phi],
+                       method="gauss-legendre")
+
+
+def mp_deviation(T, t0, z0, sigma, m, mu, dps=50):
+    """Pi - T1 of the comparison model at dps digits, below the decay
+    ceiling: z first meets 0 in the period k where r = z0 + F(t0) - k*drop
+    lies in (0, drop], at the phase where the quadrature fall F meets r.
+    Newton's method finds it from the chord point r/(mu - sigma), right of
+    the root as F is concave, at 20 digits and then at dps."""
+    with mpmath.workdps(dps):
+        T, t0, z0, sigma, m, mu = (mpmath.mpf(v) for v in (T, t0, z0, sigma, m, mu))
+        drop = (mu - sigma) * T
+        s = z0 + mp_fall(t0, T, sigma, m, mu)
+        k = mpmath.ceil(s / drop) - 1
+        r = s - k * drop
+    phi = r / (mu - sigma)
+    for digits in (20, dps):
+        with mpmath.workdps(digits):
+            peak = mu * T / -mpmath.expm1(-m * T)
+            for _ in range(200):
+                step = ((mp_fall(phi, T, sigma, m, mu) - r)
+                        / (m * peak * mpmath.exp(-m * phi) - sigma))
+                phi = max(phi - step, mpmath.mpf(0))
+                if abs(step) <= mpmath.mpf(10) ** (3 - digits) * T:
+                    break
+    with mpmath.workdps(dps):
+        return k * T + phi - t0 - z0 / (mu - sigma)
+
+
 def dop853_release_run(k, mu, T, x0, y0, t0, t_end, eil=None, ts=()):
     """The full release model integrated by DOP853 at rtol 1e-11, one
     release segment at a time, with the jump mu*T added to y by hand at

@@ -10,14 +10,14 @@ finite numbers where the CSVs and the SVG report them.
 Every subcommand is drawn; ``damage``, ``simulate`` and ``montecarlo
 --engine full`` with the small inputs in ``COMMANDS``.  The two that
 integrate the full model over a whole run are not drawn with the changes
-in ``STIFF``, which make one run take from over 3 s to minutes.  Two are
-slow on their own: logistic r = 1e6 (``simulate`` about 40 s) and Allee
-K = 1e6 (``montecarlo --engine full``).  The third, mu = 1e6, puts the
-full engine's periods near 1e-6, so a second change under which the pest
-survives (Holling a or b = 1e6, say) steps 1e8 releases to the horizon.
-The 500 examples take about 7 s; each ``@example`` is an escape this
-test found in earlier code.  The last test pins seven escapes found by
-hand, ``damage`` and ``simulate`` among them, with their exact message.
+in ``STIFF``, which make one run take from over 3 s to minutes: logistic
+r = 1e6 (``simulate`` about 40 s) and Allee K = 1e6 (``montecarlo
+--engine full``).  mu = 1e6 is drawn: it puts the full engine's periods
+near 1e-6, and a trial whose pest survives would step 1e8 releases to
+its horizon, but one that passes more than 10^7 fails at once.  The 500
+examples take about 12 s; each ``@example`` is an escape this test found
+in earlier code.  The last test pins seven escapes found by hand,
+``damage`` and ``simulate`` among them, with their exact message.
 """
 
 import contextlib
@@ -55,7 +55,7 @@ COMMANDS = (("validate",), ("stability",), ("stability", "--period", "2000"),
 RECORD_FIELDS = ("T", "t0", "z0", "Pi", "T1", "deviation")
 #: (field, value) changes that ``simulate`` and full-engine ``montecarlo``
 #: are not drawn with: each makes one run take seconds to minutes
-STIFF = {("kernels.growth.r", 1e6), ("kernels.growth.K", 1e6), ("program.mu", 1e6)}
+STIFF = {("kernels.growth.r", 1e6), ("kernels.growth.K", 1e6)}
 
 
 def _parameters(cls) -> list:
@@ -164,6 +164,10 @@ def check_artifacts(out) -> None:
 # the least drop in z a period underflows: inf Pi and false violations
 @example(scenario=("logistic", "holling2", [("box.m.0", 1.7e308), ("box.m.1", 1.7e308)]),
          command=("montecarlo", "--trials", "300"))
+# a full-engine trial whose pest survives stepped one release at a time
+# to its 200/m horizon, 1e8 and more of them: over 20 s for 16 trials
+@example(scenario=("allee", "holling2", [("kernels.growth.r", 1e12), ("program.mu", 1e12)]),
+         command=("montecarlo", "--engine", "full", "--trials", "16"))
 def test_bad_input_keeps_the_cli_contract(workdir, scenario, command):
     if command[0] == "simulate" or "full" in command:
         assume(not STIFF.intersection(scenario[2]))

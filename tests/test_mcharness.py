@@ -434,6 +434,23 @@ def test_verify_envelope_reference(reference_box):
     assert populated.any() and report.coverage_ratio[populated].max() > 0.6
 
 
+@pytest.mark.parametrize("z0_hi", [5.0, 1e12])
+def test_violations_count_a_trial_beyond_the_bound_by_its_error(z0_hi):
+    # the check's slack is the trial's proven error plus the curve's own:
+    # a deviation twice that above the curve is counted, half of it is not
+    box = planner.UncertaintyBox(1.0, z0_hi, 1.0, 1.0, 1.0, 1.0)
+    trials = run_mc(small_cfg(box, n_trials=500))
+    assert verify_envelope(trials, box, MU).violations == 0
+    bound = planner.envelope_bound_curve(trials.T, box, MU)
+    error = planner._bound_curve_error(trials.T, box, MU) + trials.deviation_error
+    assert np.all(np.isfinite(error) & (error > 0.0))
+    for factor, count in ((0.5, 0), (2.0, 1)):
+        deviation = trials.deviation.copy()
+        deviation[7] = bound[7] + factor * error[7]
+        planted = dataclasses.replace(trials, deviation=deviation)
+        assert verify_envelope(planted, box, MU).violations == count
+
+
 def test_envelope_memory_is_bounded_at_max_bins(reference_box):
     # the bins stay numpy columns: no per-bin Python object at 2^20 bins
     trials = run_mc(small_cfg(reference_box, n_trials=20_000))
@@ -489,10 +506,12 @@ def test_formatter_matches_per_row_formatting(reference_box, tmp_path, monkeypat
                0.1, 1.0 / 3.0, 2.0 ** 53, 1e-300]
     cols = {c: np.roll(np.array(special), k) for k, c in enumerate(COLUMNS[:-1])}
     failed = np.isnan(cols["Pi"]) | (np.arange(len(special)) % 5 == 0)
-    trials = mcharness.Trials(**cols, failed=failed, engine="full")
+    trials = mcharness.Trials(**cols, failed=failed, engine="full",
+                              deviation_error=np.full(len(special), math.nan))
     # stream_mc's jobs solve these trials, in three jobs, the last partial
     monkeypatch.setattr(mcharness, "_solve", lambda cfg, start, stop: mcharness.Trials(
-        **{c: getattr(trials, c)[start:stop] for c in COLUMNS}, engine="full"))
+        **{c: getattr(trials, c)[start:stop] for c in (*COLUMNS, "deviation_error")},
+        engine="full"))
     monkeypatch.setattr(mcharness, "_CSV_ROWS", 5)
     monkeypatch.setenv("BIOCTL_THREADS", "1" if workers == "1" else "2")
     if workers == "no fork":

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -121,6 +122,15 @@ def test_decay_ceiling_matches_log_space_bisection():
                             helpers.bisect_decay_ceiling(mu, sigma, m), rel_tol=tol)
 
 
+def test_decay_ceiling_one_ulp_below_the_budget():
+    # x = m*T is about 3e-16 here, where Newton's slope 1/x - 1/q rounds to
+    # 0: the iteration stops at its start instead of dividing by it
+    mu = 0.33763236396120916
+    sigma = math.nextafter(mu, 0.0)
+    assert math.isclose(max_decay_period(mu, sigma, 1.0), 2.0 * (mu - sigma) / mu,
+                        rel_tol=1e-12)
+
+
 @given(sigma=st.floats(0.2, 2.0), ratio=st.floats(1.05, 6.0),
        m=st.floats(0.2, 3.0))
 def test_decay_ceiling_separates_floor(sigma, ratio, m):
@@ -189,6 +199,114 @@ def test_damage_time_validation():
     big = ZParams(sigma=1.0, m=1.0, mu=2.0, T=1.3)
     with pytest.raises(PeriodTooLargeError):
         damage_time(big, 3.0)
+
+
+def _mp_draws(z0_hi, n, seed):
+    """n comparison models and invasions, rows (T, t0, z0, sigma, m, mu)
+    with z0 in [1, z0_hi]: T uniform below the decay ceiling in a third of
+    them, within 1e-6 of it (relative) in the rest, half of which are
+    planted so that the remainder over the drop lies 1e-17 to 1e-8 drops
+    below the drop, as near as the float z0 allows: within the rounding of
+    the remainder, which can then wrap to just above 0."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        mu = float(np.exp(rng.uniform(-2.0, 2.0)))
+        sigma = mu * rng.uniform(0.01, 0.99)
+        m = float(np.exp(rng.uniform(-2.0, 2.0)))
+        T = max_decay_period(mu, sigma, m) * (
+            1.0 - 10.0 ** rng.uniform(-9.0, -6.0) if i % 3 else rng.uniform())
+        t0 = rng.uniform() * T
+        z0 = 1.0 + rng.uniform() * (z0_hi - 1.0)
+        if i % 3 == 2:
+            with mpmath.workdps(50):
+                T_, t0_, sigma_, m_, mu_ = map(mpmath.mpf, (T, t0, sigma, m, mu))
+                drop = (mu_ - sigma_) * T_
+                fall = helpers.mp_fall(t0_, T_, sigma_, m_, mu_)
+                gap = mpmath.mpf(10) ** rng.uniform(-17.0, -8.0)
+                z0 = float((mpmath.ceil((z0 + fall) / drop) - gap) * drop - fall)
+        rows.append((T, t0, z0, sigma, m, mu))
+    return np.array(rows).T
+
+
+def _mp_errors(T, t0, z0, sigma, m, mu, dev):
+    """|deviation - its 50-digit value|, elementwise."""
+    return np.array([float(abs(mpmath.mpf(d) - helpers.mp_deviation(*row)))
+                     for d, *row in zip(dev.tolist(), T.tolist(), t0.tolist(),
+                                        z0.tolist(), sigma.tolist(), m.tolist(),
+                                        mu.tolist())])
+
+
+@pytest.mark.parametrize("z0_hi", [5.0, 1e6, 1e12])
+def test_deviation_is_within_its_error_bound(z0_hi):
+    # the bound's 1/F'(t_r) terms carry the error of the remainder into the
+    # phase of the root, where F' falls to 0 at the decay ceiling; without
+    # them the draws near the ceiling err by up to 1e5 times the rest.  A
+    # remainder that rounds to just above 0 while the exact one lies just
+    # below the drop is taken at the drop, where F' is least; taken at 0,
+    # some planted draws err by 1e5 times their bound
+    draws = _mp_draws(z0_hi, 45, seed=round(math.log10(z0_hi)))
+    pi, dev, error = planner._damage_times(*draws)
+    assert np.all(np.isfinite(pi)) and np.all(error > 0.0)
+    assert np.all(_mp_errors(*draws, dev) <= error)
+
+
+def test_remainder_reduction_corrects_a_quotient_rounded_across_a_multiple():
+    # (z0 + F(t0))/drop is 350131361.99999999: its rounded quotient is the
+    # next integer, whose remainder is just below 0 and takes a second pass
+    # of the reduction to land just below the drop (without it the error is
+    # 4e4 times the bound)
+    T, t0, z0 = 0.09287020701322124, 0.005008555494552856, 32516772.06530643
+    f0 = float(planner._fall(t0, planner._peak(T, 1.0, 2.0), 1.0, 1.0)[0])
+    assert (z0 + f0) / T == 350131362.0
+    with mpmath.workdps(50):
+        exact = (z0 + helpers.mp_fall(*map(mpmath.mpf, (t0, T, 1.0, 1.0, 2.0)))) / T
+        assert mpmath.floor(exact) == 350131361
+    draws = tuple(np.array([v]) for v in (T, t0, z0, 1.0, 1.0, 2.0))
+    _, dev, error = planner._damage_times(*draws)
+    assert _mp_errors(*draws, dev) <= error
+
+
+def test_remainder_reduction_past_2_53_periods():
+    # z0 over the drop is about 3e16: the first pass leaves -1.1 drops
+    # here, which the next removes (left in, the error is 1e9 times the bound)
+    draws = tuple(np.array([v]) for v in (1e-3, 3e-4, 3e13 + 0.7, 1.0, 1.0, 2.0))
+    pi, dev, error = planner._damage_times(*draws)
+    assert pi > 2.0 ** 53 * 1e-3
+    assert _mp_errors(*draws, dev) <= error
+
+
+@pytest.mark.filterwarnings("error")
+def test_invert_fall_where_the_rate_rounds_to_zero():
+    # sigma/mu = 1 - 1.5e-12 and T within rounding of the decay ceiling:
+    # F'(T) rounds to 0, and the fall's own value at T took a 0/0 Newton
+    # step to nan (a remainder wrapped to the drop sends Newton to T)
+    T, sigma, m, mu = 5.10398037875661e-13, 1.1468689842348965, 5.963396675646038, \
+        1.146868984236642
+    peak = planner._peak(T, m, mu)
+    fall, rate = planner._fall(T, peak, sigma, m)
+    assert rate == 0.0
+    assert planner._invert_fall(np.array([fall]), T, sigma, m, peak).tolist() == [T]
+
+
+def test_bound_curve_error_bound_against_mpmath():
+    # u - 1 - ln u cancels at small m*T: the curve's own error, relative
+    # to it, grows like 1/(m*T)
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        mu = float(np.exp(rng.uniform(-2.0, 2.0)))
+        sigma = mu * rng.uniform(0.01, 0.99)
+        m = float(np.exp(rng.uniform(-2.0, 2.0)))
+        box = UncertaintyBox(1.0, 2.0, sigma, sigma, m, m)
+        Ts = 10.0 ** rng.uniform(-10.0, math.log10(5.0), 100) / m
+        got = envelope_bound_curve(Ts, box, mu)
+        error = planner._bound_curve_error(Ts, box, mu)
+        with mpmath.workdps(50):
+            for T, g, e in zip(Ts.tolist(), got.tolist(), error.tolist()):
+                x = mpmath.mpf(m) * T
+                u = x / -mpmath.expm1(-x)
+                want = mu / (mpmath.mpf(mu) - sigma) * (u - 1 - mpmath.log(u)) / m
+                assert abs(g - want) <= e
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ BOX = planner.UncertaintyBox(1.0, 5.0, 1.0, 1.0, 1.0, 1.0)
 # sigma = -2 leaves budgets in (-2, 0] above sigma
 BELOW_ZERO = planner.UncertaintyBox(1.0, 5.0, -2.0, -2.0, 1.0, 1.0)
 NO_TRIALS = mcharness.Trials(*[np.empty(0)] * 6, failed=np.empty(0, dtype=bool),
-                             engine="closed")
+                             engine="closed", deviation_error=np.empty(0))
 
 # (the parameter's name, a call with the parameter set to v)
 POSITIVE = [

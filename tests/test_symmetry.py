@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import parse_kv, write_config
 
-from bioctl import cli, impulsim, planner
+from bioctl import cli, impulsim, mcharness, planner
 from bioctl.impulsim import SimConfig
 from bioctl.kernels import (
     Allee,
@@ -64,12 +64,14 @@ def _draws(seed, n=256):
 @given(seed=SEEDS, a=POW2, b=POW2)
 @settings(max_examples=30)
 def test_comparison_damage_times_scale_exactly(seed, a, b):
+    # Pi, its deviation and the deviation's error bound are all times
     T, t0, z0, sigma, m, mu = _draws(seed)
-    pis = planner._damage_times(T, t0, z0, sigma, m, mu)
-    assert np.array_equal(
-        planner._damage_times(a * T, a * t0, z0, sigma / a, m / a, mu / a), a * pis)
-    assert np.array_equal(
-        planner._damage_times(T, t0, b * z0, b * sigma, m, b * mu), pis)
+    want = planner._damage_times(T, t0, z0, sigma, m, mu)
+    in_time = planner._damage_times(a * T, a * t0, z0, sigma / a, m / a, mu / a)
+    in_size = planner._damage_times(T, t0, b * z0, b * sigma, m, b * mu)
+    for col, time_col, size_col in zip(want, in_time, in_size):
+        assert np.array_equal(time_col, a * col)
+        assert np.array_equal(size_col, col)
 
 
 @given(mu=st.floats(1e-3, 1e3), ratio=st.floats(1e-6, 0.999999),
@@ -339,6 +341,36 @@ def test_closed_mc_records_scale_exactly(tmp_path, capsys):
     assert in_size[0]["violations"] == base[0]["violations"]
     _mc_checks(base, in_time, 2.0)
     assert [r["z0"] for r in in_time[1]] == [r["z0"] for r in base[1]]
+
+
+def _planted(solve):
+    """``mcharness._solve`` with trial 0 put half its error above the bound
+    curve, where the envelope check must not count it, and trial 1 twice
+    its error above, where it must."""
+    def solve_planted(cfg, start, stop):
+        trials = solve(cfg, start, stop)
+        if start == 0:
+            Ts = trials.T[:2]
+            error = (planner._bound_curve_error(Ts, cfg.box, cfg.mu)
+                     + trials.deviation_error[:2])
+            trials.deviation[:2] = (planner.envelope_bound_curve(Ts, cfg.box, cfg.mu)
+                                    + np.array([0.5, 2.0]) * error)
+        return trials
+    return solve_planted
+
+
+@pytest.mark.parametrize("a", [2.0 ** -10, 2.0 ** 10])
+def test_closed_mc_violations_are_exact_in_time(tmp_path, capsys, monkeypatch, a):
+    # the deviations, their error bounds and the bound curve are all times,
+    # so a trial within its error of the curve stays within it
+    monkeypatch.setattr(mcharness, "_solve", _planted(mcharness._solve))
+    argv = ("montecarlo", "--trials", "20000")
+    base = _run(tmp_path, capsys, "base", {}, *argv)
+    in_time = _run(tmp_path, capsys, "time", {
+        "box.sigma": [1.0 / a, 1.0 / a], "box.m": [1.0 / a, 1.0 / a],
+        "program.mu": 2.0 / a}, *argv)
+    assert base[0]["violations"] == "1"
+    _mc_checks(base, in_time, a)
 
 
 def test_full_mc_records_scale_exactly_in_time(tmp_path, capsys):
